@@ -1,11 +1,9 @@
 //! Benchmarks the arena-allocating Verilog frontend: lexing throughput
-//! (tokens/sec), end-to-end parse throughput (files/sec, serial vs
-//! parallel) over a small/large file mix, and the speedup over the boxed
-//! per-node allocation strategy ([`verilog::BoxedExprAlloc`]).
+//! (tokens/sec) and end-to-end parse throughput (files/sec, serial vs
+//! parallel) over a small/large file mix.
 //! Every run re-asserts the frontend contracts: the first-byte-dispatched
-//! operator table lexes every operator to its own token, parallel parse
-//! output is identical to serial, and the arena path does not regress
-//! against the boxed baseline.
+//! operator table lexes every operator to its own token, and parallel parse
+//! output is identical to serial.
 //!
 //! With `FFH_BENCH_FAST=1` only the tiny-scale artefact/metric pass runs
 //! (no Criterion timing loops) — CI uses this to fail the build if any
@@ -89,14 +87,13 @@ fn report_scale(label: &str, files: &[String]) {
     let total = files.len();
     let reps = 7;
 
-    // The four timed passes run interleaved, best-of-N each: a system-wide
+    // The three timed passes run interleaved, best-of-N each: a system-wide
     // slowdown mid-run then penalises every pass equally instead of
     // skewing whichever one it happened to land on.
     let mut lex_secs = f64::INFINITY;
     let mut tokens = 0usize;
     let mut serial_secs = f64::INFINITY;
     let mut parallel_secs = f64::INFINITY;
-    let mut boxed_secs = f64::INFINITY;
     for _ in 0..reps {
         // Pure lexing: tokens/sec over the zero-copy lexer.
         let (secs, work) = time_once(|| {
@@ -108,7 +105,7 @@ fn report_scale(label: &str, files: &[String]) {
         lex_secs = lex_secs.min(secs);
         tokens = work;
 
-        // End-to-end lex + parse, serial (arena allocator).
+        // End-to-end lex + parse, serial.
         let (secs, _) = time_once(|| {
             files
                 .iter()
@@ -127,16 +124,6 @@ fn report_scale(label: &str, files: &[String]) {
                 .sum()
         });
         parallel_secs = parallel_secs.min(secs);
-
-        // The boxed per-node allocation strategy as the baseline the arena
-        // layout is measured against (same grammar, same output arena).
-        let (secs, _) = time_once(|| {
-            files
-                .iter()
-                .map(|f| Parser::parse_source_boxed(f).map_or(0, |m| m.len()))
-                .sum()
-        });
-        boxed_secs = boxed_secs.min(secs);
     }
 
     // Parallel parse output must agree with serial exactly.
@@ -147,27 +134,15 @@ fn report_scale(label: &str, files: &[String]) {
         format!("{parallel_modules:?}"),
         "parallel parse diverged from serial"
     );
-    let speedup = boxed_secs / serial_secs;
-    // The boxed path does strictly more work (one heap allocation per
-    // expression node plus an unboxing flatten), so the arena path must at
-    // least match it; the small tolerance absorbs timer noise at tiny
-    // corpus scales.
-    assert!(
-        speedup > 0.9,
-        "arena frontend ({serial_secs:.4}s) must not regress against the \
-         boxed baseline ({boxed_secs:.4}s)"
-    );
 
     print_artifact(
         &format!("Verilog frontend at scale `{label}`"),
         &format!(
             "{total} files, {tokens} tokens: lex {:.2}M tokens/sec; \
-             parse serial {:.0} files/sec, parallel {:.0} files/sec — outputs byte-identical\n\
-             boxed-allocation baseline {:.0} files/sec → arena speedup {speedup:.2}x",
+             parse serial {:.0} files/sec, parallel {:.0} files/sec — outputs byte-identical",
             tokens as f64 / lex_secs / 1.0e6,
             total as f64 / serial_secs,
             total as f64 / parallel_secs,
-            total as f64 / boxed_secs,
         ),
     );
 
@@ -194,14 +169,6 @@ fn report_scale(label: &str, files: &[String]) {
         total as f64 / parallel_secs,
         "files_per_sec",
     );
-    print_metric(
-        "bench_parse",
-        label,
-        "boxed_files_per_sec",
-        total as f64 / boxed_secs,
-        "files_per_sec",
-    );
-    print_metric("bench_parse", label, "speedup_vs_boxed", speedup, "ratio");
 }
 
 fn bench_modes(c: &mut Criterion, label: &str, files: &[String]) {
@@ -239,16 +206,6 @@ fn bench_modes(c: &mut Criterion, label: &str, files: &[String]) {
                     .map(|f| Parser::parse_source(black_box(f)).map_or(0, |m| m.len()))
                     .collect::<Vec<_>>()
                     .into_iter()
-                    .sum::<usize>(),
-            )
-        })
-    });
-    group.bench_function("parse_boxed", |b| {
-        b.iter(|| {
-            black_box(
-                files
-                    .iter()
-                    .map(|f| Parser::parse_source_boxed(black_box(f)).map_or(0, |m| m.len()))
                     .sum::<usize>(),
             )
         })

@@ -8,6 +8,7 @@ use criterion::{black_box, Criterion};
 use curation::{CurationConfig, CurationPipeline, ExecutionMode};
 use freeset::config::{ExperimentScale, FreeSetConfig};
 use freeset::corpus::ScrapedCorpus;
+use rayon::prelude::*;
 use textsim::{char_shingles, MinHasher, ShingleSet};
 
 fn bench_scale(c: &mut Criterion, label: &str, scale: &ExperimentScale) {
@@ -44,7 +45,14 @@ fn bench_signatures(c: &mut Criterion) {
         b.iter(|| black_box(hasher.signatures(black_box(&sets))))
     });
     group.bench_function("signatures_parallel", |b| {
-        b.iter(|| black_box(hasher.par_signatures(black_box(&sets))))
+        b.iter(|| {
+            black_box(
+                black_box(&sets)
+                    .par_iter()
+                    .map(|s| hasher.signature(s))
+                    .collect::<Vec<_>>(),
+            )
+        })
     });
     group.finish();
 }

@@ -45,7 +45,6 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gh_sim::ExtractedFile;
 use serde::{Deserialize, Serialize};
 use textsim::{
     char_shingles, jaccard_similarity_sorted, read_u64_le, write_u64_le, CandidateScratch,
@@ -245,30 +244,6 @@ impl Deduplicator {
         self.streaming()
             .push_texts_with_mode(texts, mode)
             .expect("in-memory dedup performs no IO")
-    }
-
-    /// De-duplicates extracted files by their content with the given
-    /// execution mode, returning the kept files (first occurrence wins) and
-    /// the outcome.
-    pub fn dedup_files(
-        &self,
-        files: Vec<ExtractedFile>,
-        mode: ExecutionMode,
-    ) -> (Vec<ExtractedFile>, DedupOutcome) {
-        let outcome = self.dedup_texts_with_mode(
-            &files
-                .iter()
-                .map(|f| f.content.as_str())
-                .collect::<Vec<&str>>(),
-            mode,
-        );
-        let keep: std::collections::HashSet<usize> = outcome.kept.iter().copied().collect();
-        let kept_files = files
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, f)| keep.contains(&i).then_some(f))
-            .collect();
-        (kept_files, outcome)
     }
 }
 
@@ -778,7 +753,10 @@ impl StreamingDeduplicator {
                     .par_iter()
                     .map(|code| char_shingles(code, size))
                     .collect();
-                let signatures = self.hasher.par_signatures(&shingles);
+                let signatures: Vec<_> = shingles
+                    .par_iter()
+                    .map(|set| self.hasher.signature(set))
+                    .collect();
                 batch_hashes = shingles.iter().map(ShingleSet::len).sum();
                 let mut built = shingles.into_iter().zip(signatures);
                 for (i, &fingerprint) in fingerprints.iter().enumerate() {
@@ -1065,53 +1043,6 @@ mod tests {
         let docs = vec![base, variant];
         assert_eq!(strict.dedup_texts(&docs).kept.len(), 2);
         assert_eq!(loose.dedup_texts(&docs).kept.len(), 1);
-    }
-
-    #[test]
-    fn dedup_files_preserves_metadata_of_kept_files() {
-        let dedup = Deduplicator::new(DedupConfig::default());
-        let docs = distinct_docs();
-        let files: Vec<ExtractedFile> = docs
-            .iter()
-            .chain(std::iter::once(&docs[0]))
-            .enumerate()
-            .map(|(i, content)| ExtractedFile {
-                repo_id: i as u64,
-                repo_full_name: format!("owner/repo{i}"),
-                owner: "owner".into(),
-                repo_license: gh_sim::License::Mit,
-                created_year: 2020,
-                path: format!("f{i}.v"),
-                content: content.clone(),
-            })
-            .collect();
-        let (kept, outcome) = dedup.dedup_files(files, ExecutionMode::Serial);
-        assert_eq!(kept.len(), 3);
-        assert_eq!(outcome.removed.len(), 1);
-        assert_eq!(kept[0].repo_full_name, "owner/repo0");
-    }
-
-    #[test]
-    fn dedup_files_honours_the_execution_mode() {
-        // Regression: dedup_files used to hardcode ExecutionMode::Serial.
-        let dedup = Deduplicator::new(DedupConfig::default());
-        let docs = distinct_docs();
-        let files: Vec<ExtractedFile> = (0..30)
-            .map(|i| ExtractedFile {
-                repo_id: i as u64,
-                repo_full_name: format!("owner/repo{i}"),
-                owner: "owner".into(),
-                repo_license: gh_sim::License::Mit,
-                created_year: 2020,
-                path: format!("f{i}.v"),
-                content: docs[i % docs.len()].clone(),
-            })
-            .collect();
-        let (kept_serial, outcome_serial) = dedup.dedup_files(files.clone(), ExecutionMode::Serial);
-        let (kept_parallel, outcome_parallel) = dedup.dedup_files(files, ExecutionMode::Parallel);
-        assert_eq!(kept_serial, kept_parallel);
-        assert_eq!(outcome_serial, outcome_parallel);
-        assert_eq!(kept_serial.len(), docs.len());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!    signatures with locality-sensitive hashing retrieve near-duplicate
 //!    candidates, which are verified with exact Jaccard similarity at a 0.85
 //!    threshold.
-//! 4. **Syntax filtering** ([`SyntaxStage`] over [`SyntaxFilter`]): files
-//!    that do not lex/parse are removed (unresolved cross-file module
+//! 4. **Syntax filtering** ([`SyntaxStage`] over [`verilog::SyntaxChecker`]):
+//!    files that do not lex/parse are removed (unresolved cross-file module
 //!    references are tolerated).
 //! 5. **Semantic lint filtering** ([`LintStage`] over [`verilog::lint`]):
 //!    files whose static analysis findings reach the policy's severity
@@ -70,7 +70,6 @@ pub mod pipeline;
 pub mod report;
 pub mod stage;
 pub mod stages;
-pub mod syntax_filter;
 
 pub use copyright::{CopyrightDetector, CopyrightFinding};
 pub use dedup::{
@@ -93,4 +92,3 @@ pub use stage::{
 pub use stages::{
     CopyrightStage, DedupStage, DedupStream, LengthCapStage, LicenseStage, SyntaxStage,
 };
-pub use syntax_filter::SyntaxFilter;

@@ -2,14 +2,14 @@
 //! prior-work length cap.
 //!
 //! Each stage wraps one of the reusable filter components
-//! ([`LicenseFilter`], [`Deduplicator`], [`SyntaxFilter`],
+//! ([`LicenseFilter`], [`Deduplicator`], [`SyntaxChecker`],
 //! [`CopyrightDetector`]) and adapts it to the batch-in/outcome-out stage
 //! interface with provenance-tagged rejections.
 
 use std::io;
 use std::sync::Arc;
 
-use verilog::ParsedFile;
+use verilog::{ParsedFile, SyntaxChecker};
 
 use crate::copyright::CopyrightDetector;
 use crate::dedup::{DedupConfig, DedupSpillConfig, Deduplicator, StreamingDeduplicator};
@@ -18,7 +18,6 @@ use crate::parse_cache::ParseCache;
 use crate::stage::{
     stage_names, CurationStage, FileBatch, RejectReason, StageOutcome, StageStream, StageStreaming,
 };
-use crate::syntax_filter::SyntaxFilter;
 
 /// Drops files from repositories without an accepted license
 /// ([`stage_names::LICENSE`]).
@@ -227,7 +226,7 @@ impl StageStream for DedupStream {
 /// pipeline's parse-once contract.
 #[derive(Debug, Clone, Default)]
 pub struct SyntaxStage {
-    filter: SyntaxFilter,
+    checker: SyntaxChecker,
     cache: Option<Arc<ParseCache>>,
 }
 
@@ -240,7 +239,7 @@ impl SyntaxStage {
     /// Stage that deposits the parsed form of every kept file into `cache`.
     pub fn with_cache(cache: Arc<ParseCache>) -> Self {
         Self {
-            filter: SyntaxFilter::new(),
+            checker: SyntaxChecker::new(),
             cache: Some(cache),
         }
     }
@@ -250,7 +249,7 @@ impl SyntaxStage {
         let Ok(parsed) = ParsedFile::parse(content) else {
             return false;
         };
-        if self.filter.checker().check_parsed(&parsed).is_err() {
+        if self.checker.check_parsed(&parsed).is_err() {
             return false;
         }
         if let Some(cache) = &self.cache {
@@ -407,16 +406,26 @@ mod tests {
     #[test]
     fn syntax_stage_drops_broken_files() {
         let stage = SyntaxStage::new();
-        let outcome = stage.apply(batch(vec![
-            file(
-                0,
-                License::Mit,
-                "module m(input a, output y); assign y = a; endmodule",
-            ),
-            file(1, License::Mit, "not verilog"),
-        ]));
-        assert_eq!(outcome.kept.len(), 1);
-        assert_eq!(outcome.rejected[0].reason, RejectReason::Syntax);
+        let contents = [
+            "module m(input a, output y); assign y = a; endmodule",
+            "not verilog",
+            "module b(input x, output y) assign y = x; endmodule", // missing `;`
+            "// just a comment",
+            "module c(input clk); always @(posedge clk) ; endmodule",
+            // Unresolved instances of modules defined elsewhere are tolerated.
+            "module soc(input clk); cpu u_cpu(.clk(clk)); endmodule",
+        ];
+        let files = contents.iter().enumerate();
+        let outcome = stage.apply(batch(
+            files.map(|(i, c)| file(i, License::Mit, c)).collect(),
+        ));
+        let kept: Vec<u64> = outcome.kept.iter().map(|f| f.repo_id).collect();
+        assert_eq!(kept, vec![0, 4, 5]);
+        assert_eq!(outcome.rejected.len(), 3);
+        assert!(outcome
+            .rejected
+            .iter()
+            .all(|r| r.reason == RejectReason::Syntax));
     }
 
     #[test]

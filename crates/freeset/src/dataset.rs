@@ -136,20 +136,7 @@ pub fn curate_with_policy(
     scraped: &ScrapedCorpus,
     policy: curation::CurationConfig,
 ) -> CuratedDataset {
-    curate_with_policy_mode(scraped, policy, curation::ExecutionMode::default())
-}
-
-/// [`curate_with_policy`] with an explicit execution mode — the experiment
-/// drivers' toggle between serial and parallel curation. Output is
-/// byte-identical either way.
-pub fn curate_with_policy_mode(
-    scraped: &ScrapedCorpus,
-    policy: curation::CurationConfig,
-    mode: curation::ExecutionMode,
-) -> CuratedDataset {
-    CurationPipeline::new(policy)
-        .with_mode(mode)
-        .run(scraped.files.clone())
+    CurationPipeline::new(policy).run(scraped.files.clone())
 }
 
 /// Curates an already-scraped corpus under a policy extended with custom

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{ExperimentScale, FreeSetConfig};
 use crate::corpus::ScrapedCorpus;
-use crate::dataset::curate_with_policy_mode;
+use crate::dataset::curate_with_policy;
 use crate::modelzoo::ZooEntry;
 use crate::report::markdown_table;
 
@@ -35,17 +35,7 @@ impl Fig2Experiment {
 
     /// Runs the experiment over an existing scrape.
     pub fn run_on(scale: &ExperimentScale, scraped: &ScrapedCorpus) -> Self {
-        Self::run_on_with_mode(scale, scraped, curation::ExecutionMode::default())
-    }
-
-    /// [`Fig2Experiment::run_on`] with an explicit curation execution mode;
-    /// both histograms are byte-identical in either mode.
-    pub fn run_on_with_mode(
-        scale: &ExperimentScale,
-        scraped: &ScrapedCorpus,
-        mode: curation::ExecutionMode,
-    ) -> Self {
-        let freeset = curate_with_policy_mode(scraped, CurationConfig::freeset(), mode);
+        let freeset = curate_with_policy(scraped, CurationConfig::freeset());
         let verigen_entry = ZooEntry::by_name("VeriGen").expect("VeriGen entry exists");
         let stale = ScrapedCorpus {
             files: scraped
@@ -57,7 +47,7 @@ impl Fig2Experiment {
             universe_stats: scraped.universe_stats,
             scrape_report: scraped.scrape_report,
         };
-        let verigen = curate_with_policy_mode(&stale, verigen_entry.policy, mode);
+        let verigen = curate_with_policy(&stale, verigen_entry.policy);
 
         let freeset_lengths: Vec<usize> = freeset.files().iter().map(|f| f.char_len()).collect();
         let freeset_max_chars = freeset_lengths.iter().copied().max().unwrap_or(0);

@@ -80,12 +80,7 @@ impl Fig3Experiment {
         let reference = CopyrightedReference::from_extracted(&protected);
         let benchmark = CopyrightBenchmark::new(reference, benchmark_config);
 
-        // One toggle drives the whole figure: the benchmark config's
-        // execution mode also selects serial vs shard-and-merge training
-        // for every zoo model (results are identical either way).
-        let zoo = ModelZoo::new(scraped.clone())
-            .with_max_finetune_files(max_finetune_files)
-            .with_execution(benchmark_config.execution);
+        let zoo = ModelZoo::new(scraped.clone()).with_max_finetune_files(max_finetune_files);
         let mut rows = Vec::new();
         for entry in ZooEntry::figure3() {
             let model = zoo.build(&entry);

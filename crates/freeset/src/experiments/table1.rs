@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{ExperimentScale, FreeSetConfig};
 use crate::corpus::ScrapedCorpus;
-use crate::dataset::curate_with_policy_mode;
+use crate::dataset::curate_with_policy;
 use crate::modelzoo::ZooEntry;
 use crate::report::markdown_table;
 
@@ -94,16 +94,6 @@ impl Table1Experiment {
     /// Runs the experiment over an existing scrape (lets callers share one
     /// scrape across experiments).
     pub fn run_on(scale: &ExperimentScale, scraped: &ScrapedCorpus) -> Self {
-        Self::run_on_with_mode(scale, scraped, curation::ExecutionMode::default())
-    }
-
-    /// [`Table1Experiment::run_on`] with an explicit curation execution
-    /// mode; every policy's funnel is byte-identical in either mode.
-    pub fn run_on_with_mode(
-        scale: &ExperimentScale,
-        scraped: &ScrapedCorpus,
-        mode: curation::ExecutionMode,
-    ) -> Self {
         let mut rows = Vec::new();
         let mut summaries = Vec::new();
 
@@ -117,7 +107,7 @@ impl Table1Experiment {
             } else {
                 scraped.clone()
             };
-            let dataset = curate_with_policy_mode(&input, entry.policy.clone(), mode);
+            let dataset = curate_with_policy(&input, entry.policy.clone());
             let summary = DatasetSummary::from_dataset(
                 &dataset,
                 entry.policy.check_repository_license,
@@ -142,7 +132,7 @@ impl Table1Experiment {
         rows.extend(paper_only_rows());
 
         // FreeSet itself, last (as in the paper's table).
-        let freeset = curate_with_policy_mode(scraped, curation::CurationConfig::freeset(), mode);
+        let freeset = curate_with_policy(scraped, curation::CurationConfig::freeset());
         let summary = DatasetSummary::from_dataset(&freeset, true, true);
         let (paper_size, paper_rows) = paper_reference("FreeSet");
         rows.push(Table1Row {

@@ -181,16 +181,10 @@ impl Table2Experiment {
     }
 
     /// Runs Table II with an explicit suite and evaluation configuration.
-    /// The config's execution mode drives both the FreeV training fold and
-    /// the evaluation harness; either mode produces identical rows.
     pub fn run_with(scale: &ExperimentScale, suite: ProblemSuite, eval: EvalConfig) -> Self {
         let build = build_freeset(&FreeSetConfig::at_scale(scale));
         let corpus = build.training_corpus();
-        let freev = FreeVBuilder {
-            execution: eval.execution,
-            ..Default::default()
-        }
-        .build(&build.scraped, &corpus);
+        let freev = FreeVBuilder::default().build(&build.scraped, &corpus);
 
         let problems = suite.len();
         let samples_per_problem = eval.samples_per_problem;

@@ -1,7 +1,7 @@
 //! FreeV: continual pre-training of a base model on FreeSet (Figure 1's
 //! right half), evaluated in 4-bit quantised form.
 
-use hwlm::parallel::{train_model_with_mode, ExecutionMode};
+use hwlm::parallel::{default_workers, train_model_sharded};
 use hwlm::{AdaptedModel, ContinualPretrainConfig, NgramModel, QuantizedModel, TrainConfig};
 use serde::{Deserialize, Serialize};
 
@@ -26,9 +26,6 @@ pub struct FreeVBuilder {
     pub quantization_bits: u32,
     /// Seed for the base-corpus mixing.
     pub seed: u64,
-    /// Serial or shard-and-merge parallel training; the trained models are
-    /// byte-identical either way.
-    pub execution: ExecutionMode,
 }
 
 impl Default for FreeVBuilder {
@@ -46,7 +43,6 @@ impl Default for FreeVBuilder {
             },
             quantization_bits: 4,
             seed: 0x11A3A,
-            execution: ExecutionMode::default(),
         }
     }
 }
@@ -93,18 +89,18 @@ impl FreeVBuilder {
     pub fn build(&self, scraped: &ScrapedCorpus, freeset_corpus: &[String]) -> FreeVModel {
         let mut base_corpus = general_code_corpus(self.base_general_documents, self.seed);
         base_corpus.extend(scraped.sample_fraction(self.base_verilog_fraction, self.seed ^ 0x5A5A));
-        let base = train_model_with_mode(
+        let base = train_model_sharded(
             "Llama-3.1-8B-Instruct (sim)",
             &base_corpus,
             &self.base_train,
-            self.execution,
+            default_workers(),
         );
-        let tuned = AdaptedModel::continual_pretrain_with_mode(
+        let tuned = AdaptedModel::continual_pretrain_sharded(
             "FreeV-Llama3.1 (sim)",
             base.clone(),
             freeset_corpus,
             &self.pretrain,
-            self.execution,
+            default_workers(),
         );
         FreeVModel {
             base,

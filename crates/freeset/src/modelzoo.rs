@@ -10,7 +10,7 @@
 //! studies: what the curation policy does to copyright regurgitation.
 
 use curation::{CurationConfig, DatasetStructure};
-use hwlm::parallel::{train_model_with_mode, ExecutionMode};
+use hwlm::parallel::{default_workers, train_model_sharded};
 use hwlm::{AdaptedModel, ContinualPretrainConfig, NgramModel, TrainConfig};
 use serde::{Deserialize, Serialize};
 
@@ -234,7 +234,6 @@ pub struct ModelZoo {
     pretrain: ContinualPretrainConfig,
     base_general_documents: usize,
     max_finetune_files: usize,
-    execution: ExecutionMode,
 }
 
 impl ModelZoo {
@@ -252,15 +251,7 @@ impl ModelZoo {
             },
             base_general_documents: 400,
             max_finetune_files: 1_500,
-            execution: ExecutionMode::default(),
         }
-    }
-
-    /// Selects serial or shard-and-merge parallel training for every model
-    /// the zoo builds. Trained models are byte-identical either way.
-    pub fn with_execution(mut self, mode: ExecutionMode) -> Self {
-        self.execution = mode;
-        self
     }
 
     /// Limits the fine-tuning corpus size (keeps large-scale runs bounded).
@@ -282,11 +273,11 @@ impl ModelZoo {
             self.scraped
                 .sample_fraction(entry.base_verilog_fraction, seed ^ 0xB45E),
         );
-        train_model_with_mode(
+        train_model_sharded(
             entry.base_name.clone(),
             &corpus,
             &self.base_train,
-            self.execution,
+            default_workers(),
         )
     }
 
@@ -304,12 +295,12 @@ impl ModelZoo {
             .take(self.max_finetune_files)
             .map(str::to_string)
             .collect();
-        let tuned = AdaptedModel::continual_pretrain_with_mode(
+        let tuned = AdaptedModel::continual_pretrain_sharded(
             entry.name.clone(),
             base.clone(),
             &corpus,
             &self.pretrain,
-            self.execution,
+            default_workers(),
         );
         ZooModel {
             entry: entry.clone(),

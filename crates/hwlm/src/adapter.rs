@@ -162,29 +162,6 @@ impl AdaptedModel {
         }
     }
 
-    /// Continually pre-trains serially or with the shard-and-merge parallel
-    /// driver, depending on `mode`. Both arms produce identical models.
-    pub fn continual_pretrain_with_mode<S: AsRef<str> + Sync>(
-        name: impl Into<String>,
-        base: NgramModel,
-        corpus: &[S],
-        config: &ContinualPretrainConfig,
-        mode: crate::parallel::ExecutionMode,
-    ) -> Self {
-        match mode {
-            crate::parallel::ExecutionMode::Serial => {
-                Self::continual_pretrain(name, base, corpus, config)
-            }
-            crate::parallel::ExecutionMode::Parallel => Self::continual_pretrain_sharded(
-                name,
-                base,
-                corpus,
-                config,
-                crate::parallel::default_workers(),
-            ),
-        }
-    }
-
     /// The frozen base model.
     pub fn base(&self) -> &NgramModel {
         &self.base
@@ -378,14 +355,6 @@ mod tests {
             );
             assert_eq!(parallel, serial, "diverged at workers={workers}");
         }
-        let by_mode = AdaptedModel::continual_pretrain_with_mode(
-            "freev",
-            base,
-            &verilog_corpus(),
-            &config,
-            crate::parallel::ExecutionMode::Parallel,
-        );
-        assert_eq!(by_mode, serial);
     }
 
     #[test]

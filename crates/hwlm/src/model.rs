@@ -87,14 +87,24 @@ impl Distribution {
     /// Mixes two distributions: `(1 - weight) * self + weight * other`.
     pub fn mix(&self, other: &Distribution, weight: f64) -> Distribution {
         let weight = weight.clamp(0.0, 1.0);
-        let mut weights: std::collections::HashMap<TokenId, f64> = std::collections::HashMap::new();
-        for (t, p) in &self.entries {
-            *weights.entry(*t).or_insert(0.0) += (1.0 - weight) * p;
+        let mut terms: Vec<(TokenId, f64)> = self
+            .entries
+            .iter()
+            .map(|&(t, p)| (t, (1.0 - weight) * p))
+            .chain(other.entries.iter().map(|&(t, p)| (t, weight * p)))
+            .collect();
+        // Token order, self's term before other's (the sort is stable): the
+        // normalising sum in `from_weights` then adds the same floats in the
+        // same order on every call, so the probabilities repeat bit for bit.
+        terms.sort_by_key(|&(t, _)| t);
+        let mut weights: Vec<(TokenId, f64)> = Vec::with_capacity(terms.len());
+        for (t, w) in terms {
+            match weights.last_mut() {
+                Some((last, sum)) if *last == t => *sum += w,
+                _ => weights.push((t, w)),
+            }
         }
-        for (t, p) in &other.entries {
-            *weights.entry(*t).or_insert(0.0) += weight * p;
-        }
-        Distribution::from_weights(weights.into_iter().collect())
+        Distribution::from_weights(weights)
     }
 
     /// Samples a token according to the distribution.
@@ -280,6 +290,28 @@ mod tests {
         let m = a.mix(&b, 0.25);
         assert!((m.probability(1) - 0.75).abs() < 1e-12);
         assert!((m.probability(2) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mix_is_bitwise_repeatable() {
+        // Irregular weights over partly overlapping token sets, so the
+        // normalising sum depends on the order it adds them in.
+        let dist = |offset: TokenId, scale: f64| {
+            Distribution::from_weights(
+                (0..64)
+                    .map(|i: TokenId| (offset + i, scale / f64::from(i + 3) + f64::from(i).sqrt()))
+                    .collect(),
+            )
+        };
+        let (a, b) = (dist(0, 1.7), dist(40, 0.3));
+        let bits = |d: &Distribution| -> Vec<(TokenId, u64)> {
+            d.entries().iter().map(|&(t, p)| (t, p.to_bits())).collect()
+        };
+        let first = bits(&a.mix(&b, 0.37));
+        assert_eq!(first.len(), 104);
+        for _ in 0..50 {
+            assert_eq!(bits(&a.mix(&b, 0.37)), first);
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::model::TrainConfig;
 use crate::ngram::{NgramCounts, NgramModel};
 use crate::tokenizer::HdlTokenizer;
 
-/// Whether a training or evaluation driver fans work out across threads.
+/// Whether an evaluation driver fans work out across threads.
 ///
 /// Mirrors the curation crate's execution toggle: `Parallel` output is
 /// byte-identical to `Serial` by construction, so the mode only changes
@@ -106,6 +106,32 @@ pub fn partition_by_size<S: AsRef<str>>(corpus: &[S], workers: usize) -> Vec<Vec
     shards
 }
 
+/// Runs `work` once per [`partition_by_size`] shard of `corpus`, one scoped
+/// thread per shard, and returns the results in shard order. A single shard
+/// runs on the calling thread.
+pub(crate) fn map_shards<S, T, F>(corpus: &[S], workers: usize, work: F) -> Vec<T>
+where
+    S: AsRef<str>,
+    T: Send,
+    F: Fn(&[usize]) -> T + Sync,
+{
+    let partition = partition_by_size(corpus, workers);
+    if partition.len() <= 1 {
+        return partition.iter().map(|indices| work(indices)).collect();
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = partition
+            .iter()
+            .map(|indices| scope.spawn(move || work(indices)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect()
+    })
+}
+
 /// Folds `corpus` into [`NgramCounts`] of `order` on scoped threads, one
 /// size-balanced document shard per worker (see [`partition_by_size`]),
 /// merging per-shard counts in fixed shard order.
@@ -119,31 +145,16 @@ pub fn sharded_counts<S: AsRef<str> + Sync>(
     max_seq_len: usize,
     workers: usize,
 ) -> NgramCounts {
-    let mut merged = NgramCounts::new(order);
-    if corpus.is_empty() {
-        return merged;
-    }
-    let partition = partition_by_size(corpus, workers);
-    let shards: Vec<NgramCounts> = std::thread::scope(|scope| {
-        let handles: Vec<_> = partition
-            .iter()
-            .map(|indices| {
-                scope.spawn(move || {
-                    let mut counts = NgramCounts::new(order);
-                    for &i in indices {
-                        let mut ids = tokenizer.encode_document(corpus[i].as_ref());
-                        ids.truncate(max_seq_len.max(2));
-                        counts.observe_sequence(&ids);
-                    }
-                    counts
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("training shard worker panicked"))
-            .collect()
+    let shards = map_shards(corpus, workers, |indices| {
+        let mut counts = NgramCounts::new(order);
+        for &i in indices {
+            let mut ids = tokenizer.encode_document(corpus[i].as_ref());
+            ids.truncate(max_seq_len.max(2));
+            counts.observe_sequence(&ids);
+        }
+        counts
     });
+    let mut merged = NgramCounts::new(order);
     for shard in shards {
         merged.merge(shard);
     }
@@ -172,20 +183,6 @@ pub fn train_model_sharded<S: AsRef<str> + Sync>(
     NgramModel::from_parts(name, tokenizer, counts)
 }
 
-/// Trains an [`NgramModel`] serially or with the shard-and-merge parallel
-/// driver, depending on `mode`. Both arms produce identical models.
-pub fn train_model_with_mode<S: AsRef<str> + Sync>(
-    name: impl Into<String>,
-    corpus: &[S],
-    config: &TrainConfig,
-    mode: ExecutionMode,
-) -> NgramModel {
-    match mode {
-        ExecutionMode::Serial => NgramModel::train_named(name, corpus, config),
-        ExecutionMode::Parallel => train_model_sharded(name, corpus, config, default_workers()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,15 +208,6 @@ mod tests {
             let parallel = train_model_sharded("m", &corpus, &config, workers);
             assert_eq!(parallel, serial, "diverged at workers={workers}");
         }
-    }
-
-    #[test]
-    fn both_execution_modes_produce_identical_models() {
-        let corpus = corpus();
-        let config = TrainConfig::default();
-        let serial = train_model_with_mode("m", &corpus, &config, ExecutionMode::Serial);
-        let parallel = train_model_with_mode("m", &corpus, &config, ExecutionMode::Parallel);
-        assert_eq!(serial, parallel);
     }
 
     #[test]

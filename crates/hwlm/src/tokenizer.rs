@@ -145,10 +145,10 @@ impl HdlTokenizer {
         out
     }
 
-    /// Tallies surface-token occurrence counts over a document slice.
-    fn tally<S: AsRef<str>>(corpus: &[S]) -> HashMap<String, usize> {
+    /// Tallies surface-token occurrence counts over `docs`.
+    fn tally<D: AsRef<str>>(docs: impl IntoIterator<Item = D>) -> HashMap<String, usize> {
         let mut counts: HashMap<String, usize> = HashMap::new();
-        for doc in corpus {
+        for doc in docs {
             for token in Self::split(doc.as_ref()) {
                 *counts.entry(token).or_insert(0) += 1;
             }
@@ -190,31 +190,11 @@ impl HdlTokenizer {
         min_count: usize,
         workers: usize,
     ) -> Self {
-        let partition = crate::parallel::partition_by_size(corpus, workers);
-        if partition.len() <= 1 {
-            return Self::fit(corpus, min_count);
-        }
-        let tallies: Vec<HashMap<String, usize>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = partition
-                .iter()
-                .map(|indices| {
-                    scope.spawn(move || {
-                        let mut counts: HashMap<String, usize> = HashMap::new();
-                        for &i in indices {
-                            for token in Self::split(corpus[i].as_ref()) {
-                                *counts.entry(token).or_insert(0) += 1;
-                            }
-                        }
-                        counts
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("vocabulary shard worker panicked"))
-                .collect()
-        });
-        let mut merged: HashMap<String, usize> = HashMap::new();
+        let mut tallies = crate::parallel::map_shards(corpus, workers, |indices| {
+            Self::tally(indices.iter().map(|&i| &corpus[i]))
+        })
+        .into_iter();
+        let mut merged = tallies.next().unwrap_or_default();
         for tally in tallies {
             for (token, count) in tally {
                 *merged.entry(token).or_insert(0) += count;

@@ -4,7 +4,7 @@
 //! byte-identical to the serial fold. This is the invariant that lets
 //! `hwlm::parallel` treat the worker count as a pure wall-clock knob.
 
-use hwlm::parallel::{sharded_counts, train_model_sharded, train_model_with_mode, ExecutionMode};
+use hwlm::parallel::{sharded_counts, train_model_sharded};
 use hwlm::{HdlTokenizer, NgramCounts, NgramModel, TrainConfig};
 use proptest::prelude::*;
 
@@ -103,7 +103,7 @@ proptest! {
 
     /// End to end: the sharded trainer produces a model equal to
     /// [`NgramModel::train_named`] — same vocabulary, same counts — for any
-    /// worker count, and the [`ExecutionMode`] toggle preserves that.
+    /// worker count.
     #[test]
     fn sharded_training_matches_serial_training(
         docs in 0usize..16,
@@ -116,7 +116,5 @@ proptest! {
         let serial = NgramModel::train_named("m", &corpus, &config);
         let sharded = train_model_sharded("m", &corpus, &config, workers);
         prop_assert_eq!(&sharded, &serial, "model diverged at workers={}", workers);
-        let via_mode = train_model_with_mode("m", &corpus, &config, ExecutionMode::Parallel);
-        prop_assert_eq!(&via_mode, &serial);
     }
 }

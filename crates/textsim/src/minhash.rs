@@ -146,17 +146,6 @@ impl MinHasher {
     pub fn signatures(&self, sets: &[ShingleSet]) -> Vec<Signature> {
         sets.iter().map(|s| self.signature(s)).collect()
     }
-
-    /// Computes signatures for a batch of shingle sets in parallel.
-    ///
-    /// Signature computation is the hot loop of de-duplication (permutations
-    /// × shingles per document) and every document is independent, so the
-    /// batch fans out across threads. Results are merged back in input order:
-    /// the output is element-for-element identical to [`Self::signatures`].
-    pub fn par_signatures(&self, sets: &[ShingleSet]) -> Vec<Signature> {
-        use rayon::prelude::*;
-        sets.par_iter().map(|s| self.signature(s)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -257,28 +246,10 @@ mod tests {
 #[cfg(test)]
 mod batch_tests {
     use super::*;
-    use crate::shingle::char_shingles;
-
-    #[test]
-    fn parallel_signatures_match_serial_exactly() {
-        let hasher = MinHasher::new(96, 41);
-        let sets: Vec<ShingleSet> = (0..64)
-            .map(|i| {
-                char_shingles(
-                    &format!(
-                        "module block_{i}(input a, output y); assign y = a ^ {i}'d0; endmodule"
-                    ),
-                    6,
-                )
-            })
-            .collect();
-        assert_eq!(hasher.signatures(&sets), hasher.par_signatures(&sets));
-    }
 
     #[test]
     fn empty_batch_is_fine() {
         let hasher = MinHasher::new(8, 1);
-        assert!(hasher.par_signatures(&[]).is_empty());
         assert!(hasher.signatures(&[]).is_empty());
     }
 }

@@ -265,55 +265,6 @@ impl std::fmt::Debug for ExprListDebug<'_> {
     }
 }
 
-/// Where a parser puts the expressions it builds.
-///
-/// The production allocator is [`ExprArena`] (one `Vec` push per node); the
-/// benchmark baseline [`BoxedExprAlloc`] reproduces the retired frontend's
-/// allocation pattern — one heap `Box` per node — so `bench_parse` can
-/// report the arena's speedup against a faithful boxed build of the *same*
-/// parser, and property tests can assert the two produce identical modules.
-pub trait ExprAlloc: Default {
-    /// Stores an expression, returning its id.
-    fn alloc(&mut self, expr: Expr) -> ExprId;
-
-    /// Finalises the allocation into the arena the module will own.
-    fn finish(self) -> ExprArena;
-}
-
-impl ExprAlloc for ExprArena {
-    fn alloc(&mut self, expr: Expr) -> ExprId {
-        ExprArena::alloc(self, expr)
-    }
-
-    fn finish(self) -> ExprArena {
-        self
-    }
-}
-
-/// The boxed-allocation baseline: every node costs one `Box` (the retired
-/// reference frontend's cost model), then the boxes are gathered into a
-/// regular arena so downstream consumers see identical modules.
-#[derive(Debug, Default)]
-pub struct BoxedExprAlloc {
-    // One heap allocation per node is the entire point of this baseline.
-    #[allow(clippy::vec_box)]
-    nodes: Vec<Box<Expr>>,
-}
-
-impl ExprAlloc for BoxedExprAlloc {
-    fn alloc(&mut self, expr: Expr) -> ExprId {
-        let id = u32::try_from(self.nodes.len()).expect("more than u32::MAX expressions");
-        self.nodes.push(Box::new(expr));
-        ExprId(id)
-    }
-
-    fn finish(self) -> ExprArena {
-        ExprArena {
-            nodes: self.nodes.into_iter().map(|b| *b).collect(),
-        }
-    }
-}
-
 /// Direction of a module port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PortDirection {
@@ -860,24 +811,6 @@ mod tests {
         assert_eq!(arena.referenced_idents(root), vec![a, sel, b]);
         assert_eq!(arena.len(), 6);
         assert!(arena.get(root).is_some());
-    }
-
-    #[test]
-    fn boxed_alloc_produces_the_same_arena() {
-        let build = |alloc: &mut dyn FnMut(Expr) -> ExprId| {
-            let one = alloc(Expr::number(1));
-            let two = alloc(Expr::number(2));
-            alloc(Expr::Binary {
-                op: BinaryOp::Mul,
-                lhs: one,
-                rhs: two,
-            })
-        };
-        let mut arena = ExprArena::new();
-        build(&mut |e| arena.alloc(e));
-        let mut boxed = BoxedExprAlloc::default();
-        build(&mut |e| boxed.alloc(e));
-        assert_eq!(arena.finish(), boxed.finish());
     }
 
     #[test]

@@ -48,9 +48,8 @@ pub mod syntax;
 pub mod token;
 
 pub use ast::{
-    AlwaysBlock, BinaryOp, BoxedExprAlloc, CaseArm, Declaration, EdgeKind, Expr, ExprAlloc,
-    ExprArena, ExprId, Module, ModuleItem, Net, NetKind, Port, PortDirection, Range,
-    SensitivityList, Statement, UnaryOp,
+    AlwaysBlock, BinaryOp, CaseArm, Declaration, EdgeKind, Expr, ExprArena, ExprId, Module,
+    ModuleItem, Net, NetKind, Port, PortDirection, Range, SensitivityList, Statement, UnaryOp,
 };
 pub use comments::{extract_header_comment, extract_modules, strip_comments};
 pub use frontend::ParsedFile;

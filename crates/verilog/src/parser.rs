@@ -4,13 +4,9 @@
 //! `peek` — tokens are `Copy`, so stepping never clones a `String` the way
 //! the retired reference frontend did. Identifiers stay interned
 //! [`Symbol`](crate::intern::Symbol)s all the way into the AST, and every
-//! expression node is allocated into the module's [`ExprArena`] through the
-//! [`ExprAlloc`] the parser is instantiated with: the default [`ExprArena`]
-//! costs one `Vec` push per node, while [`BoxedExprAlloc`] reproduces the
-//! retired frontend's one-`Box`-per-node cost model for benchmarking and
-//! equivalence testing ([`Parser::parse_source_boxed`]). Diagnostics text
-//! (parse errors, and the lint diagnostics downstream) is unchanged byte
-//! for byte.
+//! expression node is allocated into the module's [`ExprArena`] at the cost
+//! of one `Vec` push. Diagnostics text (parse errors, and the lint
+//! diagnostics downstream) is unchanged byte for byte.
 
 use std::fmt;
 use std::sync::Arc;
@@ -69,18 +65,24 @@ impl From<LexError> for ParseError {
 /// # Ok::<(), verilog::ParseError>(())
 /// ```
 #[derive(Debug)]
-pub struct Parser<'a, A: ExprAlloc = ExprArena> {
+pub struct Parser<'a> {
     src: &'a str,
     tokens: &'a [Token],
     interner: &'a Arc<Interner>,
     pos: usize,
-    arena: A,
+    arena: ExprArena,
 }
 
 impl<'a> Parser<'a> {
-    /// Creates an arena-allocating parser over a lexed source.
+    /// Creates a parser over a lexed source.
     pub fn new(src: &'a str, lexed: &'a LexedSource) -> Self {
-        Self::with_alloc(src, lexed)
+        Self {
+            src,
+            tokens: &lexed.tokens,
+            interner: &lexed.interner,
+            pos: 0,
+            arena: ExprArena::new(),
+        }
     }
 
     /// Lexes and parses a full source file into its modules.
@@ -91,41 +93,6 @@ impl<'a> Parser<'a> {
     pub fn parse_source(src: &str) -> Result<Vec<Module>, ParseError> {
         let lexed = Lexer::new(src).tokenize()?;
         Parser::new(src, &lexed).parse_modules()
-    }
-
-    /// Like [`Parser::parse_source`], but allocating every expression node
-    /// through [`BoxedExprAlloc`] — one heap `Box` per node, the retired
-    /// reference frontend's cost model. The resulting modules are identical
-    /// to the arena parse (same ids, same arena layout); only the allocation
-    /// pattern differs. This is the baseline `bench_parse` measures
-    /// `speedup_vs_boxed` against, and the oracle the arena≡boxed property
-    /// tests compare with.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first lexing or parsing error encountered.
-    pub fn parse_source_boxed(src: &str) -> Result<Vec<Module>, ParseError> {
-        let lexed = Lexer::new(src).tokenize()?;
-        Parser::<BoxedExprAlloc>::with_alloc(src, &lexed).parse_modules()
-    }
-}
-
-impl<'a, A: ExprAlloc> Parser<'a, A> {
-    /// Creates a parser over a lexed source with an explicit expression
-    /// allocator.
-    pub fn with_alloc(src: &'a str, lexed: &'a LexedSource) -> Self {
-        Self {
-            src,
-            tokens: &lexed.tokens,
-            interner: &lexed.interner,
-            pos: 0,
-            arena: A::default(),
-        }
-    }
-
-    #[inline]
-    fn alloc(&mut self, expr: Expr) -> ExprId {
-        self.arena.alloc(expr)
     }
 
     #[inline]
@@ -300,8 +267,8 @@ impl<'a, A: ExprAlloc> Parser<'a, A> {
         // Promote non-ANSI port declarations to ports, preserving header order.
         promote_non_ansi_ports(&mut module);
         // The module takes ownership of its expressions; the parser starts a
-        // fresh allocation for the next module in the file.
-        module.arena = std::mem::take(&mut self.arena).finish();
+        // fresh arena for the next module in the file.
+        module.arena = std::mem::take(&mut self.arena);
         Ok(module)
     }
 
@@ -784,7 +751,7 @@ impl<'a, A: ExprAlloc> Parser<'a, A> {
 
     // ----- expression parsing (precedence climbing) -----
 
-    /// Parses a full expression into the parser's allocator, returning its id.
+    /// Parses a full expression into the parser's arena, returning its id.
     ///
     /// # Errors
     ///
@@ -799,7 +766,7 @@ impl<'a, A: ExprAlloc> Parser<'a, A> {
             let then_expr = self.parse_ternary()?;
             self.expect_op(Op::Colon)?;
             let else_expr = self.parse_ternary()?;
-            Ok(self.alloc(Expr::Ternary {
+            Ok(self.arena.alloc(Expr::Ternary {
                 condition,
                 then_expr,
                 else_expr,
@@ -866,7 +833,7 @@ impl<'a, A: ExprAlloc> Parser<'a, A> {
                 prec + 1
             };
             let rhs = self.parse_binary(next_min)?;
-            lhs = self.alloc(Expr::Binary { op: bin, lhs, rhs });
+            lhs = self.arena.alloc(Expr::Binary { op: bin, lhs, rhs });
         }
     }
 
@@ -897,7 +864,7 @@ impl<'a, A: ExprAlloc> Parser<'a, A> {
         match op {
             Some(op) => {
                 let operand = self.parse_unary()?;
-                Ok(self.alloc(Expr::Unary { op, operand }))
+                Ok(self.arena.alloc(Expr::Unary { op, operand }))
             }
             None => self.parse_postfix(),
         }
@@ -911,7 +878,7 @@ impl<'a, A: ExprAlloc> Parser<'a, A> {
                 if self.eat_op(Op::Colon) {
                     let lsb = self.parse_expr()?;
                     self.expect_op(Op::RBracket)?;
-                    expr = self.alloc(Expr::Slice {
+                    expr = self.arena.alloc(Expr::Slice {
                         base: expr,
                         msb: first,
                         lsb,
@@ -921,14 +888,14 @@ impl<'a, A: ExprAlloc> Parser<'a, A> {
                     // the same base/width information.
                     let width = self.parse_expr()?;
                     self.expect_op(Op::RBracket)?;
-                    expr = self.alloc(Expr::Slice {
+                    expr = self.arena.alloc(Expr::Slice {
                         base: expr,
                         msb: first,
                         lsb: width,
                     });
                 } else {
                     self.expect_op(Op::RBracket)?;
-                    expr = self.alloc(Expr::Index {
+                    expr = self.arena.alloc(Expr::Index {
                         base: expr,
                         index: first,
                     });
@@ -945,7 +912,7 @@ impl<'a, A: ExprAlloc> Parser<'a, A> {
                 self.pos += 1;
                 let text = span.text(self.src);
                 if let Some((value, x_mask, z_mask, width)) = parse_pattern_literal(text) {
-                    return Ok(self.alloc(Expr::Pattern {
+                    return Ok(self.arena.alloc(Expr::Pattern {
                         value,
                         x_mask,
                         z_mask,
@@ -954,12 +921,12 @@ impl<'a, A: ExprAlloc> Parser<'a, A> {
                 }
                 let (value, width) = parse_number_literal(text)
                     .ok_or_else(|| self.error(format!("invalid number literal `{text}`")))?;
-                Ok(self.alloc(Expr::Number { value, width }))
+                Ok(self.arena.alloc(Expr::Number { value, width }))
             }
             TokenKind::StringLit(span) => {
                 self.pos += 1;
                 let value = Lexer::string_value(self.src, span);
-                Ok(self.alloc(Expr::StringLit(value)))
+                Ok(self.arena.alloc(Expr::StringLit(value)))
             }
             TokenKind::Ident(sym) => {
                 self.pos += 1;
@@ -974,9 +941,9 @@ impl<'a, A: ExprAlloc> Parser<'a, A> {
                         }
                         self.expect_op(Op::RParen)?;
                     }
-                    Ok(self.alloc(Expr::Call { name: sym, args }))
+                    Ok(self.arena.alloc(Expr::Call { name: sym, args }))
                 } else {
-                    Ok(self.alloc(Expr::Ident(sym)))
+                    Ok(self.arena.alloc(Expr::Ident(sym)))
                 }
             }
             TokenKind::Op(Op::LParen) => {
@@ -993,7 +960,7 @@ impl<'a, A: ExprAlloc> Parser<'a, A> {
                     let value = self.parse_expr()?;
                     self.expect_op(Op::RBrace)?;
                     self.expect_op(Op::RBrace)?;
-                    return Ok(self.alloc(Expr::Repeat {
+                    return Ok(self.arena.alloc(Expr::Repeat {
                         count: first,
                         value,
                     }));
@@ -1003,7 +970,7 @@ impl<'a, A: ExprAlloc> Parser<'a, A> {
                     parts.push(self.parse_expr()?);
                 }
                 self.expect_op(Op::RBrace)?;
-                Ok(self.alloc(Expr::Concat(parts)))
+                Ok(self.arena.alloc(Expr::Concat(parts)))
             }
             other => Err(self.error(format!(
                 "expected expression, found {}",
@@ -1413,17 +1380,6 @@ mod tests {
         // Arenas are per-module: the second module's arena holds only its own
         // expressions, not module `a`'s.
         assert!(modules[0].arena.len() > modules[1].arena.len());
-    }
-
-    #[test]
-    fn boxed_alloc_parses_to_identical_modules() {
-        let src =
-            "module m #(parameter W = 4)(input [W-1:0] a, input sel, output reg [W-1:0] y);\n\
-                   wire t = a[0] ^ a[1];\n\
-                   always @* begin\n if (sel) y = {W{t}}; else y = a + 4'd1;\nend\nendmodule";
-        let arena = Parser::parse_source(src).unwrap();
-        let boxed = Parser::parse_source_boxed(src).unwrap();
-        assert_eq!(arena, boxed);
     }
 
     #[test]

@@ -63,9 +63,16 @@ impl SyntaxReport {
 /// assert_eq!(report.unresolved_instances, vec!["sub"]); // tolerated
 /// # Ok::<(), verilog::SyntaxError>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyntaxChecker {
     require_modules: bool,
+}
+
+impl Default for SyntaxChecker {
+    /// The paper's policy, the same as [`SyntaxChecker::new`].
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SyntaxChecker {
@@ -201,6 +208,14 @@ mod tests {
         assert!(SyntaxChecker::allow_module_free_files()
             .check("// just a comment\n")
             .is_ok());
+    }
+
+    #[test]
+    fn default_keeps_the_module_requirement() {
+        // Regression: a derived `Default` left `require_modules` false, so
+        // a default-built checker passed module-free files.
+        assert!(!SyntaxChecker::default().is_valid("// just a comment"));
+        assert_eq!(SyntaxChecker::default(), SyntaxChecker::new());
     }
 
     #[test]
