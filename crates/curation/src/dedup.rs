@@ -26,9 +26,8 @@
 //!   is the dominant cost. The short-circuit is output-invariant: identical
 //!   content ⇒ identical shingle set ⇒ identical signature ⇒ the sequential
 //!   resolution reaches the very same verdict (pinned by the property
-//!   tests). Repeats are recognised by a 128-bit fingerprint plus length
-//!   ([`ContentFingerprint`]), so a false match is astronomically unlikely
-//!   rather than impossible.
+//!   tests). Repeats are recognised by a 128-bit fingerprint plus length,
+//!   so a false match is astronomically unlikely rather than impossible.
 //! * **Per-shard spill-to-disk** ([`DedupSpillConfig`]): the kept state —
 //!   LSH buckets *and* kept shingle vectors — is partitioned into the
 //!   [`ShardedLshIndex`]'s shards (a kept document is homed to shard
@@ -39,6 +38,18 @@
 //!   budget plus the batch in flight instead of the kept set — and the
 //!   output stays byte-identical to the fully resident engine for any
 //!   shard count and any budget ≥ 1.
+//!
+//! Each document that does reach the signature path costs one shingle build
+//! and one 128-permutation signature. [`textsim::char_shingles`] returns a
+//! [`ShingleSet`] that is one ascending, de-duplicated `Vec<u64>` (one sort
+//! instead of an ordered-set insert per 8-byte window), and
+//! [`MinHasher::signature`] reduces `a·x + b` modulo `2^61 − 1` with a
+//! division-free Mersenne fold instead of a 128-bit `%`. Both produce
+//! exactly the sets and signature values of the textbook formulation, so
+//! candidate sets and verdicts do not change. Parallel mode builds a
+//! document's shingles and signature in one fan-out, and a kept document's
+//! hashes are copied into an exact-length vector on the resolving thread,
+//! so the kept store carries no spare builder capacity.
 
 use std::collections::HashMap;
 use std::io;
@@ -47,8 +58,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 use textsim::{
-    char_shingles, jaccard_similarity_sorted, read_u64_le, write_u64_le, CandidateScratch,
-    InsertOrMatch, LshParams, MinHasher, ShardedLshIndex, ShingleSet, Signature,
+    char_shingles, jaccard_similarity_sorted, read_count_le, read_u64_le, write_u64_le,
+    CandidateScratch, InsertOrMatch, LshParams, MinHasher, ShardedLshIndex, ShingleSet, Signature,
     DEFAULT_LSH_SHARDS,
 };
 
@@ -431,24 +442,37 @@ fn encode_shard(lsh_bytes: &[u8], docs: &[KeptDoc]) -> Vec<u8> {
 }
 
 /// Parses the output of [`encode_shard`] back into LSH bytes + kept docs.
-fn decode_shard(bytes: &[u8]) -> (Vec<u8>, Vec<KeptDoc>) {
+///
+/// A truncated or garbled file is [`io::ErrorKind::InvalidData`]; every
+/// count is checked against the bytes left before it sizes an allocation.
+fn decode_shard(bytes: &[u8]) -> io::Result<(&[u8], Vec<KeptDoc>)> {
     let mut offset = 0usize;
-    let lsh_len = read_u64_le(bytes, &mut offset) as usize;
-    let lsh_bytes = bytes[offset..offset + lsh_len].to_vec();
+    let lsh_len = read_count_le(bytes, &mut offset, 1)?;
+    let lsh_bytes = &bytes[offset..offset + lsh_len];
     offset += lsh_len;
-    let doc_count = read_u64_le(bytes, &mut offset) as usize;
+    // Each kept doc is at least its input index and hash count.
+    let doc_count = read_count_le(bytes, &mut offset, 16)?;
     let mut docs = Vec::with_capacity(doc_count);
     for _ in 0..doc_count {
-        let input_index = read_u64_le(bytes, &mut offset) as usize;
-        let hash_count = read_u64_le(bytes, &mut offset) as usize;
+        let input_index = usize::try_from(read_u64_le(bytes, &mut offset)?)
+            .map_err(|_| corrupt_spill("input index out of range"))?;
+        let hash_count = read_count_le(bytes, &mut offset, 8)?;
         let mut hashes = Vec::with_capacity(hash_count);
         for _ in 0..hash_count {
-            hashes.push(read_u64_le(bytes, &mut offset));
+            hashes.push(read_u64_le(bytes, &mut offset)?);
         }
         docs.push((input_index, hashes));
     }
-    assert_eq!(offset, bytes.len(), "trailing bytes in spill file");
-    (lsh_bytes, docs)
+    if offset != bytes.len() {
+        return Err(corrupt_spill("trailing bytes in spill file"));
+    }
+    Ok((lsh_bytes, docs))
+}
+
+/// An [`io::ErrorKind::InvalidData`] error for a spill file that does not
+/// hold what the engine wrote.
+fn corrupt_spill(message: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
 /// Evicts `victim` — LSH buckets and kept docs — into its spill file.
@@ -491,8 +515,8 @@ fn ensure_resident(
         spill_shard(index, kept_shards, book, victim)?;
     }
     let bytes = std::fs::read(book.shard_file(shard))?;
-    let (lsh_bytes, docs) = decode_shard(&bytes);
-    index.restore_shard(shard, &lsh_bytes);
+    let (lsh_bytes, docs) = decode_shard(&bytes)?;
+    index.restore_shard(shard, lsh_bytes)?;
     book.resident_kept_hashes += book.shard_kept_hashes[shard];
     book.peak_resident_kept_hashes = book
         .peak_resident_kept_hashes
@@ -716,53 +740,49 @@ impl StreamingDeduplicator {
                             continue;
                         }
                     }
-                    let shingles = char_shingles(&code, self.config.shingle_size);
-                    let signature = self.hasher.signature(&shingles);
+                    let (shingles, signature) = self.shingle_and_sign(&code);
                     batch_hashes += shingles.len();
-                    self.resolve(fingerprint, shingles, signature, &mut outcome)?;
+                    self.resolve(fingerprint, &shingles, &signature, &mut outcome)?;
                 }
             }
             ExecutionMode::Parallel => {
                 use rayon::prelude::*;
-                let stripped: Vec<String> = texts
+                let stripped: Vec<(String, ContentFingerprint)> = texts
                     .par_iter()
-                    .map(|t| verilog::strip_comments(t.as_ref()))
-                    .collect();
-                let fingerprints: Vec<ContentFingerprint> = stripped
-                    .iter()
-                    .map(|code| content_fingerprint(code.as_bytes()))
+                    .map(|t| {
+                        let code = verilog::strip_comments(t.as_ref());
+                        let fingerprint = content_fingerprint(code.as_bytes());
+                        (code, fingerprint)
+                    })
                     .collect();
                 // Only the first in-batch occurrence of content the exact
                 // table has not seen builds shingles and a signature — the
                 // same set of documents the serial path would build for.
                 let mut batch_first = std::collections::HashSet::new();
-                let build: Vec<bool> = fingerprints
+                let to_build: Vec<bool> = stripped
                     .iter()
-                    .map(|&fp| {
+                    .map(|&(_, fp)| {
                         !self.config.exact_prededup
                             || (!self.exact.contains_key(&fp) && batch_first.insert(fp))
                     })
                     .collect();
                 let build_texts: Vec<&str> = stripped
                     .iter()
-                    .zip(&build)
-                    .filter_map(|(code, &b)| b.then_some(code.as_str()))
+                    .zip(&to_build)
+                    .filter_map(|((code, _), &b)| b.then_some(code.as_str()))
                     .collect();
-                let size = self.config.shingle_size;
-                let shingles: Vec<ShingleSet> = build_texts
+                // One fan-out builds each document's shingles and signature
+                // together; every fan-out spawns its own scoped threads.
+                let built: Vec<(ShingleSet, Signature)> = build_texts
                     .par_iter()
-                    .map(|code| char_shingles(code, size))
+                    .map(|code| self.shingle_and_sign(code))
                     .collect();
-                let signatures: Vec<_> = shingles
-                    .par_iter()
-                    .map(|set| self.hasher.signature(set))
-                    .collect();
-                batch_hashes = shingles.iter().map(ShingleSet::len).sum();
-                let mut built = shingles.into_iter().zip(signatures);
-                for (i, &fingerprint) in fingerprints.iter().enumerate() {
-                    if build[i] {
+                batch_hashes = built.iter().map(|(set, _)| set.len()).sum();
+                let mut built = built.into_iter();
+                for (&(_, fingerprint), &build) in stripped.iter().zip(&to_build) {
+                    if build {
                         let (set, signature) = built.next().expect("one build per flagged doc");
-                        self.resolve(fingerprint, set, signature, &mut outcome)?;
+                        self.resolve(fingerprint, &set, &signature, &mut outcome)?;
                     } else {
                         // Either pre-seen or a repeat of an earlier in-batch
                         // first occurrence, which resolve() has recorded by
@@ -779,6 +799,13 @@ impl StreamingDeduplicator {
         self.pushed_hashes += batch_hashes;
         self.peak_batch_hashes = self.peak_batch_hashes.max(batch_hashes);
         Ok(outcome)
+    }
+
+    /// Builds one comment-stripped document's shingle set and signature.
+    fn shingle_and_sign(&self, code: &str) -> (ShingleSet, Signature) {
+        let shingles = char_shingles(code, self.config.shingle_size);
+        let signature = self.hasher.signature(&shingles);
+        (shingles, signature)
     }
 
     /// Replays the first occurrence's resolution for an exact repeat.
@@ -799,18 +826,17 @@ impl StreamingDeduplicator {
     fn resolve(
         &mut self,
         fingerprint: ContentFingerprint,
-        shingles: ShingleSet,
-        signature: Signature,
+        shingles: &ShingleSet,
+        signature: &Signature,
         outcome: &mut DedupOutcome,
     ) -> io::Result<()> {
         let input_index = self.seen;
         self.seen += 1;
-        let hashes: Vec<u64> = shingles.iter().collect();
-        let hash_count = hashes.len();
+        let hashes = shingles.as_slice();
         let resolution = if self.spill.is_some() {
-            self.resolve_sharded(input_index, hashes, &signature)?
+            self.resolve_sharded(input_index, hashes, signature)?
         } else {
-            self.resolve_flat(input_index, hashes, &signature)
+            self.resolve_flat(input_index, hashes, signature)
         };
         match resolution {
             Resolution::Duplicate {
@@ -827,7 +853,7 @@ impl StreamingDeduplicator {
             }
             Resolution::Kept => {
                 self.kept_docs += 1;
-                self.kept_hashes += hash_count;
+                self.kept_hashes += hashes.len();
                 outcome.kept.push(input_index);
                 if self.config.exact_prededup {
                     self.exact.entry(fingerprint).or_insert(ExactSeen::Kept {
@@ -840,11 +866,12 @@ impl StreamingDeduplicator {
     }
 
     /// Fully-resident resolution: one [`ShardedLshIndex::insert_or_match`]
-    /// call against the flat kept store.
+    /// call against the flat kept store. A kept document's hashes are copied
+    /// into an exact-length vector here, on the resolving thread.
     fn resolve_flat(
         &mut self,
         input_index: usize,
-        hashes: Vec<u64>,
+        hashes: &[u64],
         signature: &Signature,
     ) -> Resolution {
         let threshold = self.config.similarity_threshold;
@@ -857,7 +884,7 @@ impl StreamingDeduplicator {
             &mut self.scratch,
             |candidate| {
                 let (_, kept_hashes) = &kept[candidate as usize];
-                let similarity = jaccard_similarity_sorted(&hashes, kept_hashes);
+                let similarity = jaccard_similarity_sorted(hashes, kept_hashes);
                 (similarity >= threshold).then_some(similarity)
             },
         );
@@ -875,7 +902,7 @@ impl StreamingDeduplicator {
                 let KeptStore::Flat(kept) = &mut self.kept else {
                     unreachable!();
                 };
-                kept.push((input_index, hashes));
+                kept.push((input_index, hashes.to_vec()));
                 Resolution::Kept
             }
         }
@@ -889,7 +916,7 @@ impl StreamingDeduplicator {
     fn resolve_sharded(
         &mut self,
         input_index: usize,
-        hashes: Vec<u64>,
+        hashes: &[u64],
         signature: &Signature,
     ) -> io::Result<Resolution> {
         let slot = self.kept_docs;
@@ -916,10 +943,13 @@ impl StreamingDeduplicator {
             for &candidate in scratch.candidates() {
                 let home = candidate as usize % shard_count;
                 ensure_resident(index, kept_shards, book, home)?;
-                let (kept_input, kept_hashes) = &kept_shards[home]
+                // A garbled spill file can name a slot its shard never held.
+                let (kept_input, kept_hashes) = kept_shards[home]
                     .as_ref()
-                    .expect("just made resident")[candidate as usize / shard_count];
-                let similarity = jaccard_similarity_sorted(&hashes, kept_hashes);
+                    .expect("just made resident")
+                    .get(candidate as usize / shard_count)
+                    .ok_or_else(|| corrupt_spill("LSH bucket names a missing kept document"))?;
+                let similarity = jaccard_similarity_sorted(hashes, kept_hashes);
                 if similarity >= threshold {
                     matched = Some(Resolution::Duplicate {
                         kept_input: *kept_input,
@@ -943,7 +973,7 @@ impl StreamingDeduplicator {
                     kept_shards[home]
                         .as_mut()
                         .expect("just made resident")
-                        .push((input_index, hashes));
+                        .push((input_index, hashes.to_vec()));
                     book.shard_kept_hashes[home] += hash_count;
                     book.resident_kept_hashes += hash_count;
                     book.peak_resident_kept_hashes = book
@@ -1256,6 +1286,63 @@ mod tests {
             }
             assert_eq!(stats.kept_docs, reference.kept.len());
         }
+    }
+
+    #[test]
+    fn a_truncated_spill_file_is_an_error_not_a_panic() {
+        let dedup = Deduplicator::new(DedupConfig::default());
+        let mut stream = dedup
+            .streaming_with_spill(&DedupSpillConfig {
+                shards: 2,
+                resident_shards: 1,
+                spill_dir: None,
+            })
+            .expect("spill engine opens");
+        stream
+            .push_texts(&distinct_docs())
+            .expect("intact spill files read back");
+        let spilled = (0..2)
+            .find(|&shard| !stream.index.shard_is_resident(shard))
+            .expect("a budget of 1 in 2 leaves one shard spilled");
+        let path = stream
+            .spill
+            .as_ref()
+            .expect("spill enabled")
+            .shard_file(spilled);
+        let bytes = std::fs::read(&path).expect("the spilled shard has a file");
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate the spill file");
+        // New content, so the exact-hash table cannot answer without the
+        // band walk, which touches both shards.
+        let fresh: Vec<String> = distinct_docs()
+            .iter()
+            .map(|doc| format!("{doc}\nmodule pad(input p); endmodule"))
+            .collect();
+        let err = stream
+            .push_texts(&fresh)
+            .expect_err("a truncated spill file must surface as an error");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn garbled_spill_counts_are_rejected_before_allocation() {
+        let docs: Vec<KeptDoc> = vec![(3, vec![1, 5, 9]), (7, vec![2])];
+        let bytes = encode_shard(&[0xAB; 16], &docs);
+        let (lsh_bytes, decoded) = decode_shard(&bytes).expect("intact shard decodes");
+        assert_eq!((lsh_bytes, decoded), (&[0xAB; 16][..], docs));
+        // Offsets of the LSH length, the doc count and the first hash count.
+        for offset in [0, 24, 40] {
+            let mut garbled = bytes.clone();
+            garbled[offset..offset + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let err = decode_shard(&garbled).expect_err("a garbage count must be rejected");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        for len in [0, 5, bytes.len() - 1] {
+            let err = decode_shard(&bytes[..len]).expect_err("a truncated shard must be rejected");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert!(decode_shard(&trailing).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! * **Discovery** drains a shared work queue of search queries. A worker
 //!   that hits the 1 000-result cap pushes the query's splits (the shared
-//!   [`granularise`] rule) back onto the queue, so the granularisation tree
+//!   `granularise` rule) back onto the queue, so the granularisation tree
 //!   is explored concurrently but produces the same leaf buckets in every
 //!   run. The discovered id set is sorted and de-duplicated at the phase
 //!   barrier, which erases any scheduling-dependent discovery order.

@@ -17,7 +17,7 @@
 //! [`crate::fetch::FetchEngine`] schedules the same requests from a worker
 //! pool and is property-tested to produce a byte-identical
 //! [`ExtractedFile`] bank; both clients share the granularisation rule
-//! ([`granularise`]) so they always split an over-cap query the same way.
+//! (`granularise`) so they always split an over-cap query the same way.
 
 use serde::{Deserialize, Serialize};
 

@@ -23,20 +23,14 @@ use crate::shingle::ShingleSet;
 /// assert!(j > 0.3 && j < 1.0);
 /// ```
 pub fn jaccard_similarity(a: &ShingleSet, b: &ShingleSet) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let union = a.union_size(b);
-    if union == 0 {
-        return 1.0;
-    }
-    a.intersection_size(b) as f64 / union as f64
+    jaccard_similarity_sorted(a.as_slice(), b.as_slice())
 }
 
 /// Jaccard similarity between two ascending, deduplicated `u64` slices.
 ///
-/// Useful when shingle hashes are already materialised as sorted vectors
-/// (e.g. streamed out of a database); runs in `O(|a| + |b|)`.
+/// This is the kernel behind [`jaccard_similarity`] (a [`ShingleSet`] is one
+/// such slice) and the verification step of the de-duplicator, whose kept
+/// shingle vectors are stored in the same shape; runs in `O(|a| + |b|)`.
 ///
 /// # Panics
 ///
@@ -46,6 +40,13 @@ pub fn jaccard_similarity_sorted(a: &[u64], b: &[u64]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
+    let intersection = sorted_intersection_size(a, b);
+    let union = a.len() + b.len() - intersection;
+    intersection as f64 / union as f64
+}
+
+/// `|a ∩ b|` for two ascending, deduplicated slices, by one merge pass.
+pub(crate) fn sorted_intersection_size(a: &[u64], b: &[u64]) -> usize {
     let mut i = 0;
     let mut j = 0;
     let mut intersection = 0usize;
@@ -60,8 +61,7 @@ pub fn jaccard_similarity_sorted(a: &[u64], b: &[u64]) -> f64 {
             }
         }
     }
-    let union = a.len() + b.len() - intersection;
-    intersection as f64 / union as f64
+    intersection
 }
 
 #[cfg(test)]
@@ -104,14 +104,13 @@ mod tests {
     }
 
     #[test]
-    fn sorted_slice_variant_matches_set_variant() {
-        let a: ShingleSet = [1u64, 2, 3, 4].into_iter().collect();
-        let b: ShingleSet = [3u64, 4, 5, 6].into_iter().collect();
-        let av: Vec<u64> = a.iter().collect();
-        let bv: Vec<u64> = b.iter().collect();
+    fn set_variant_normalises_before_the_sorted_merge() {
+        // Unsorted, repeating input: the set sorts and dedups it first.
+        let a: ShingleSet = [4u64, 1, 3, 2, 3].into_iter().collect();
+        let b: ShingleSet = [6u64, 5, 4, 3, 6].into_iter().collect();
         assert_eq!(
             jaccard_similarity(&a, &b),
-            jaccard_similarity_sorted(&av, &bv)
+            jaccard_similarity_sorted(&[1, 2, 3, 4], &[3, 4, 5, 6])
         );
     }
 

@@ -43,7 +43,9 @@ pub use cosine::{cosine_similarity, cosine_similarity_vectors};
 pub use jaccard::{jaccard_similarity, jaccard_similarity_sorted};
 pub use lsh::{CandidateScratch, LshIndex, LshParams};
 pub use minhash::{MinHasher, Signature};
-pub use sharded::{read_u64_le, write_u64_le, InsertOrMatch, ShardedLshIndex, DEFAULT_LSH_SHARDS};
+pub use sharded::{
+    read_count_le, read_u64_le, write_u64_le, InsertOrMatch, ShardedLshIndex, DEFAULT_LSH_SHARDS,
+};
 pub use shingle::{char_shingles, token_shingles, ShingleSet};
 pub use tokenize::{CodeTokenizer, Tokenizer, WordTokenizer};
 pub use vector::{IdfModel, TermVector};

@@ -115,7 +115,7 @@ impl LshParams {
     /// When `signature_len % rows != 0` the trailing `signature_len - b·r`
     /// positions take no part in candidate retrieval, wasting permutations
     /// that were computed for every document. Candidates whose error is tied
-    /// with (within [`Self::FULL_COVERAGE_TOLERANCE`] of) the best therefore
+    /// with (within `FULL_COVERAGE_TOLERANCE`, 0.03, of) the best therefore
     /// prefer full coverage: a banding with `bands * rows == signature_len`
     /// wins unless a row-discarding banding is strictly closer to the target
     /// by more than the tolerance.

@@ -29,6 +29,7 @@
 //! is already sufficient for byte-identical operation.
 
 use std::collections::HashMap;
+use std::io;
 
 use crate::lsh::{CandidateScratch, LshIndex, LshParams};
 use crate::minhash::Signature;
@@ -96,18 +97,41 @@ pub fn write_u64_le(out: &mut Vec<u8>, value: u64) {
 /// Reads one little-endian `u64` at `*offset`, advancing it — the inverse
 /// of [`write_u64_le`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if fewer than 8 bytes remain.
-pub fn read_u64_le(bytes: &[u8], offset: &mut usize) -> u64 {
-    let end = *offset + 8;
-    let value = u64::from_le_bytes(
-        bytes[*offset..end]
-            .try_into()
-            .expect("shard byte stream truncated"),
-    );
+/// Returns [`io::ErrorKind::InvalidData`] if fewer than 8 bytes remain;
+/// `*offset` is then left as it was.
+pub fn read_u64_le(bytes: &[u8], offset: &mut usize) -> io::Result<u64> {
+    let end = offset.saturating_add(8);
+    let word: [u8; 8] = bytes
+        .get(*offset..end)
+        .and_then(|word| word.try_into().ok())
+        .ok_or_else(|| invalid_data("byte stream truncated"))?;
     *offset = end;
-    value
+    Ok(u64::from_le_bytes(word))
+}
+
+/// Reads a length prefix with [`read_u64_le`] and checks it against the
+/// bytes left, so a corrupt count is rejected before it sizes an allocation:
+/// `count` items of at least `min_item_bytes` bytes each must fit in what
+/// remains after the prefix.
+///
+/// # Errors
+///
+/// Returns [`io::ErrorKind::InvalidData`] if the prefix is truncated or the
+/// count cannot fit.
+pub fn read_count_le(bytes: &[u8], offset: &mut usize, min_item_bytes: usize) -> io::Result<usize> {
+    let count = read_u64_le(bytes, offset)?;
+    let remaining = bytes.len().saturating_sub(*offset);
+    usize::try_from(count)
+        .ok()
+        .filter(|&count| count.saturating_mul(min_item_bytes) <= remaining)
+        .ok_or_else(|| invalid_data(format!("count {count} overruns the {remaining} bytes left")))
+}
+
+/// An [`io::ErrorKind::InvalidData`] error for a malformed byte stream.
+fn invalid_data(message: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
 impl ShardedLshIndex {
@@ -252,35 +276,48 @@ impl ShardedLshIndex {
     /// bucket contents, id order within each bucket, and therefore candidate
     /// sets are all preserved.
     ///
+    /// # Errors
+    ///
+    /// Returns [`io::ErrorKind::InvalidData`] if the bytes are malformed:
+    /// truncated, followed by trailing bytes, carrying a count that overruns
+    /// the stream, or holding a bucket count other than the one the index
+    /// accounted at eviction. The shard then stays spilled.
+    ///
     /// # Panics
     ///
-    /// Panics if the shard is still resident, out of range, or the bytes are
-    /// malformed.
-    pub fn restore_shard(&mut self, shard: usize, bytes: &[u8]) {
+    /// Panics if the shard is still resident or out of range.
+    pub fn restore_shard(&mut self, shard: usize, bytes: &[u8]) -> io::Result<()> {
         assert!(
             self.shards[shard].is_none(),
             "shard {shard} is already resident"
         );
         let mut offset = 0usize;
-        let entry_count = read_u64_le(bytes, &mut offset) as usize;
+        // Each entry is at least its band, key and id count.
+        let entry_count = read_count_le(bytes, &mut offset, 24)?;
         let mut map = HashMap::with_capacity(entry_count);
         for _ in 0..entry_count {
-            let band = read_u64_le(bytes, &mut offset) as u32;
-            let key = read_u64_le(bytes, &mut offset);
-            let id_count = read_u64_le(bytes, &mut offset) as usize;
+            let band = u32::try_from(read_u64_le(bytes, &mut offset)?)
+                .map_err(|_| invalid_data("band index out of range"))?;
+            let key = read_u64_le(bytes, &mut offset)?;
+            let id_count = read_count_le(bytes, &mut offset, 8)?;
             let mut ids = Vec::with_capacity(id_count);
             for _ in 0..id_count {
-                ids.push(read_u64_le(bytes, &mut offset));
+                ids.push(read_u64_le(bytes, &mut offset)?);
             }
             map.insert((band, key), ids);
         }
-        assert_eq!(offset, bytes.len(), "trailing bytes after shard stream");
-        assert_eq!(
-            map.len(),
-            self.bucket_counts[shard],
-            "restored shard {shard} bucket count diverged from the accounting"
-        );
+        if offset != bytes.len() {
+            return Err(invalid_data("trailing bytes after shard stream"));
+        }
+        if map.len() != self.bucket_counts[shard] {
+            return Err(invalid_data(format!(
+                "restored shard {shard} holds {} buckets but {} were evicted",
+                map.len(),
+                self.bucket_counts[shard]
+            )));
+        }
         self.shards[shard] = Some(map);
+        Ok(())
     }
 
     /// Inserts a document id with its signature.
@@ -513,7 +550,9 @@ mod tests {
         // Accounting survives eviction.
         assert_eq!(index.shard_bucket_counts(), counts_before);
         for s in [5, 0, 7, 2, 1, 6, 4, 3] {
-            index.restore_shard(s, &bytes[s]);
+            index
+                .restore_shard(s, &bytes[s])
+                .expect("evicted bytes restore");
         }
         assert_eq!(index.resident_shard_count(), 8);
         assert_eq!(index.shard_bucket_counts(), counts_before);
@@ -556,6 +595,58 @@ mod tests {
             scratch.finish();
             assert_eq!(scratch.candidates(), reference.candidates(&signature));
         }
+    }
+
+    #[test]
+    fn framing_reads_reject_truncated_and_overrunning_streams() {
+        let mut bytes = Vec::new();
+        write_u64_le(&mut bytes, 3);
+        let mut offset = 0;
+        assert_eq!(read_u64_le(&bytes, &mut offset).unwrap(), 3);
+        let err = read_u64_le(&bytes, &mut offset).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(offset, 8, "a failed read must not advance");
+        // Three 8-byte items need 24 bytes after the prefix; 16 are there.
+        bytes.extend_from_slice(&[0; 16]);
+        let err = read_count_le(&bytes, &mut 0, 8).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        bytes.extend_from_slice(&[0; 8]);
+        assert_eq!(read_count_le(&bytes, &mut 0, 8).unwrap(), 3);
+    }
+
+    #[test]
+    fn corrupt_shard_bytes_are_rejected_and_the_shard_stays_spilled() {
+        let hasher = MinHasher::new(128, 13);
+        let params = LshParams::for_threshold(128, 0.85);
+        let mut index = ShardedLshIndex::with_shards(params, 2);
+        for (i, t) in corpus().iter().enumerate() {
+            index.insert(i as u64, &sig(&hasher, t));
+        }
+        let bytes = index.evict_shard(0);
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        // A garbage entry count that would abort on allocation if trusted.
+        let mut huge_count = bytes.clone();
+        huge_count[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        // One bucket short of what was evicted, framed correctly.
+        let mut short = Vec::new();
+        write_u64_le(&mut short, 0);
+        for corrupt in [
+            &bytes[..bytes.len() - 1],
+            &bytes[..5],
+            &[][..],
+            &trailing,
+            &huge_count,
+            &short,
+        ] {
+            let err = index.restore_shard(0, corrupt).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(!index.shard_is_resident(0));
+        }
+        index
+            .restore_shard(0, &bytes)
+            .expect("intact bytes restore");
+        assert!(index.shard_is_resident(0));
     }
 
     #[test]

@@ -4,12 +4,19 @@
 //! on the *set* of k-shingles of each file. We hash every shingle to a `u64`
 //! so signatures and Jaccard estimates never need to keep the original
 //! strings around.
+//!
+//! A [`ShingleSet`] is one ascending, de-duplicated `Vec<u64>`. The builders
+//! push every window's hash, then sort and dedup once, which is several
+//! times cheaper than an ordered-set insert per window and yields exactly
+//! the same set in exactly the same order. Exact Jaccard is then a linear
+//! merge of two such vectors ([`crate::jaccard_similarity_sorted`]), and the
+//! de-duplicator stores kept sets in the same shape.
 
-use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
+use crate::jaccard::sorted_intersection_size;
 use crate::tokenize::Tokenizer;
 
 /// A deterministic 64-bit hash (FNV-1a) used for shingles.
@@ -28,7 +35,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// A hashed shingle set for one document.
+/// A hashed shingle set for one document: its distinct shingle hashes,
+/// stored ascending in one vector.
+///
+/// Every constructor ([`char_shingles`], [`token_shingles`],
+/// [`FromIterator`], [`Extend`]) sorts and dedups, so the vector is always
+/// strictly ascending. The type derives no `Deserialize`, which would skip
+/// that normalisation.
 ///
 /// # Example
 ///
@@ -39,15 +52,22 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// let b = char_shingles("module adder; endmodule", 5);
 /// assert_eq!(jaccard_similarity(&a, &b), 1.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct ShingleSet {
-    hashes: BTreeSet<u64>,
+    hashes: Vec<u64>,
 }
 
 impl ShingleSet {
     /// Creates an empty shingle set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Sorts and dedups raw window hashes into a set.
+    fn from_raw(mut hashes: Vec<u64>) -> Self {
+        hashes.sort_unstable();
+        hashes.dedup();
+        Self { hashes }
     }
 
     /// Number of distinct shingles.
@@ -60,14 +80,9 @@ impl ShingleSet {
         self.hashes.is_empty()
     }
 
-    /// Inserts a pre-hashed shingle.
-    pub fn insert(&mut self, hash: u64) {
-        self.hashes.insert(hash);
-    }
-
     /// Whether `hash` is present.
     pub fn contains(&self, hash: u64) -> bool {
-        self.hashes.contains(&hash)
+        self.hashes.binary_search(&hash).is_ok()
     }
 
     /// Iterates the shingle hashes in ascending order.
@@ -75,16 +90,14 @@ impl ShingleSet {
         self.hashes.iter().copied()
     }
 
+    /// The shingle hashes as a strictly ascending slice.
+    pub fn as_slice(&self) -> &[u64] {
+        &self.hashes
+    }
+
     /// Size of the intersection with `other`.
     pub fn intersection_size(&self, other: &ShingleSet) -> usize {
-        if self.len() <= other.len() {
-            self.hashes
-                .iter()
-                .filter(|h| other.hashes.contains(h))
-                .count()
-        } else {
-            other.intersection_size(self)
-        }
+        sorted_intersection_size(&self.hashes, &other.hashes)
     }
 
     /// Size of the union with `other`.
@@ -95,15 +108,15 @@ impl ShingleSet {
 
 impl FromIterator<u64> for ShingleSet {
     fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        Self {
-            hashes: iter.into_iter().collect(),
-        }
+        Self::from_raw(iter.into_iter().collect())
     }
 }
 
 impl Extend<u64> for ShingleSet {
     fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
-        self.hashes.extend(iter);
+        let mut hashes = std::mem::take(&mut self.hashes);
+        hashes.extend(iter);
+        *self = Self::from_raw(hashes);
     }
 }
 
@@ -142,18 +155,13 @@ pub fn char_shingles(text: &str, k: usize) -> ShingleSet {
         }
         out
     };
-    let mut set = ShingleSet::new();
     if normalized.is_empty() {
-        return set;
+        return ShingleSet::new();
     }
     if normalized.len() <= k {
-        set.insert(fnv1a(&normalized));
-        return set;
+        return ShingleSet::from_raw(vec![fnv1a(&normalized)]);
     }
-    for window in normalized.windows(k) {
-        set.insert(fnv1a(window));
-    }
-    set
+    ShingleSet::from_raw(normalized.windows(k).map(fnv1a).collect())
 }
 
 /// Builds the set of token `k`-shingles of `text` using `tokenizer`.
@@ -167,18 +175,18 @@ pub fn char_shingles(text: &str, k: usize) -> ShingleSet {
 pub fn token_shingles<T: Tokenizer>(tokenizer: &T, text: &str, k: usize) -> ShingleSet {
     assert!(k > 0, "shingle size must be positive");
     let tokens = tokenizer.tokenize(text);
-    let mut set = ShingleSet::new();
     if tokens.is_empty() {
-        return set;
+        return ShingleSet::new();
     }
     if tokens.len() <= k {
-        set.insert(fnv1a(tokens.join("\u{1f}").as_bytes()));
-        return set;
+        return ShingleSet::from_raw(vec![fnv1a(tokens.join("\u{1f}").as_bytes())]);
     }
-    for window in tokens.windows(k) {
-        set.insert(fnv1a(window.join("\u{1f}").as_bytes()));
-    }
-    set
+    ShingleSet::from_raw(
+        tokens
+            .windows(k)
+            .map(|window| fnv1a(window.join("\u{1f}").as_bytes()))
+            .collect(),
+    )
 }
 
 #[cfg(test)]

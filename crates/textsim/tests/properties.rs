@@ -1,9 +1,11 @@
 //! Property-based tests over the similarity primitives.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use textsim::{
     char_shingles, cosine_similarity, jaccard_similarity, jaccard_similarity_sorted, CodeTokenizer,
-    LshIndex, LshParams, MinHasher, TermVector, Tokenizer,
+    LshIndex, LshParams, MinHasher, ShingleSet, TermVector, Tokenizer,
 };
 
 fn text_strategy() -> impl Strategy<Value = String> {
@@ -27,6 +29,20 @@ fn text_strategy() -> impl Strategy<Value = String> {
         0..60,
     )
     .prop_map(|tokens| tokens.join(" "))
+}
+
+/// Shingle hashes drawn half from a small pool, so inputs repeat values,
+/// and half from the full `u64` range.
+fn hash_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..48, any::<u64>()]
+}
+
+/// `|A ∩ B| / |A ∪ B|` from ordered sets, with two empty sets scoring 1.
+fn btree_jaccard(a: &BTreeSet<u64>, b: &BTreeSet<u64>) -> f64 {
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    a.intersection(b).count() as f64 / a.union(b).count() as f64
 }
 
 proptest! {
@@ -57,18 +73,31 @@ proptest! {
         prop_assert!((ab - ba).abs() < 1e-12);
     }
 
+    /// A `ShingleSet` built from unsorted, repeating hashes — collected, or
+    /// extended onto a non-empty set — holds exactly the input's distinct
+    /// values in strictly ascending order, and both Jaccard entry points
+    /// return the `BTreeSet` ratio bit for bit.
     #[test]
     fn jaccard_sorted_matches_set_version(
-        a in proptest::collection::btree_set(any::<u64>(), 0..50),
-        b in proptest::collection::btree_set(any::<u64>(), 0..50),
+        a in proptest::collection::vec(hash_strategy(), 0..60),
+        b_head in proptest::collection::vec(hash_strategy(), 1..30),
+        b_tail in proptest::collection::vec(hash_strategy(), 0..30),
     ) {
-        let sa: textsim::ShingleSet = a.iter().copied().collect();
-        let sb: textsim::ShingleSet = b.iter().copied().collect();
-        let av: Vec<u64> = a.into_iter().collect();
-        let bv: Vec<u64> = b.into_iter().collect();
-        let set = jaccard_similarity(&sa, &sb);
-        let sorted = jaccard_similarity_sorted(&av, &bv);
-        prop_assert!((set - sorted).abs() < 1e-12);
+        let sa: ShingleSet = a.iter().copied().collect();
+        let mut sb: ShingleSet = b_head.iter().copied().collect();
+        sb.extend(b_tail.iter().copied());
+        let ra: BTreeSet<u64> = a.into_iter().collect();
+        let rb: BTreeSet<u64> = b_head.into_iter().chain(b_tail).collect();
+        for (set, reference) in [(&sa, &ra), (&sb, &rb)] {
+            prop_assert!(set.as_slice().windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(set.as_slice().iter().eq(reference.iter()));
+        }
+        let expected = btree_jaccard(&ra, &rb).to_bits();
+        prop_assert_eq!(jaccard_similarity(&sa, &sb).to_bits(), expected);
+        prop_assert_eq!(
+            jaccard_similarity_sorted(sa.as_slice(), sb.as_slice()).to_bits(),
+            expected
+        );
     }
 
     #[test]

@@ -5,28 +5,28 @@
 //! module asks the next question — "is it *plausible* hardware?" — with
 //! eight analysis passes over the AST:
 //!
-//! 1. **Scope analysis** ([`scope`]): symbol resolution over ports, nets,
+//! 1. **Scope analysis** (`scope`): symbol resolution over ports, nets,
 //!    parameters and genvars; undeclared/unused/redeclared identifiers and
 //!    unknown, unconnected or direction-mismatched instance ports.
-//! 2. **Driver analysis** ([`drivers`]): multiply-driven nets, undriven
+//! 2. **Driver analysis** (`drivers`): multiply-driven nets, undriven
 //!    outputs, and regs assigned from multiple `always` blocks.
-//! 3. **Width inference** ([`width`]): bit-width inference over [`Expr`]
+//! 3. **Width inference** (`width`): bit-width inference over [`Expr`](crate::ast::Expr)
 //!    with parameter constant-folding; truncating assignments, width-unsafe
 //!    port connections and unsized literals in concatenations.
-//! 4. **Dependency graph** ([`graph`]): a net-dependency graph over the
+//! 4. **Dependency graph** (`graph`): a net-dependency graph over the
 //!    combinational logic with Tarjan SCC detection for combinational
 //!    loops, plus incomplete sensitivity lists.
-//! 5. **Procedural style** ([`latch`]): latch inference (incomplete
+//! 5. **Procedural style** (`latch`): latch inference (incomplete
 //!    `if`/`case` in combinational `always`) and blocking/non-blocking
 //!    assignment misuse by edge kind.
-//! 6. **Clock/reset domains** ([`clock`]): per-`always` clock and
+//! 6. **Clock/reset domains** (`clock`): per-`always` clock and
 //!    async-reset inference; unsynchronized clock-domain crossings,
 //!    mixed clock edges, contradictory async-reset polarity, and resets
 //!    used both sync and async.
-//! 7. **Case semantics** ([`case_analysis`]): `casez`/`casex` wildcard
+//! 7. **Case semantics** (`case_analysis`): `casez`/`casex` wildcard
 //!    subsumption over the ternary bit-lattice; duplicated and covered
 //!    (unreachable) case arms.
-//! 8. **Cross-module widths** ([`xmodule`]): instance connection widths
+//! 8. **Cross-module widths** (`xmodule`): instance connection widths
 //!    folded under instantiation parameter overrides against the target
 //!    port's declared width.
 //!

@@ -3,7 +3,7 @@
 //! The parser works over a borrowed token slice with an index-based
 //! `peek` — tokens are `Copy`, so stepping never clones a `String` the way
 //! the retired reference frontend did. Identifiers stay interned
-//! [`Symbol`](crate::intern::Symbol)s all the way into the AST, and every
+//! [`Symbol`]s all the way into the AST, and every
 //! expression node is allocated into the module's [`ExprArena`] at the cost
 //! of one `Vec` push. Diagnostics text (parse errors, and the lint
 //! diagnostics downstream) is unchanged byte for byte.
