@@ -1,20 +1,27 @@
-//! Benchmarks the de-duplication engine — the paper's single largest funnel
-//! stage (§III-D2, ~62% removal under FreeSet) — in its execution shapes:
-//! one-shot serial, one-shot parallel (batch signature fan-out), streamed
-//! per-batch against the persistent kept-index, and streamed with a
-//! spill-to-disk residency budget. Also records the engine's exact-hash
-//! short-circuit rate and kept-state residency as `FFH-METRIC` lines so
-//! later PRs can track the time, work-avoided and memory trajectories.
+//! The de-duplication engine's metric contract. Dedup is the paper's single
+//! largest funnel stage (§III-D2, ~62% removal under FreeSet). Every run
+//! streams the scraped corpus through the engine and asserts that the
+//! streamed, spill-budgeted and no-fast-path variants all equal the
+//! one-shot outcome, with peak resident shards inside the spill budget. It
+//! then records the exact-hash short-circuit rate and kept-state residency
+//! as `FFH-METRIC` lines.
 //!
-//! With `FFH_BENCH_FAST=1` only the tiny-scale artefact/metric pass runs
-//! (no Criterion timing loops) — CI uses this to fail the build if the
-//! expected `FFH-METRIC` lines ever disappear.
+//! With `FFH_BENCH_FAST=1` only the tiny scale runs. The run exits non-zero
+//! when a metric in [`REQUIRED`] was not printed.
 
-use bench::{fast_mode, print_artifact, print_metric, timing_scale};
-use criterion::{black_box, Criterion};
+use bench::{fast_mode, print_artifact, MetricLog};
 use curation::{DedupConfig, DedupOutcome, DedupSpillConfig, Deduplicator, ExecutionMode};
 use freeset::config::{ExperimentScale, FreeSetConfig};
 use freeset::corpus::ScrapedCorpus;
+
+const BENCH: &str = "bench_dedup";
+
+/// The metrics this bench must print.
+const REQUIRED: [&str; 3] = [
+    "exact_hit_rate",
+    "peak_resident_hashes",
+    "peak_resident_shards",
+];
 
 /// The batch size the streamed variants push — roughly one repository's
 /// worth of files at the bench scales.
@@ -53,64 +60,11 @@ fn stream_all(
     (merged, stream.stats())
 }
 
-fn bench_modes(c: &mut Criterion, label: &str, texts: &[String]) {
-    let dedup = Deduplicator::new(DedupConfig::default());
-    let mut group = c.benchmark_group(format!("dedup_{label}"));
-    group.sample_size(10);
-    group.bench_function("one_shot_serial", |b| {
-        b.iter(|| {
-            black_box(
-                dedup
-                    .dedup_texts_with_mode(black_box(texts), ExecutionMode::Serial)
-                    .kept,
-            )
-        })
-    });
-    group.bench_function("one_shot_parallel", |b| {
-        b.iter(|| {
-            black_box(
-                dedup
-                    .dedup_texts_with_mode(black_box(texts), ExecutionMode::Parallel)
-                    .kept,
-            )
-        })
-    });
-    group.bench_function("streamed_batches", |b| {
-        b.iter(|| {
-            let (outcome, _) = stream_all(dedup.streaming(), black_box(texts));
-            black_box(outcome.kept.len())
-        })
-    });
-    group.bench_function("streamed_spill_budgeted", |b| {
-        b.iter(|| {
-            let (outcome, _) = stream_all(
-                dedup
-                    .streaming_with_spill(&spill_config())
-                    .expect("spill engine opens"),
-                black_box(texts),
-            );
-            black_box(outcome.kept.len())
-        })
-    });
-    // The full signature path, for the exact-hash fast-path headroom.
-    let no_exact = Deduplicator::new(DedupConfig {
-        exact_prededup: false,
-        ..Default::default()
-    });
-    group.bench_function("streamed_no_exact_prededup", |b| {
-        b.iter(|| {
-            let (outcome, _) = stream_all(no_exact.streaming(), black_box(texts));
-            black_box(outcome.kept.len())
-        })
-    });
-    group.finish();
-}
-
 /// Regenerates the residency/equivalence artefact at one scale and emits the
 /// trajectory metrics. Asserts the bounded-memory contract on every run:
 /// spill-budgeted output byte-identical to the unbounded engine, peak
 /// resident shards inside the budget.
-fn report_scale(label: &str, texts: &[String]) {
+fn report_scale(log: &mut MetricLog, label: &str, texts: &[String]) {
     let dedup = Deduplicator::new(DedupConfig::default());
     let one_shot = dedup.dedup_texts_with_mode(texts, ExecutionMode::Parallel);
     let (streamed, stats) = stream_all(dedup.streaming(), texts);
@@ -168,78 +122,60 @@ fn report_scale(label: &str, texts: &[String]) {
             spill_stats.shard_reloads,
         ),
     );
-    print_metric(
-        "bench_dedup",
-        label,
-        "files_pushed",
-        stats.pushed as f64,
-        "files",
-    );
-    print_metric(
-        "bench_dedup",
-        label,
-        "kept_docs",
-        stats.kept_docs as f64,
-        "files",
-    );
-    print_metric(
-        "bench_dedup",
+    log.emit(BENCH, label, "files_pushed", stats.pushed as f64, "files");
+    log.emit(BENCH, label, "kept_docs", stats.kept_docs as f64, "files");
+    log.emit(
+        BENCH,
         label,
         "kept_hashes",
         stats.kept_hashes as f64,
         "hashes",
     );
-    print_metric(
-        "bench_dedup",
+    log.emit(
+        BENCH,
         label,
         "peak_batch_hashes",
         stats.peak_batch_hashes as f64,
         "hashes",
     );
-    print_metric(
-        "bench_dedup",
-        label,
-        "exact_hit_rate",
-        exact_hit_rate,
-        "fraction",
-    );
-    print_metric(
-        "bench_dedup",
+    log.emit(BENCH, label, "exact_hit_rate", exact_hit_rate, "fraction");
+    log.emit(
+        BENCH,
         label,
         "signature_hashes_built",
         stats.pushed_hashes as f64,
         "hashes",
     );
-    print_metric(
-        "bench_dedup",
+    log.emit(
+        BENCH,
         label,
         "signature_hashes_without_exact",
         full_stats.pushed_hashes as f64,
         "hashes",
     );
-    print_metric(
-        "bench_dedup",
+    log.emit(
+        BENCH,
         label,
         "peak_resident_shards",
         spill_stats.peak_resident_shards as f64,
         "shards",
     );
-    print_metric(
-        "bench_dedup",
+    log.emit(
+        BENCH,
         label,
         "peak_resident_hashes",
         spill_stats.peak_resident_kept_hashes as f64,
         "hashes",
     );
-    print_metric(
-        "bench_dedup",
+    log.emit(
+        BENCH,
         label,
         "shard_spills",
         spill_stats.shard_spills as f64,
         "events",
     );
-    print_metric(
-        "bench_dedup",
+    log.emit(
+        BENCH,
         label,
         "shard_reloads",
         spill_stats.shard_reloads as f64,
@@ -248,25 +184,17 @@ fn report_scale(label: &str, texts: &[String]) {
 }
 
 fn main() {
-    // One scrape per scale, shared by the artefact report and the timing
-    // loops.
     let scales: Vec<(&str, ExperimentScale)> = if fast_mode() {
-        vec![("tiny", timing_scale())]
+        vec![("tiny", ExperimentScale::tiny())]
     } else {
         vec![
-            ("tiny", timing_scale()),
+            ("tiny", ExperimentScale::tiny()),
             ("small", ExperimentScale::small()),
         ]
     };
-    let mut criterion = Criterion::default().configure_from_args();
+    let mut log = MetricLog::default();
     for (label, scale) in &scales {
-        let texts = corpus_texts(scale);
-        report_scale(label, &texts);
-        if !fast_mode() {
-            bench_modes(&mut criterion, label, &texts);
-        }
+        report_scale(&mut log, label, &corpus_texts(scale));
     }
-    if !fast_mode() {
-        criterion.final_summary();
-    }
+    log.require(BENCH, &REQUIRED);
 }

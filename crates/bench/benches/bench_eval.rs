@@ -5,19 +5,27 @@
 //! (problem, temperature) fan-out actually pays for itself
 //! (`speedup_vs_serial > 1`).
 //!
-//! With `FFH_BENCH_FAST=1` only the tiny-scale artefact/metric pass runs
-//! (no Criterion timing loops) — CI uses this to fail the build if the
-//! `eval_problems_per_sec_{serial,parallel}` / `speedup_vs_serial` lines
-//! ever disappear.
+//! With `FFH_BENCH_FAST=1` only the tiny scale runs. The run exits non-zero
+//! when a metric in [`REQUIRED`] was not printed.
 
 use std::time::Instant;
 
-use bench::{fast_mode, print_artifact, print_metric};
+use bench::{fast_mode, print_artifact, MetricLog};
 use copyright_bench::{BenchmarkConfig, CopyrightBenchmark, CopyrightedReference};
-use criterion::{black_box, Criterion};
 use hwlm::parallel::ExecutionMode;
 use hwlm::{NgramModel, TrainConfig};
 use verilogeval::{EvalConfig, ProblemSuite, Runner};
+
+const BENCH: &str = "bench_eval";
+
+/// The metrics this bench must print.
+const REQUIRED: [&str; 5] = [
+    "eval_problems_per_sec_serial",
+    "eval_problems_per_sec_parallel",
+    "speedup_vs_serial",
+    "copyright_prompts_per_sec_serial",
+    "copyright_prompts_per_sec_parallel",
+];
 
 /// The evaluated model: trained on the suite's prompts and golden bodies so
 /// its samples follow real token distributions (a pure-fallback model would
@@ -57,7 +65,7 @@ fn time_once<T, F: FnOnce() -> T>(pass: F) -> (f64, T) {
     (start.elapsed().as_secs_f64().max(f64::EPSILON), out)
 }
 
-fn report_verilogeval(label: &str, suite: &ProblemSuite, model: &NgramModel) {
+fn report_verilogeval(log: &mut MetricLog, label: &str, suite: &ProblemSuite, model: &NgramModel) {
     let problems = suite.len();
     let reps = 7;
 
@@ -107,26 +115,26 @@ fn report_verilogeval(label: &str, suite: &ProblemSuite, model: &NgramModel) {
         ),
     );
 
-    print_metric("bench_eval", label, "problems", problems as f64, "problems");
-    print_metric(
-        "bench_eval",
+    log.emit(BENCH, label, "problems", problems as f64, "problems");
+    log.emit(
+        BENCH,
         label,
         "eval_problems_per_sec_serial",
         problems as f64 / serial_secs,
         "problems_per_sec",
     );
-    print_metric(
-        "bench_eval",
+    log.emit(
+        BENCH,
         label,
         "eval_problems_per_sec_parallel",
         problems as f64 / parallel_secs,
         "problems_per_sec",
     );
-    print_metric("bench_eval", label, "speedup_vs_serial", speedup, "ratio");
+    log.emit(BENCH, label, "speedup_vs_serial", speedup, "ratio");
 }
 
 /// The copyright side of the harness: same contract, prompt-level fan-out.
-fn report_copyright(label: &str) {
+fn report_copyright(log: &mut MetricLog, label: &str) {
     let texts: Vec<String> = (0..24)
         .map(|tag| {
             let mut body = format!(
@@ -194,34 +202,20 @@ fn report_copyright(label: &str) {
             serial_report.violations,
         ),
     );
-    print_metric(
-        "bench_eval",
+    log.emit(
+        BENCH,
         label,
         "copyright_prompts_per_sec_serial",
         prompts as f64 / serial_secs,
         "prompts_per_sec",
     );
-    print_metric(
-        "bench_eval",
+    log.emit(
+        BENCH,
         label,
         "copyright_prompts_per_sec_parallel",
         prompts as f64 / parallel_secs,
         "prompts_per_sec",
     );
-}
-
-fn bench_modes(c: &mut Criterion, label: &str, suite: &ProblemSuite, model: &NgramModel) {
-    let mut group = c.benchmark_group(format!("eval_{label}"));
-    group.sample_size(10);
-    group.bench_function("serial", |b| {
-        let runner = Runner::new(suite.clone(), eval_config(ExecutionMode::Serial));
-        b.iter(|| black_box(runner.evaluate(black_box(model)).per_problem.len()))
-    });
-    group.bench_function("parallel", |b| {
-        let runner = Runner::new(suite.clone(), eval_config(ExecutionMode::Parallel));
-        b.iter(|| black_box(runner.evaluate(black_box(model)).per_problem.len()))
-    });
-    group.finish();
 }
 
 fn main() {
@@ -230,7 +224,7 @@ fn main() {
     } else {
         vec![("tiny", Some(12)), ("small", None)]
     };
-    let mut criterion = Criterion::default().configure_from_args();
+    let mut log = MetricLog::default();
     for (label, truncate) in &scales {
         let full = ProblemSuite::verilog_eval_human();
         let suite = match truncate {
@@ -238,13 +232,8 @@ fn main() {
             None => full,
         };
         let model = eval_model(&suite);
-        report_verilogeval(label, &suite, &model);
-        report_copyright(label);
-        if !fast_mode() {
-            bench_modes(&mut criterion, label, &suite, &model);
-        }
+        report_verilogeval(&mut log, label, &suite, &model);
+        report_copyright(&mut log, label);
     }
-    if !fast_mode() {
-        criterion.final_summary();
-    }
+    log.require(BENCH, &REQUIRED);
 }

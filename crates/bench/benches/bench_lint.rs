@@ -6,20 +6,39 @@
 //! output identical to serial, and every rule in the catalogue firing on
 //! its planted defect.
 //!
-//! With `FFH_BENCH_FAST=1` only the tiny-scale artefact/metric pass runs
-//! (no Criterion timing loops) — CI uses this to fail the build if any
-//! per-rule `FFH-METRIC` hit-rate line ever disappears.
+//! With `FFH_BENCH_FAST=1` only the tiny scale runs. The run exits non-zero
+//! when a metric of [`required_metrics`] was not printed; the per-rule
+//! names come from [`RuleId::ALL`], so a rule is covered as soon as it joins
+//! the catalogue.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use bench::{fast_mode, print_artifact, print_metric, timing_scale};
-use criterion::{black_box, Criterion};
+use bench::{fast_mode, print_artifact, MetricLog};
 use curation::{CurationStage, ExecutionMode, FileBatch, LintRejectPolicy, LintStage};
 use freeset::config::{ExperimentScale, FreeSetConfig};
 use freeset::corpus::ScrapedCorpus;
 use gh_sim::{DefectKind, ExtractedFile, License};
 use verilog::RuleId;
+
+const BENCH: &str = "bench_lint";
+
+/// The metrics this bench must print: a hit rate per rule, the reject
+/// fraction under both policies and the serial throughput.
+fn required_metrics() -> Vec<String> {
+    RuleId::ALL
+        .iter()
+        .map(|rule| format!("hit_rate_{}", rule.metric_key()))
+        .chain(
+            [
+                "reject_fraction_strict",
+                "reject_fraction_default",
+                "serial_files_per_sec",
+            ]
+            .map(String::from),
+        )
+        .collect()
+}
 
 /// How many copies of each planted defect the corpus is salted with —
 /// enough that every rule's hit count is visibly non-zero without the
@@ -77,7 +96,7 @@ fn category_counts(outcome: &curation::StageOutcome) -> BTreeMap<String, usize> 
 /// Asserts the stage contracts on every run: serial and parallel outcomes
 /// identical, every rule firing on its planted defects, strict policy
 /// rejecting at least as much as the default.
-fn report_scale(label: &str, files: &[ExtractedFile]) {
+fn report_scale(log: &mut MetricLog, label: &str, files: &[ExtractedFile]) {
     let strict = LintStage::new(LintRejectPolicy::strict());
     let default = LintStage::default();
     let total = files.len();
@@ -132,30 +151,30 @@ fn report_scale(label: &str, files: &[ExtractedFile]) {
         ),
     );
 
-    print_metric("bench_lint", label, "files_linted", total as f64, "files");
-    print_metric(
-        "bench_lint",
+    log.emit(BENCH, label, "files_linted", total as f64, "files");
+    log.emit(
+        BENCH,
         label,
         "serial_files_per_sec",
         total as f64 / serial_secs.max(f64::EPSILON),
         "files_per_sec",
     );
-    print_metric(
-        "bench_lint",
+    log.emit(
+        BENCH,
         label,
         "parallel_files_per_sec",
         total as f64 / parallel_secs.max(f64::EPSILON),
         "files_per_sec",
     );
-    print_metric(
-        "bench_lint",
+    log.emit(
+        BENCH,
         label,
         "reject_fraction_strict",
         strict_fraction,
         "fraction",
     );
-    print_metric(
-        "bench_lint",
+    log.emit(
+        BENCH,
         label,
         "reject_fraction_default",
         default_fraction,
@@ -163,15 +182,15 @@ fn report_scale(label: &str, files: &[ExtractedFile]) {
     );
     for rule in RuleId::ALL {
         let count = hits.get(rule.id()).copied().unwrap_or(0);
-        print_metric(
-            "bench_lint",
+        log.emit(
+            BENCH,
             label,
             &format!("hits_{}", rule.metric_key()),
             count as f64,
             "files",
         );
-        print_metric(
-            "bench_lint",
+        log.emit(
+            BENCH,
             label,
             &format!("hit_rate_{}", rule.metric_key()),
             count as f64 / total.max(1) as f64,
@@ -180,61 +199,18 @@ fn report_scale(label: &str, files: &[ExtractedFile]) {
     }
 }
 
-fn bench_modes(c: &mut Criterion, label: &str, files: &[ExtractedFile]) {
-    let strict = LintStage::new(LintRejectPolicy::strict());
-    let default = LintStage::default();
-    let mut group = c.benchmark_group(format!("lint_{label}"));
-    group.sample_size(10);
-    group.bench_function("strict_serial", |b| {
-        b.iter(|| {
-            black_box(
-                apply(&strict, black_box(files), ExecutionMode::Serial)
-                    .kept
-                    .len(),
-            )
-        })
-    });
-    group.bench_function("strict_parallel", |b| {
-        b.iter(|| {
-            black_box(
-                apply(&strict, black_box(files), ExecutionMode::Parallel)
-                    .kept
-                    .len(),
-            )
-        })
-    });
-    group.bench_function("default_parallel", |b| {
-        b.iter(|| {
-            black_box(
-                apply(&default, black_box(files), ExecutionMode::Parallel)
-                    .kept
-                    .len(),
-            )
-        })
-    });
-    group.finish();
-}
-
 fn main() {
-    // One salted scrape per scale, shared by the artefact report and the
-    // timing loops.
     let scales: Vec<(&str, ExperimentScale)> = if fast_mode() {
-        vec![("tiny", timing_scale())]
+        vec![("tiny", ExperimentScale::tiny())]
     } else {
         vec![
-            ("tiny", timing_scale()),
+            ("tiny", ExperimentScale::tiny()),
             ("small", ExperimentScale::small()),
         ]
     };
-    let mut criterion = Criterion::default().configure_from_args();
+    let mut log = MetricLog::default();
     for (label, scale) in &scales {
-        let files = salted_corpus(scale);
-        report_scale(label, &files);
-        if !fast_mode() {
-            bench_modes(&mut criterion, label, &files);
-        }
+        report_scale(&mut log, label, &salted_corpus(scale));
     }
-    if !fast_mode() {
-        criterion.final_summary();
-    }
+    log.require(BENCH, &required_metrics());
 }

@@ -5,19 +5,26 @@
 //! operator table lexes every operator to its own token, and parallel parse
 //! output is identical to serial.
 //!
-//! With `FFH_BENCH_FAST=1` only the tiny-scale artefact/metric pass runs
-//! (no Criterion timing loops) — CI uses this to fail the build if any
-//! `FFH-METRIC` line ever disappears.
+//! With `FFH_BENCH_FAST=1` only the tiny scale runs. The run exits non-zero
+//! when a metric in [`REQUIRED`] was not printed.
 
 use std::time::Instant;
 
-use bench::{fast_mode, print_artifact, print_metric};
-use criterion::{black_box, Criterion};
+use bench::{fast_mode, print_artifact, MetricLog};
 use gh_sim::{DesignKind, SynthConfig, Synthesizer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use verilog::{Lexer, Op, Parser, TokenKind};
+
+const BENCH: &str = "bench_parse";
+
+/// The metrics this bench must print.
+const REQUIRED: [&str; 3] = [
+    "lex_tokens_per_sec",
+    "files_per_sec",
+    "parallel_files_per_sec",
+];
 
 /// The lexer's operator dispatch table, verified head-on: every multi-char
 /// operator (longest-first table scanned by first byte) and every
@@ -83,7 +90,7 @@ fn time_once<F: FnOnce() -> usize>(pass: F) -> (f64, usize) {
     (start.elapsed().as_secs_f64().max(f64::EPSILON), work)
 }
 
-fn report_scale(label: &str, files: &[String]) {
+fn report_scale(log: &mut MetricLog, label: &str, files: &[String]) {
     let total = files.len();
     let reps = 7;
 
@@ -146,71 +153,29 @@ fn report_scale(label: &str, files: &[String]) {
         ),
     );
 
-    print_metric("bench_parse", label, "files", total as f64, "files");
-    print_metric("bench_parse", label, "tokens", tokens as f64, "tokens");
-    print_metric(
-        "bench_parse",
+    log.emit(BENCH, label, "files", total as f64, "files");
+    log.emit(BENCH, label, "tokens", tokens as f64, "tokens");
+    log.emit(
+        BENCH,
         label,
         "lex_tokens_per_sec",
         tokens as f64 / lex_secs,
         "tokens_per_sec",
     );
-    print_metric(
-        "bench_parse",
+    log.emit(
+        BENCH,
         label,
         "files_per_sec",
         total as f64 / serial_secs,
         "files_per_sec",
     );
-    print_metric(
-        "bench_parse",
+    log.emit(
+        BENCH,
         label,
         "parallel_files_per_sec",
         total as f64 / parallel_secs,
         "files_per_sec",
     );
-}
-
-fn bench_modes(c: &mut Criterion, label: &str, files: &[String]) {
-    let mut group = c.benchmark_group(format!("parse_{label}"));
-    group.sample_size(10);
-    group.bench_function("lex_serial", |b| {
-        b.iter(|| {
-            black_box(
-                files
-                    .iter()
-                    .map(|f| {
-                        Lexer::new(black_box(f))
-                            .tokenize()
-                            .map_or(0, |l| l.tokens.len())
-                    })
-                    .sum::<usize>(),
-            )
-        })
-    });
-    group.bench_function("parse_serial", |b| {
-        b.iter(|| {
-            black_box(
-                files
-                    .iter()
-                    .map(|f| Parser::parse_source(black_box(f)).map_or(0, |m| m.len()))
-                    .sum::<usize>(),
-            )
-        })
-    });
-    group.bench_function("parse_parallel", |b| {
-        b.iter(|| {
-            black_box(
-                files
-                    .par_iter()
-                    .map(|f| Parser::parse_source(black_box(f)).map_or(0, |m| m.len()))
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .sum::<usize>(),
-            )
-        })
-    });
-    group.finish();
 }
 
 fn main() {
@@ -221,15 +186,9 @@ fn main() {
     } else {
         vec![("tiny", 120, 4), ("small", 600, 20)]
     };
-    let mut criterion = Criterion::default().configure_from_args();
+    let mut log = MetricLog::default();
     for (label, small, large) in &scales {
-        let files = corpus(*small, *large);
-        report_scale(label, &files);
-        if !fast_mode() {
-            bench_modes(&mut criterion, label, &files);
-        }
+        report_scale(&mut log, label, &corpus(*small, *large));
     }
-    if !fast_mode() {
-        criterion.final_summary();
-    }
+    log.require(BENCH, &REQUIRED);
 }

@@ -5,20 +5,26 @@
 //! that fanning the count fold out actually pays for itself
 //! (`speedup_vs_serial > 1`).
 //!
-//! With `FFH_BENCH_FAST=1` only the tiny-scale artefact/metric pass runs
-//! (no Criterion timing loops) — CI uses this to fail the build if the
-//! `train_tokens_per_sec_{serial,parallel}` / `speedup_vs_serial` lines
-//! ever disappear.
+//! With `FFH_BENCH_FAST=1` only the tiny scale runs. The run exits non-zero
+//! when a metric in [`REQUIRED`] was not printed.
 
 use std::time::Instant;
 
-use bench::{fast_mode, print_artifact, print_metric};
-use criterion::{black_box, Criterion};
+use bench::{fast_mode, print_artifact, MetricLog};
 use gh_sim::{DesignKind, SynthConfig, Synthesizer};
 use hwlm::parallel::{default_workers, train_model_sharded};
 use hwlm::{NgramModel, TrainConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+const BENCH: &str = "bench_train";
+
+/// The metrics this bench must print.
+const REQUIRED: [&str; 3] = [
+    "train_tokens_per_sec_serial",
+    "train_tokens_per_sec_parallel",
+    "speedup_vs_serial",
+];
 
 /// A synthesized training corpus: `files` generated designs cycling over
 /// every design kind, the same traffic shape the model zoo trains on.
@@ -42,7 +48,7 @@ fn time_once<T, F: FnOnce() -> T>(pass: F) -> (f64, T) {
     (start.elapsed().as_secs_f64().max(f64::EPSILON), out)
 }
 
-fn report_scale(label: &str, files: &[String]) {
+fn report_scale(log: &mut MetricLog, label: &str, files: &[String]) {
     let config = TrainConfig::default();
     let workers = default_workers();
     let reps = 7;
@@ -94,56 +100,24 @@ fn report_scale(label: &str, files: &[String]) {
         ),
     );
 
-    print_metric("bench_train", label, "files", files.len() as f64, "files");
-    print_metric(
-        "bench_train",
-        label,
-        "trained_tokens",
-        tokens as f64,
-        "tokens",
-    );
-    print_metric("bench_train", label, "workers", workers as f64, "threads");
-    print_metric(
-        "bench_train",
+    log.emit(BENCH, label, "files", files.len() as f64, "files");
+    log.emit(BENCH, label, "trained_tokens", tokens as f64, "tokens");
+    log.emit(BENCH, label, "workers", workers as f64, "threads");
+    log.emit(
+        BENCH,
         label,
         "train_tokens_per_sec_serial",
         tokens as f64 / serial_secs,
         "tokens_per_sec",
     );
-    print_metric(
-        "bench_train",
+    log.emit(
+        BENCH,
         label,
         "train_tokens_per_sec_parallel",
         tokens as f64 / parallel_secs,
         "tokens_per_sec",
     );
-    print_metric("bench_train", label, "speedup_vs_serial", speedup, "ratio");
-}
-
-fn bench_modes(c: &mut Criterion, label: &str, files: &[String]) {
-    let config = TrainConfig::default();
-    let workers = default_workers();
-    let mut group = c.benchmark_group(format!("train_{label}"));
-    group.sample_size(10);
-    group.bench_function("serial", |b| {
-        b.iter(|| {
-            black_box(
-                NgramModel::train_named("bench", black_box(files), &config)
-                    .counts()
-                    .trained_tokens(),
-            )
-        })
-    });
-    group.bench_function("sharded", |b| {
-        b.iter(|| {
-            black_box(
-                train_model_sharded("bench", black_box(files), &config, workers)
-                    .counts()
-                    .trained_tokens(),
-            )
-        })
-    });
-    group.finish();
+    log.emit(BENCH, label, "speedup_vs_serial", speedup, "ratio");
 }
 
 fn main() {
@@ -152,15 +126,9 @@ fn main() {
     } else {
         vec![("tiny", 400), ("small", 1200)]
     };
-    let mut criterion = Criterion::default().configure_from_args();
+    let mut log = MetricLog::default();
     for (label, files) in &scales {
-        let files = corpus(*files);
-        report_scale(label, &files);
-        if !fast_mode() {
-            bench_modes(&mut criterion, label, &files);
-        }
+        report_scale(&mut log, label, &corpus(*files));
     }
-    if !fast_mode() {
-        criterion.final_summary();
-    }
+    log.require(BENCH, &REQUIRED);
 }

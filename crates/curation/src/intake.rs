@@ -178,8 +178,9 @@ impl<'p> CurationSession<'p> {
     ///
     /// # Errors
     ///
-    /// Reserved for deferred spill-backed stages; today's built-in deferred
-    /// path is infallible, so this only errors through custom stages.
+    /// Never returns `Err` today: the deferred stages run through
+    /// [`CurationStage::apply`], which is infallible. The `io::Result` is
+    /// reserved for a deferred stage that spills to disk.
     pub fn finish(mut self) -> io::Result<CuratedDataset> {
         let mut funnel = FunnelStats::new(self.pushed);
         let mut rejects: Vec<RejectedFile> = Vec::new();

@@ -85,6 +85,11 @@ impl FunnelExperiment {
                 self.measured.after(stage_names::SYNTAX).to_string(),
             ],
             vec![
+                "after lint filter".to_string(),
+                after_lint(&self.paper),
+                after_lint(&self.measured),
+            ],
+            vec![
                 "final dataset".to_string(),
                 self.paper.final_count().to_string(),
                 self.measured.final_count().to_string(),
@@ -100,6 +105,14 @@ impl FunnelExperiment {
             markdown_table(&["stage", "paper", "measured"], &rows)
         )
     }
+}
+
+/// Survivors of the lint stage, or "—" for a funnel without one: the
+/// paper's has none, and [`FunnelStats::after`] would print its final count.
+fn after_lint(funnel: &FunnelStats) -> String {
+    funnel
+        .stage(stage_names::LINT)
+        .map_or_else(|| "—".to_string(), |lint| lint.surviving.to_string())
 }
 
 #[cfg(test)]
@@ -127,6 +140,11 @@ mod tests {
         assert!(text.contains("| stage | paper | measured |"));
         assert!(text.contains("1300000"));
         assert!(text.contains("final dataset"));
+        let lint = result
+            .measured
+            .stage(stage_names::LINT)
+            .expect("the FreeSet policy runs the lint stage");
+        assert!(text.contains(&format!("| after lint filter | — | {} |", lint.surviving)));
     }
 
     #[test]

@@ -160,12 +160,6 @@ impl MinHasher {
         }
         Signature { values }
     }
-
-    /// Computes signatures for a batch of shingle sets, serially, preserving
-    /// input order.
-    pub fn signatures(&self, sets: &[ShingleSet]) -> Vec<Signature> {
-        sets.iter().map(|s| self.signature(s)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -260,17 +254,6 @@ mod tests {
         let a = MinHasher::new(8, 1).signature(&ShingleSet::new());
         let b = MinHasher::new(16, 1).signature(&ShingleSet::new());
         let _ = a.estimate_jaccard(&b);
-    }
-}
-
-#[cfg(test)]
-mod batch_tests {
-    use super::*;
-
-    #[test]
-    fn empty_batch_is_fine() {
-        let hasher = MinHasher::new(8, 1);
-        assert!(hasher.signatures(&[]).is_empty());
     }
 }
 

@@ -2,25 +2,27 @@
 //! (§V): the cosine-similarity violation threshold, the de-duplication
 //! threshold, the prompt-prefix fraction and the quantisation width.
 //!
-//! Each sweep is printed as a table; one representative configuration per
-//! sweep is benchmarked with Criterion.
+//! ```text
+//! cargo run --release --example ablation
+//! ```
+//!
+//! Scrapes the simulated universe once at the small scale and prints each
+//! sweep as a markdown table. The two copyright sweeps share one protected
+//! reference set and one FreeV fine-tuned on the unfiltered scrape.
 
-use bench::{print_artifact, timing_scale};
-use copyright_bench::{BenchmarkConfig, CopyrightBenchmark, CopyrightedReference};
-use criterion::{black_box, Criterion};
-use curation::{CopyrightDetector, CurationConfig, CurationPipeline, DedupConfig};
-use freeset::config::FreeSetConfig;
-use freeset::corpus::ScrapedCorpus;
-use freeset::freev::FreeVBuilder;
-use freeset::report::markdown_table;
-use verilogeval::{EvalConfig, ProblemSuite, Runner};
+use free_fair_hw::copyright_bench::{BenchmarkConfig, CopyrightBenchmark, CopyrightedReference};
+use free_fair_hw::curation::{CopyrightDetector, CurationConfig, CurationPipeline, DedupConfig};
+use free_fair_hw::freeset::config::{ExperimentScale, FreeSetConfig};
+use free_fair_hw::freeset::corpus::ScrapedCorpus;
+use free_fair_hw::freeset::dataset::curate_with_policy;
+use free_fair_hw::freeset::freev::{FreeVBuilder, FreeVModel};
+use free_fair_hw::freeset::report::markdown_table;
+use free_fair_hw::hwlm::QuantizedModel;
+use free_fair_hw::verilogeval::{EvalConfig, ProblemSuite, Runner};
 
-fn ablation_scale() -> freeset::config::ExperimentScale {
-    freeset::config::ExperimentScale::small()
-}
-
-/// Sweep 1: violation rate as a function of the cosine-similarity threshold.
-fn sweep_similarity_threshold(scraped: &ScrapedCorpus) -> String {
+/// The copyright-protected files of accepted-license repositories: the
+/// reference set the copyright benchmark prompts from.
+fn protected_reference(scraped: &ScrapedCorpus) -> CopyrightedReference {
     let detector = CopyrightDetector::new();
     let protected: Vec<_> = scraped
         .files
@@ -28,12 +30,15 @@ fn sweep_similarity_threshold(scraped: &ScrapedCorpus) -> String {
         .filter(|f| f.repo_license.is_accepted_open_source() && detector.is_protected(&f.content))
         .cloned()
         .collect();
-    let raw_corpus: Vec<String> = scraped.files.iter().map(|f| f.content.clone()).collect();
-    let leaky = FreeVBuilder::default().build(scraped, &raw_corpus);
+    CopyrightedReference::from_extracted(&protected)
+}
+
+/// Sweep 1: violation rate as a function of the cosine-similarity threshold.
+fn sweep_similarity_threshold(reference: &CopyrightedReference, leaky: &FreeVModel) -> String {
     let mut rows = Vec::new();
     for threshold in [0.6, 0.7, 0.8, 0.9, 0.95] {
         let benchmark = CopyrightBenchmark::new(
-            CopyrightedReference::from_extracted(&protected),
+            reference.clone(),
             BenchmarkConfig {
                 similarity_threshold: threshold,
                 ..Default::default()
@@ -79,20 +84,11 @@ fn sweep_dedup_threshold(scraped: &ScrapedCorpus) -> String {
 }
 
 /// Sweep 3: violation rate as a function of the prompt-prefix fraction.
-fn sweep_prefix_fraction(scraped: &ScrapedCorpus) -> String {
-    let detector = CopyrightDetector::new();
-    let protected: Vec<_> = scraped
-        .files
-        .iter()
-        .filter(|f| f.repo_license.is_accepted_open_source() && detector.is_protected(&f.content))
-        .cloned()
-        .collect();
-    let raw_corpus: Vec<String> = scraped.files.iter().map(|f| f.content.clone()).collect();
-    let leaky = FreeVBuilder::default().build(scraped, &raw_corpus);
+fn sweep_prefix_fraction(reference: &CopyrightedReference, leaky: &FreeVModel) -> String {
     let mut rows = Vec::new();
     for fraction in [0.1, 0.2, 0.3, 0.4] {
         let benchmark = CopyrightBenchmark::new(
-            CopyrightedReference::from_extracted(&protected),
+            reference.clone(),
             BenchmarkConfig {
                 prefix_fraction: fraction,
                 ..Default::default()
@@ -109,12 +105,11 @@ fn sweep_prefix_fraction(scraped: &ScrapedCorpus) -> String {
 
 /// Sweep 4: pass@k of FreeV as a function of the quantisation width.
 fn sweep_quantization(scraped: &ScrapedCorpus) -> String {
-    let build = freeset::dataset::curate_with_policy(scraped, CurationConfig::freeset());
+    let build = curate_with_policy(scraped, CurationConfig::freeset());
     let corpus: Vec<String> = build.contents().map(str::to_string).collect();
     let freev = FreeVBuilder::default().build(scraped, &corpus);
-    let suite = ProblemSuite::verilog_eval_human();
     let runner = Runner::new(
-        suite,
+        ProblemSuite::verilog_eval_human(),
         EvalConfig {
             samples_per_problem: 5,
             ks: vec![1, 5],
@@ -127,8 +122,7 @@ fn sweep_quantization(scraped: &ScrapedCorpus) -> String {
     );
     let mut rows = Vec::new();
     for bits in [2u32, 4, 8] {
-        let quantized = hwlm::QuantizedModel::new(freev.tuned(), bits);
-        let report = runner.evaluate(&quantized);
+        let report = runner.evaluate(&QuantizedModel::new(freev.tuned(), bits));
         rows.push(vec![
             format!("{bits}-bit"),
             format!("{:.1}", report.pass_percent(1).unwrap_or(0.0)),
@@ -138,40 +132,35 @@ fn sweep_quantization(scraped: &ScrapedCorpus) -> String {
     markdown_table(&["quantisation", "pass@1 %", "pass@5 %"], &rows)
 }
 
-fn bench_one_point(c: &mut Criterion, scraped: &ScrapedCorpus) {
-    let mut group = c.benchmark_group("ablation");
-    group.sample_size(10);
-    group.bench_function("dedup_threshold_085_pipeline", |b| {
-        b.iter(|| {
-            let dataset = CurationPipeline::new(CurationConfig::freeset())
-                .run(black_box(scraped.files.clone()));
-            black_box(dataset.len())
-        })
-    });
-    group.finish();
+fn print_sweep(title: &str, table: &str) {
+    println!("### Ablation — {title}\n\n{table}");
 }
 
 fn main() {
-    let report_scraped = ScrapedCorpus::build(&FreeSetConfig::at_scale(&ablation_scale()));
-    print_artifact(
-        "Ablation — cosine-similarity violation threshold (paper uses 0.8)",
-        &sweep_similarity_threshold(&report_scraped),
+    let scale = ExperimentScale::small();
+    println!(
+        "running the §V ablations over {} simulated repositories…\n",
+        scale.repo_count
     );
-    print_artifact(
-        "Ablation — MinHash/LSH de-duplication threshold (paper uses 0.85)",
-        &sweep_dedup_threshold(&report_scraped),
-    );
-    print_artifact(
-        "Ablation — prompt prefix fraction (paper uses 20%)",
-        &sweep_prefix_fraction(&report_scraped),
-    );
-    print_artifact(
-        "Ablation — quantisation width (paper uses 4-bit)",
-        &sweep_quantization(&report_scraped),
-    );
+    let scraped = ScrapedCorpus::build(&FreeSetConfig::at_scale(&scale));
+    let reference = protected_reference(&scraped);
+    let raw_corpus: Vec<String> = scraped.files.iter().map(|f| f.content.clone()).collect();
+    let leaky = FreeVBuilder::default().build(&scraped, &raw_corpus);
 
-    let timing_scraped = ScrapedCorpus::build(&FreeSetConfig::at_scale(&timing_scale()));
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_one_point(&mut criterion, &timing_scraped);
-    criterion.final_summary();
+    print_sweep(
+        "cosine-similarity violation threshold (paper uses 0.8)",
+        &sweep_similarity_threshold(&reference, &leaky),
+    );
+    print_sweep(
+        "MinHash/LSH de-duplication threshold (paper uses 0.85)",
+        &sweep_dedup_threshold(&scraped),
+    );
+    print_sweep(
+        "prompt prefix fraction (paper uses 20%)",
+        &sweep_prefix_fraction(&reference, &leaky),
+    );
+    print_sweep(
+        "quantisation width (paper uses 4-bit)",
+        &sweep_quantization(&scraped),
+    );
 }

@@ -5,9 +5,10 @@
 //! ```
 //!
 //! Scrapes the simulated GitHub universe through the rate-limited,
-//! result-capped search API, then runs the four curation stages and prints
-//! the funnel next to the paper's reported numbers. `--full` runs at the
-//! default (paper-shaped) scale instead of the small one.
+//! result-capped search API, then runs the five curation stages (license,
+//! dedup, syntax, lint and copyright) and prints the funnel next to the
+//! paper's reported numbers. `--full` runs at the default (paper-shaped)
+//! scale instead of the small one.
 
 use free_fair_hw::freeset::config::ExperimentScale;
 use free_fair_hw::freeset::experiments::funnel::FunnelExperiment;

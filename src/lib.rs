@@ -9,8 +9,8 @@
 //!   interpreter (the Icarus Verilog and simulation stand-in);
 //! * [`textsim`] — cosine similarity, MinHash and LSH;
 //! * [`gh_sim`] — the simulated GitHub universe, search API and scraper;
-//! * [`curation`] — the FreeSet curation framework (license, copyright,
-//!   dedup and syntax filters);
+//! * [`curation`] — the FreeSet curation framework (license, dedup,
+//!   syntax, lint and copyright filters);
 //! * [`hwlm`] — the trainable language-model substrate with adapter-based
 //!   continual pre-training and 4-bit quantisation;
 //! * [`verilogeval`] — the VerilogEval-style functional benchmark and
@@ -26,15 +26,15 @@
 //! use freeset::build_freeset;
 //!
 //! // Build FreeSet at a tiny scale: generate the synthetic GitHub universe,
-//! // scrape it, and run the four-stage curation pipeline.
+//! // scrape it, and run the five-stage curation pipeline.
 //! let build = build_freeset(&FreeSetConfig::at_scale(&ExperimentScale::tiny()));
 //! println!("{}", build.dataset.funnel());
 //! assert!(build.len() > 0);
 //! ```
 //!
 //! The runnable examples in `examples/` walk through each experiment:
-//! `quickstart`, `curation_pipeline`, `copyright_audit`, `verilogeval_run`
-//! and `dataset_comparison`.
+//! `quickstart`, `curation_pipeline`, `custom_stage`, `copyright_audit`,
+//! `verilogeval_run`, `dataset_comparison` and `ablation`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
