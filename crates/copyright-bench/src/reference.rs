@@ -90,19 +90,6 @@ impl CopyrightedReference {
     pub fn is_empty(&self) -> bool {
         self.files.is_empty()
     }
-
-    /// Returns only the files long enough to build a meaningful prompt from
-    /// (at least `min_words` words of code).
-    pub fn with_min_words(&self, min_words: usize) -> CopyrightedReference {
-        CopyrightedReference {
-            files: self
-                .files
-                .iter()
-                .filter(|f| f.code_word_count() >= min_words)
-                .cloned()
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,16 +134,5 @@ mod tests {
         let r = CopyrightedReference::from_texts(&["module a; endmodule", "module b; endmodule"]);
         assert_eq!(r.files()[1].identity, "reference-1");
         assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn min_words_filter_drops_tiny_files() {
-        let r = CopyrightedReference::from_texts(&[
-            "module a; endmodule",
-            "module big(input clk, input rst, input [7:0] d, output reg [7:0] q); always @(posedge clk) q <= d; endmodule",
-        ]);
-        let filtered = r.with_min_words(10);
-        assert_eq!(filtered.len(), 1);
-        assert!(filtered.files()[0].identity.ends_with("1"));
     }
 }

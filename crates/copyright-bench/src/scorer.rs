@@ -36,7 +36,7 @@ pub struct SimilarityScorer {
 impl SimilarityScorer {
     /// Builds a scorer over a reference set.
     pub fn new(reference: &CopyrightedReference) -> Self {
-        let tokenizer = CodeTokenizer::default();
+        let tokenizer = CodeTokenizer::new();
         let reference_vectors = reference
             .files()
             .iter()
@@ -46,11 +46,6 @@ impl SimilarityScorer {
             tokenizer,
             reference_vectors,
         }
-    }
-
-    /// Number of reference files the scorer compares against.
-    pub fn reference_count(&self) -> usize {
-        self.reference_vectors.len()
     }
 
     /// Cosine similarity of `completion` against one reference file.
@@ -97,7 +92,6 @@ mod tests {
         let (score, index) = scorer.max_similarity(&r.files()[1].code);
         assert_eq!(index, Some(1));
         assert!(score > 0.95);
-        assert_eq!(scorer.reference_count(), 2);
     }
 
     #[test]

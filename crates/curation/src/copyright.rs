@@ -64,21 +64,6 @@ impl CopyrightDetector {
         Self::default()
     }
 
-    /// Creates a detector with custom keyword lists. `strong` keywords flag a
-    /// file on their own; `weak` keywords flag a file only when a copyright
-    /// statement is also present.
-    pub fn with_keywords(strong: Vec<String>, weak: Vec<String>) -> Self {
-        Self {
-            strong_keywords: strong.into_iter().map(|k| k.to_lowercase()).collect(),
-            weak_keywords: weak.into_iter().map(|k| k.to_lowercase()).collect(),
-        }
-    }
-
-    /// The strong keyword list.
-    pub fn strong_keywords(&self) -> &[String] {
-        &self.strong_keywords
-    }
-
     /// Scans a file, returning a finding when it looks copyright-protected.
     ///
     /// Only the header comment block is inspected, matching the paper
@@ -205,18 +190,6 @@ mod tests {
         let d = CopyrightDetector::new();
         assert!(!d.is_protected("module m(input a, output y); assign y = a; endmodule"));
         assert!(!d.is_protected(""));
-    }
-
-    #[test]
-    fn custom_keywords_are_respected() {
-        let d = CopyrightDetector::with_keywords(vec!["Top Secret".into()], vec![]);
-        let src = "// TOP SECRET hardware block\nmodule m; endmodule";
-        assert!(d.is_protected(src));
-        assert!(
-            !d.is_protected(PROPRIETARY),
-            "default keywords are replaced"
-        );
-        assert_eq!(d.strong_keywords(), &["top secret".to_string()]);
     }
 
     #[test]

@@ -37,15 +37,6 @@ impl StageCount {
         self.entering.saturating_sub(self.surviving)
     }
 
-    /// Files removed under a named category (0 when the stage recorded no
-    /// such category).
-    pub fn removed_in_category(&self, category: &str) -> usize {
-        self.categories
-            .iter()
-            .find(|(name, _)| name == category)
-            .map_or(0, |(_, count)| *count)
-    }
-
     /// Fraction of the stage's input that survived (1.0 for an empty input).
     pub fn survival_rate(&self) -> f64 {
         if self.entering == 0 {

@@ -30,23 +30,6 @@ impl LicenseFilter {
         }
     }
 
-    /// A filter accepting only the given licenses.
-    pub fn with_accepted(accepted: Vec<License>) -> Self {
-        Self { accepted }
-    }
-
-    /// A filter accepting only permissive licenses (no copyleft) — used by
-    /// ablation experiments.
-    pub fn permissive_only() -> Self {
-        Self {
-            accepted: License::ACCEPTED
-                .iter()
-                .copied()
-                .filter(License::is_permissive)
-                .collect(),
-        }
-    }
-
     /// The accepted license list.
     pub fn accepted(&self) -> &[License] {
         &self.accepted
@@ -108,14 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn permissive_only_rejects_copyleft() {
-        let f = LicenseFilter::permissive_only();
-        assert!(f.accepts_license(License::Mit));
-        assert!(!f.accepts_license(License::Gpl3));
-        assert!(!f.accepts_license(License::Lgpl));
-    }
-
-    #[test]
     fn partition_splits_correctly() {
         let f = LicenseFilter::paper_default();
         let files = vec![
@@ -127,12 +102,5 @@ mod tests {
         assert_eq!(accepted.len(), 2);
         assert_eq!(rejected.len(), 1);
         assert_eq!(rejected[0].repo_license, License::None);
-    }
-
-    #[test]
-    fn custom_accepted_list() {
-        let f = LicenseFilter::with_accepted(vec![License::Mit]);
-        assert!(f.accepts_license(License::Mit));
-        assert!(!f.accepts_license(License::Apache2));
     }
 }

@@ -218,8 +218,6 @@ impl CuratedDataset {
 /// ```
 pub struct CurationPipeline {
     config: CurationConfig,
-    license_filter: LicenseFilter,
-    copyright_detector: CopyrightDetector,
     custom_stages: Vec<Box<dyn CurationStage>>,
     mode: ExecutionMode,
 }
@@ -231,23 +229,9 @@ impl CurationPipeline {
     pub fn new(config: CurationConfig) -> Self {
         Self {
             config,
-            license_filter: LicenseFilter::paper_default(),
-            copyright_detector: CopyrightDetector::new(),
             custom_stages: Vec::new(),
             mode: ExecutionMode::default(),
         }
-    }
-
-    /// Overrides the license filter (e.g. permissive-only ablations).
-    pub fn with_license_filter(mut self, filter: LicenseFilter) -> Self {
-        self.license_filter = filter;
-        self
-    }
-
-    /// Overrides the copyright detector.
-    pub fn with_copyright_detector(mut self, detector: CopyrightDetector) -> Self {
-        self.copyright_detector = detector;
-        self
     }
 
     /// Appends a custom stage, run after the policy's configured stages (in
@@ -285,7 +269,7 @@ impl CurationPipeline {
     pub(crate) fn configured_stages(&self) -> Vec<Box<dyn CurationStage>> {
         let mut stages: Vec<Box<dyn CurationStage>> = Vec::new();
         if self.config.check_repository_license {
-            stages.push(Box::new(LicenseStage::new(self.license_filter.clone())));
+            stages.push(Box::new(LicenseStage::new(LicenseFilter::paper_default())));
         }
         if let Some(cap) = self.config.max_file_chars {
             stages.push(Box::new(LengthCapStage::new(cap)));
@@ -314,9 +298,7 @@ impl CurationPipeline {
             }));
         }
         if self.config.check_file_copyright {
-            stages.push(Box::new(CopyrightStage::new(
-                self.copyright_detector.clone(),
-            )));
+            stages.push(Box::new(CopyrightStage::new(CopyrightDetector::new())));
         }
         stages
     }
@@ -533,18 +515,6 @@ mod tests {
             .rejects()
             .iter()
             .all(|r| r.reason == RejectReason::LengthCap && r.stage == "length filter"));
-    }
-
-    #[test]
-    fn permissive_only_filter_is_stricter() {
-        let files = scraped_corpus(150, 13);
-        let default = CurationPipeline::new(CurationConfig::freeset()).run(files.clone());
-        let permissive = CurationPipeline::new(CurationConfig::freeset())
-            .with_license_filter(LicenseFilter::permissive_only())
-            .run(files);
-        assert!(
-            permissive.funnel().after("license filter") < default.funnel().after("license filter")
-        );
     }
 
     #[test]

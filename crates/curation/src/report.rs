@@ -105,11 +105,6 @@ impl DatasetSummary {
             ),
         }
     }
-
-    /// Approximate on-disk size in megabytes (1 char ≈ 1 byte).
-    pub fn size_mb(&self) -> f64 {
-        self.total_chars as f64 / 1_000_000.0
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +155,7 @@ mod tests {
         let summary = DatasetSummary::from_dataset(&dataset, true, true);
         assert_eq!(summary.rows, dataset.len());
         assert_eq!(summary.length_histogram.total(), dataset.len());
-        assert!(summary.size_mb() > 0.0);
+        assert_eq!(summary.total_chars, dataset.total_chars());
         assert!(summary.open_source_check && summary.license_copyright_check);
     }
 }

@@ -1,6 +1,6 @@
 //! Experiment configuration and scaling presets.
 
-use curation::{CurationConfig, DedupSpillConfig, LintRejectPolicy};
+use curation::{CurationConfig, DedupSpillConfig};
 use gh_sim::{ScraperConfig, UniverseConfig};
 use serde::{Deserialize, Serialize};
 
@@ -90,22 +90,6 @@ impl FreeSetConfig {
         self.curation.dedup_spill = Some(spill);
         self
     }
-
-    /// Overrides the semantic lint policy of the curation funnel (e.g.
-    /// [`LintRejectPolicy::strict`] to also reject warning-severity
-    /// findings). The default FreeSet policy already lints, rejecting
-    /// error-severity findings only.
-    pub fn with_lint_policy(mut self, policy: LintRejectPolicy) -> Self {
-        self.curation.lint = Some(policy);
-        self
-    }
-
-    /// Disables the semantic lint stage (ablation: the funnel as the paper
-    /// originally shipped it, syntax check only).
-    pub fn without_lint(mut self) -> Self {
-        self.curation.lint = None;
-        self
-    }
 }
 
 impl Default for FreeSetConfig {
@@ -117,6 +101,7 @@ impl Default for FreeSetConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use curation::{CurationPipeline, LintRejectPolicy};
 
     #[test]
     fn scales_increase_monotonically() {
@@ -151,20 +136,23 @@ mod tests {
     }
 
     #[test]
-    fn lint_policy_builders_toggle_only_the_lint_stage() {
-        let scale = ExperimentScale::tiny();
-        let plain = FreeSetConfig::at_scale(&scale);
+    fn lint_policy_toggles_only_the_lint_stage() {
+        let mut config = FreeSetConfig::at_scale(&ExperimentScale::tiny());
         assert_eq!(
-            plain.curation.lint,
+            config.curation.lint,
             Some(LintRejectPolicy::default()),
             "FreeSet lints by default"
         );
-        let strict = FreeSetConfig::at_scale(&scale).with_lint_policy(LintRejectPolicy::strict());
-        assert_eq!(strict.curation.lint, Some(LintRejectPolicy::strict()));
-        let unlinted = FreeSetConfig::at_scale(&scale).without_lint();
-        assert!(unlinted.curation.lint.is_none());
-        assert_eq!(plain.curation.dedup, unlinted.curation.dedup);
-        assert_eq!(plain.curation.check_syntax, unlinted.curation.check_syntax);
+        let linted = CurationPipeline::new(config.curation.clone()).stage_names();
+        config.curation.lint = None;
+        let unlinted = CurationPipeline::new(config.curation).stage_names();
+        assert_eq!(
+            linted
+                .into_iter()
+                .filter(|name| name != "lint filter")
+                .collect::<Vec<_>>(),
+            unlinted
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! [`scrape_and_curate`] is tested to match the serial scrape-then-curate
 //! composition end to end.
 
-use curation::{CuratedDataset, CurationPipeline, CurationStage};
+use curation::{CuratedDataset, CurationPipeline};
 use gh_sim::fetch::{FetchConfig, FetchEngine};
 use gh_sim::{GithubApi, Universe};
 use serde::{Deserialize, Serialize};
@@ -139,55 +139,6 @@ pub fn curate_with_policy(
     CurationPipeline::new(policy).run(scraped.files.clone())
 }
 
-/// Curates an already-scraped corpus under a policy extended with custom
-/// [`CurationStage`]s, run after the policy's configured stages. This is the
-/// experiment drivers' hook for curation steps the paper's toggle set cannot
-/// express (extra ablation filters, corpus shaping, …).
-///
-/// # Example
-///
-/// ```
-/// use curation::{CurationConfig, CurationStage, FileBatch, RejectReason, StageOutcome};
-/// use freeset::config::{ExperimentScale, FreeSetConfig};
-/// use freeset::corpus::ScrapedCorpus;
-/// use freeset::dataset::curate_with_stages;
-///
-/// /// Keeps only files mentioning a clock — a custom policy dimension.
-/// struct ClockedOnly;
-///
-/// impl CurationStage for ClockedOnly {
-///     fn name(&self) -> &str {
-///         "clocked-only"
-///     }
-///
-///     fn apply(&self, batch: FileBatch) -> StageOutcome {
-///         batch.partition("clocked-only", RejectReason::Syntax, |f| {
-///             f.content.contains("clk")
-///         })
-///     }
-/// }
-///
-/// let scraped = ScrapedCorpus::build(&FreeSetConfig::at_scale(&ExperimentScale::tiny()));
-/// let dataset = curate_with_stages(
-///     &scraped,
-///     CurationConfig::freeset(),
-///     vec![Box::new(ClockedOnly)],
-/// );
-/// assert!(dataset.files().iter().all(|f| f.content().contains("clk")));
-/// assert!(dataset.funnel().stage("clocked-only").is_some());
-/// ```
-pub fn curate_with_stages(
-    scraped: &ScrapedCorpus,
-    policy: curation::CurationConfig,
-    stages: Vec<Box<dyn CurationStage>>,
-) -> CuratedDataset {
-    let mut pipeline = CurationPipeline::new(policy);
-    for stage in stages {
-        pipeline = pipeline.with_stage(stage);
-    }
-    pipeline.run(scraped.files.clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,11 +178,9 @@ mod tests {
         let config = FreeSetConfig::at_scale(&ExperimentScale::tiny());
         let scraped = ScrapedCorpus::build(&config);
         let plain = curate_with_policy(&scraped, CurationConfig::freeset());
-        let shaped = curate_with_stages(
-            &scraped,
-            CurationConfig::freeset(),
-            vec![Box::new(MaxModules(1))],
-        );
+        let shaped = CurationPipeline::new(CurationConfig::freeset())
+            .with_stage(Box::new(MaxModules(1)))
+            .run(scraped.files.clone());
         assert!(shaped.len() <= plain.len());
         assert!(shaped
             .files()

@@ -3,14 +3,12 @@
 use curation::{CurationConfig, LengthHistogram};
 use serde::{Deserialize, Serialize};
 
+use super::snapshot_subset;
 use crate::config::{ExperimentScale, FreeSetConfig};
 use crate::corpus::ScrapedCorpus;
 use crate::dataset::curate_with_policy;
 use crate::modelzoo::ZooEntry;
 use crate::report::markdown_table;
-
-/// Cut-off year modelling the stale BigQuery snapshot behind VeriGen's data.
-const VERIGEN_SNAPSHOT_LAST_YEAR: u32 = 2016;
 
 /// The Figure 2 experiment result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,17 +35,7 @@ impl Fig2Experiment {
     pub fn run_on(scale: &ExperimentScale, scraped: &ScrapedCorpus) -> Self {
         let freeset = curate_with_policy(scraped, CurationConfig::freeset());
         let verigen_entry = ZooEntry::by_name("VeriGen").expect("VeriGen entry exists");
-        let stale = ScrapedCorpus {
-            files: scraped
-                .files
-                .iter()
-                .filter(|f| f.created_year <= VERIGEN_SNAPSHOT_LAST_YEAR)
-                .cloned()
-                .collect(),
-            universe_stats: scraped.universe_stats,
-            scrape_report: scraped.scrape_report,
-        };
-        let verigen = curate_with_policy(&stale, verigen_entry.policy);
+        let verigen = curate_with_policy(&snapshot_subset(scraped), verigen_entry.policy);
 
         let freeset_lengths: Vec<usize> = freeset.files().iter().map(|f| f.char_len()).collect();
         let freeset_max_chars = freeset_lengths.iter().copied().max().unwrap_or(0);

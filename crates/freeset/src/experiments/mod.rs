@@ -18,3 +18,24 @@ pub mod fig3;
 pub mod funnel;
 pub mod table1;
 pub mod table2;
+
+use crate::corpus::ScrapedCorpus;
+
+/// Cut-off year modelling the stale BigQuery snapshot behind VeriGen's data.
+const VERIGEN_SNAPSHOT_LAST_YEAR: u32 = 2016;
+
+/// The files of `scraped` that VeriGen's snapshot could hold. Table I and
+/// Figure 2 both curate VeriGen's dataset from this subset, so they model
+/// the same data.
+pub(crate) fn snapshot_subset(scraped: &ScrapedCorpus) -> ScrapedCorpus {
+    ScrapedCorpus {
+        files: scraped
+            .files
+            .iter()
+            .filter(|f| f.created_year <= VERIGEN_SNAPSHOT_LAST_YEAR)
+            .cloned()
+            .collect(),
+        universe_stats: scraped.universe_stats,
+        scrape_report: scraped.scrape_report,
+    }
+}

@@ -14,6 +14,7 @@
 use curation::{DatasetStructure, DatasetSummary};
 use serde::{Deserialize, Serialize};
 
+use super::snapshot_subset;
 use crate::config::{ExperimentScale, FreeSetConfig};
 use crate::corpus::ScrapedCorpus;
 use crate::dataset::curate_with_policy;
@@ -54,9 +55,6 @@ pub struct Table1Experiment {
     /// Per-dataset measured summaries (full detail, including histograms).
     pub summaries: Vec<DatasetSummary>,
 }
-
-/// Cut-off year modelling the stale BigQuery snapshot VeriGen used.
-const VERIGEN_SNAPSHOT_LAST_YEAR: u32 = 2016;
 
 fn paper_only_rows() -> Vec<Table1Row> {
     vec![Table1Row {
@@ -103,7 +101,7 @@ impl Table1Experiment {
                 continue;
             }
             let input = if entry.policy.name == "VeriGen's Dataset" {
-                snapshot_subset(scraped, VERIGEN_SNAPSHOT_LAST_YEAR)
+                snapshot_subset(scraped)
             } else {
                 scraped.clone()
             };
@@ -203,19 +201,6 @@ impl Table1Experiment {
                 &rows
             )
         )
-    }
-}
-
-fn snapshot_subset(scraped: &ScrapedCorpus, last_year: u32) -> ScrapedCorpus {
-    ScrapedCorpus {
-        files: scraped
-            .files
-            .iter()
-            .filter(|f| f.created_year <= last_year)
-            .cloned()
-            .collect(),
-        universe_stats: scraped.universe_stats,
-        scrape_report: scraped.scrape_report,
     }
 }
 

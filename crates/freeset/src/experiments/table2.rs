@@ -286,24 +286,6 @@ impl Table2Experiment {
             )
         )
     }
-
-    /// Paper-reported reference rows only (useful for tests and docs).
-    pub fn paper_reference_rows() -> Vec<Table2Row> {
-        paper_rows()
-    }
-
-    fn _source_check(&self) -> usize {
-        self.rows
-            .iter()
-            .filter(|r| r.source == RowSource::Measured)
-            .count()
-    }
-}
-
-/// Convenience alias used by tests to silence the private-method lint.
-#[allow(dead_code)]
-fn _unused(t: &Table2Experiment) -> usize {
-    t._source_check()
 }
 
 #[cfg(test)]
@@ -371,7 +353,7 @@ mod tests {
 
     #[test]
     fn paper_reference_rows_match_the_publication() {
-        let rows = Table2Experiment::paper_reference_rows();
+        let rows = paper_rows();
         let freev = rows.iter().find(|r| r.model.starts_with("FreeV")).unwrap();
         assert_eq!(freev.pass_at, (15.5, 30.9, 36.0));
         let base = rows

@@ -24,8 +24,6 @@ pub enum PushError {
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// High-water mark of queued items, for observability.
-    peak: usize,
 }
 
 /// A bounded multi-producer / multi-consumer blocking queue.
@@ -53,7 +51,6 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(QueueState {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
-                peak: 0,
             }),
             space: Condvar::new(),
             arrival: Condvar::new(),
@@ -80,7 +77,6 @@ impl<T> BoundedQueue<T> {
             return Err(PushError::Closed);
         }
         state.items.push_back(item);
-        state.peak = state.peak.max(state.items.len());
         self.arrival.notify_one();
         Ok(())
     }
@@ -116,11 +112,6 @@ impl<T> BoundedQueue<T> {
     pub fn is_closed(&self) -> bool {
         self.state.lock().expect("queue lock poisoned").closed
     }
-
-    /// The high-water mark of queued items observed so far.
-    pub fn peak_occupancy(&self) -> usize {
-        self.state.lock().expect("queue lock poisoned").peak
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +129,6 @@ mod tests {
             std::iter::from_fn(|| queue.pop()).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
-        assert_eq!(queue.peak_occupancy(), 4);
     }
 
     #[test]

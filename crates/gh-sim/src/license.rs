@@ -94,18 +94,6 @@ impl License {
         License::ACCEPTED.contains(self)
     }
 
-    /// Whether the license is permissive (as opposed to copyleft).
-    pub fn is_permissive(&self) -> bool {
-        matches!(
-            self,
-            License::Mit
-                | License::Apache2
-                | License::Bsd2
-                | License::Bsd3
-                | License::CreativeCommons
-        )
-    }
-
     /// A short license header comment suitable for the top of a source file.
     pub fn header_text(&self, owner: &str, year: u32) -> String {
         match self {
@@ -212,14 +200,6 @@ mod tests {
         assert!(!License::None.is_accepted_open_source());
         assert!(!License::Proprietary.is_accepted_open_source());
         assert_eq!(License::ACCEPTED.len(), 10);
-    }
-
-    #[test]
-    fn permissive_classification() {
-        assert!(License::Mit.is_permissive());
-        assert!(License::Bsd3.is_permissive());
-        assert!(!License::Gpl3.is_permissive());
-        assert!(!License::Mpl2.is_permissive());
     }
 
     #[test]

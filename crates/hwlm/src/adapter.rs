@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::model::{Distribution, LanguageModel, TrainConfig};
+use crate::model::{Distribution, LanguageModel};
 use crate::ngram::{NgramCounts, NgramModel};
 use crate::tokenizer::{HdlTokenizer, TokenId};
 
@@ -213,22 +213,10 @@ impl LanguageModel for AdaptedModel {
     }
 }
 
-/// Convenience wrapper mirroring the paper's two-step recipe: train (or
-/// reuse) a base model, then continually pre-train it on a hardware corpus.
-pub fn continual_pretrain_from_scratch<S: AsRef<str>, T: AsRef<str>>(
-    name: impl Into<String>,
-    base_corpus: &[S],
-    base_config: &TrainConfig,
-    hardware_corpus: &[T],
-    config: &ContinualPretrainConfig,
-) -> AdaptedModel {
-    let base = NgramModel::train_named("base", base_corpus, base_config);
-    AdaptedModel::continual_pretrain(name, base, hardware_corpus, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::TrainConfig;
     use crate::sampler::SamplerConfig;
     use crate::tokenizer::UNK;
     use rand::SeedableRng;
@@ -355,20 +343,5 @@ mod tests {
             );
             assert_eq!(parallel, serial, "diverged at workers={workers}");
         }
-    }
-
-    #[test]
-    fn from_scratch_helper_produces_named_model() {
-        let model = continual_pretrain_from_scratch(
-            "freev-mini",
-            &base_corpus(),
-            &TrainConfig::default(),
-            &verilog_corpus(),
-            &ContinualPretrainConfig::default(),
-        );
-        assert_eq!(model.name(), "freev-mini");
-        assert!(model.adapter_weight() > 0.5);
-        assert_eq!(model.config().batch_size, 16);
-        assert!(model.base().counts().trained_tokens() > 0);
     }
 }

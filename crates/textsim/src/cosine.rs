@@ -17,7 +17,7 @@ use crate::vector::TermVector;
 /// ```
 /// use textsim::{cosine_similarity_vectors, CodeTokenizer, TermVector};
 ///
-/// let tok = CodeTokenizer::default();
+/// let tok = CodeTokenizer::new();
 /// let a = TermVector::from_text(&tok, "assign y = a + b;");
 /// let b = TermVector::from_text(&tok, "assign y = a + b;");
 /// assert!((cosine_similarity_vectors(&a, &b) - 1.0).abs() < 1e-9);
@@ -41,7 +41,7 @@ pub fn cosine_similarity_vectors(a: &TermVector, b: &TermVector) -> f64 {
 /// ```
 /// use textsim::{cosine_similarity, CodeTokenizer};
 ///
-/// let tok = CodeTokenizer::default();
+/// let tok = CodeTokenizer::new();
 /// let s = cosine_similarity(&tok, "module a; endmodule", "module b; endmodule");
 /// assert!(s > 0.0 && s < 1.0);
 /// ```
@@ -58,20 +58,20 @@ mod tests {
 
     #[test]
     fn identical_texts_score_one() {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         let text = "module m(input a, output y); assign y = ~a; endmodule";
         assert!((cosine_similarity(&tok, text, text) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn disjoint_texts_score_zero() {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         assert_eq!(cosine_similarity(&tok, "alpha beta", "gamma delta"), 0.0);
     }
 
     #[test]
     fn empty_text_scores_zero_not_nan() {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         let s = cosine_similarity(&tok, "", "module m; endmodule");
         assert_eq!(s, 0.0);
         assert!(!s.is_nan());
@@ -79,7 +79,7 @@ mod tests {
 
     #[test]
     fn similarity_is_symmetric() {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         let a = "assign y = a & b;";
         let b = "assign y = a | b; assign z = c;";
         assert!((cosine_similarity(&tok, a, b) - cosine_similarity(&tok, b, a)).abs() < 1e-12);
@@ -87,14 +87,14 @@ mod tests {
 
     #[test]
     fn partially_overlapping_texts_score_between_zero_and_one() {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         let s = cosine_similarity(&tok, "a b c d", "a b x y");
         assert!(s > 0.0 && s < 1.0);
     }
 
     #[test]
     fn formatting_changes_do_not_change_score() {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         let a = "assign y=a+b;";
         let b = "assign   y = a + b ;";
         assert!((cosine_similarity(&tok, a, b) - 1.0).abs() < 1e-12);

@@ -11,14 +11,14 @@
 //!   Locality-Sensitive Hashing at a Jaccard threshold of `0.85` (§III-D).
 //!
 //! This crate implements both from scratch, plus the shared building blocks
-//! (code-aware tokenisation, shingling, sparse term vectors and TF-IDF).
+//! (code-aware tokenisation, shingling and sparse term vectors).
 //!
 //! # Example
 //!
 //! ```
 //! use textsim::{cosine_similarity, CodeTokenizer, Tokenizer};
 //!
-//! let tok = CodeTokenizer::default();
+//! let tok = CodeTokenizer::new();
 //! let a = "module adder(input a, input b, output y); assign y = a + b; endmodule";
 //! let b = "module adder(input a, input b, output y); assign y = a + b; endmodule";
 //! let c = "module fifo(input clk); endmodule";
@@ -46,6 +46,6 @@ pub use minhash::{MinHasher, Signature};
 pub use sharded::{
     read_count_le, read_u64_le, write_u64_le, InsertOrMatch, ShardedLshIndex, DEFAULT_LSH_SHARDS,
 };
-pub use shingle::{char_shingles, token_shingles, ShingleSet};
-pub use tokenize::{CodeTokenizer, Tokenizer, WordTokenizer};
-pub use vector::{IdfModel, TermVector};
+pub use shingle::{char_shingles, ShingleSet};
+pub use tokenize::{CodeTokenizer, Tokenizer};
+pub use vector::TermVector;

@@ -55,10 +55,6 @@ impl CandidateScratch {
         self.out.clear();
     }
 
-    pub(crate) fn clear(&mut self) {
-        self.out.clear();
-    }
-
     /// Appends raw (possibly duplicated) colliding ids.
     pub(crate) fn extend(&mut self, ids: &[u64]) {
         self.out.extend_from_slice(ids);
@@ -289,7 +285,7 @@ impl LshIndex {
     /// Panics if the signature is shorter than `bands * rows_per_band`.
     pub fn candidates_into(&self, signature: &Signature, scratch: &mut CandidateScratch) {
         let params = self.check_signature(signature);
-        scratch.clear();
+        scratch.begin();
         for band in 0..params.bands {
             let key = Self::band_key(signature, band, params.rows_per_band);
             if let Some(ids) = self.buckets[band].get(&key) {

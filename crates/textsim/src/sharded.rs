@@ -389,7 +389,7 @@ impl ShardedLshIndex {
     /// touched shard is spilled.
     pub fn candidates_into(&self, signature: &Signature, scratch: &mut CandidateScratch) {
         self.check_signature(signature);
-        scratch.clear();
+        scratch.begin();
         for band in 0..self.params.bands {
             self.collect_band(signature, band, scratch);
         }

@@ -17,7 +17,6 @@ use std::hash::{Hash, Hasher};
 use serde::Serialize;
 
 use crate::jaccard::sorted_intersection_size;
-use crate::tokenize::Tokenizer;
 
 /// A deterministic 64-bit hash (FNV-1a) used for shingles.
 ///
@@ -38,10 +37,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// A hashed shingle set for one document: its distinct shingle hashes,
 /// stored ascending in one vector.
 ///
-/// Every constructor ([`char_shingles`], [`token_shingles`],
-/// [`FromIterator`], [`Extend`]) sorts and dedups, so the vector is always
-/// strictly ascending. The type derives no `Deserialize`, which would skip
-/// that normalisation.
+/// Every constructor ([`char_shingles`], [`FromIterator`], [`Extend`])
+/// sorts and dedups, so the vector is always strictly ascending. The type
+/// derives no `Deserialize`, which would skip that normalisation.
 ///
 /// # Example
 ///
@@ -98,11 +96,6 @@ impl ShingleSet {
     /// Size of the intersection with `other`.
     pub fn intersection_size(&self, other: &ShingleSet) -> usize {
         sorted_intersection_size(&self.hashes, &other.hashes)
-    }
-
-    /// Size of the union with `other`.
-    pub fn union_size(&self, other: &ShingleSet) -> usize {
-        self.len() + other.len() - self.intersection_size(other)
     }
 }
 
@@ -164,35 +157,10 @@ pub fn char_shingles(text: &str, k: usize) -> ShingleSet {
     ShingleSet::from_raw(normalized.windows(k).map(fnv1a).collect())
 }
 
-/// Builds the set of token `k`-shingles of `text` using `tokenizer`.
-///
-/// Token shingles are the granularity used for source-code de-duplication:
-/// a window of `k` consecutive code tokens becomes one shingle.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn token_shingles<T: Tokenizer>(tokenizer: &T, text: &str, k: usize) -> ShingleSet {
-    assert!(k > 0, "shingle size must be positive");
-    let tokens = tokenizer.tokenize(text);
-    if tokens.is_empty() {
-        return ShingleSet::new();
-    }
-    if tokens.len() <= k {
-        return ShingleSet::from_raw(vec![fnv1a(tokens.join("\u{1f}").as_bytes())]);
-    }
-    ShingleSet::from_raw(
-        tokens
-            .windows(k)
-            .map(|window| fnv1a(window.join("\u{1f}").as_bytes()))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenize::CodeTokenizer;
+    use crate::jaccard::jaccard_similarity;
 
     #[test]
     fn identical_texts_have_identical_shingles() {
@@ -226,27 +194,17 @@ mod tests {
     }
 
     #[test]
-    fn token_shingles_whitespace_insensitive() {
-        let tok = CodeTokenizer::default();
-        let a = token_shingles(&tok, "assign y=a+b;", 3);
-        let b = token_shingles(&tok, "assign y = a + b ;", 3);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn different_texts_produce_mostly_different_shingles() {
         let a = char_shingles("module adder(input a, b); assign s = a + b; endmodule", 6);
         let b = char_shingles("module fifo(input clk); reg [7:0] mem [0:15]; endmodule", 6);
-        let inter = a.intersection_size(&b);
-        assert!(inter * 2 < a.union_size(&b));
+        assert!(jaccard_similarity(&a, &b) < 0.5);
     }
 
     #[test]
-    fn intersection_and_union_sizes_are_consistent() {
+    fn intersection_size_and_membership_agree() {
         let a: ShingleSet = [1u64, 2, 3, 4].into_iter().collect();
         let b: ShingleSet = [3u64, 4, 5].into_iter().collect();
         assert_eq!(a.intersection_size(&b), 2);
-        assert_eq!(a.union_size(&b), 5);
         assert!(a.contains(1) && !a.contains(5));
     }
 }

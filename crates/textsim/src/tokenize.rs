@@ -1,12 +1,8 @@
 //! Tokenisers used by the similarity primitives.
 //!
-//! Two tokenisers are provided:
-//!
-//! * [`WordTokenizer`] — splits on whitespace only, matching the paper's
-//!   "64 words per prompt" accounting.
-//! * [`CodeTokenizer`] — splits source code into identifiers, numeric
-//!   literals and operator/punctuation tokens, which is what the cosine and
-//!   shingling machinery uses so that `a+b` and `a + b` compare equal.
+//! [`CodeTokenizer`] splits source code into identifiers, numeric literals
+//! and operator/punctuation tokens, which is what the cosine machinery uses
+//! so that `a+b` and `a + b` compare equal.
 
 use serde::{Deserialize, Serialize};
 
@@ -20,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use textsim::{CodeTokenizer, Tokenizer};
 ///
-/// let tok = CodeTokenizer::default();
+/// let tok = CodeTokenizer::new();
 /// let tokens = tok.tokenize("assign y = a + 4'b1010;");
 /// assert!(tokens.contains(&"assign".to_string()));
 /// assert!(tokens.contains(&"4'b1010".to_string()));
@@ -28,66 +24,6 @@ use serde::{Deserialize, Serialize};
 pub trait Tokenizer {
     /// Splits `text` into tokens, in order of appearance.
     fn tokenize(&self, text: &str) -> Vec<String>;
-
-    /// Counts tokens without materialising the token vector.
-    ///
-    /// The default implementation simply calls [`Tokenizer::tokenize`].
-    fn count_tokens(&self, text: &str) -> usize {
-        self.tokenize(text).len()
-    }
-}
-
-/// Whitespace word tokeniser.
-///
-/// The paper limits copyright-benchmark prompts to "64 words"; this tokeniser
-/// reproduces that accounting exactly (a word is any maximal run of
-/// non-whitespace characters).
-///
-/// # Example
-///
-/// ```
-/// use textsim::{Tokenizer, WordTokenizer};
-///
-/// let tok = WordTokenizer::new();
-/// assert_eq!(tok.tokenize("module top ;"), vec!["module", "top", ";"]);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WordTokenizer;
-
-impl WordTokenizer {
-    /// Creates a new whitespace tokeniser.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl Tokenizer for WordTokenizer {
-    fn tokenize(&self, text: &str) -> Vec<String> {
-        text.split_whitespace().map(str::to_owned).collect()
-    }
-
-    fn count_tokens(&self, text: &str) -> usize {
-        text.split_whitespace().count()
-    }
-}
-
-/// Options controlling [`CodeTokenizer`] behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CodeTokenizerOptions {
-    /// Lower-case identifiers before emitting them (defaults to `true` so
-    /// that renamed-but-identical code still matches strongly).
-    pub lowercase: bool,
-    /// Emit single-character punctuation/operator tokens (defaults to `true`).
-    pub keep_punctuation: bool,
-}
-
-impl Default for CodeTokenizerOptions {
-    fn default() -> Self {
-        Self {
-            lowercase: true,
-            keep_punctuation: true,
-        }
-    }
 }
 
 /// Code-aware tokeniser.
@@ -95,37 +31,26 @@ impl Default for CodeTokenizerOptions {
 /// Identifiers (including escaped Verilog identifiers), numeric literals
 /// (including based literals such as `4'b1010`) and operator characters each
 /// become their own token, so formatting differences do not perturb the
-/// similarity scores.
+/// similarity scores. Identifiers and literals are lower-cased, so
+/// renamed-but-identical code still matches strongly.
 ///
 /// # Example
 ///
 /// ```
 /// use textsim::{CodeTokenizer, Tokenizer};
 ///
-/// let tok = CodeTokenizer::default();
+/// let tok = CodeTokenizer::new();
 /// let dense = tok.tokenize("assign y=a&b;");
 /// let spaced = tok.tokenize("assign y = a & b ;");
 /// assert_eq!(dense, spaced);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CodeTokenizer {
-    options: CodeTokenizerOptions,
-}
+pub struct CodeTokenizer;
 
 impl CodeTokenizer {
-    /// Creates a tokeniser with default options.
+    /// Creates a tokeniser.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a tokeniser with explicit options.
-    pub fn with_options(options: CodeTokenizerOptions) -> Self {
-        Self { options }
-    }
-
-    /// Returns the options in effect.
-    pub fn options(&self) -> CodeTokenizerOptions {
-        self.options
+        Self
     }
 }
 
@@ -159,11 +84,7 @@ impl Tokenizer for CodeTokenizer {
                     i += 1;
                 }
                 let word: String = chars[start..i].iter().collect();
-                tokens.push(if self.options.lowercase {
-                    word.to_ascii_lowercase()
-                } else {
-                    word
-                });
+                tokens.push(word.to_ascii_lowercase());
             } else if c.is_ascii_digit() {
                 let start = i;
                 i += 1;
@@ -171,15 +92,9 @@ impl Tokenizer for CodeTokenizer {
                     i += 1;
                 }
                 let lit: String = chars[start..i].iter().collect();
-                tokens.push(if self.options.lowercase {
-                    lit.to_ascii_lowercase()
-                } else {
-                    lit
-                });
+                tokens.push(lit.to_ascii_lowercase());
             } else {
-                if self.options.keep_punctuation {
-                    tokens.push(c.to_string());
-                }
+                tokens.push(c.to_string());
                 i += 1;
             }
         }
@@ -192,31 +107,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn word_tokenizer_splits_on_whitespace() {
-        let tok = WordTokenizer::new();
-        assert_eq!(
-            tok.tokenize("  module \t top\n(a, b);"),
-            vec!["module", "top", "(a,", "b);"]
-        );
-        assert_eq!(tok.count_tokens("one two   three"), 3);
-    }
-
-    #[test]
-    fn word_tokenizer_empty() {
-        let tok = WordTokenizer::new();
-        assert!(tok.tokenize("").is_empty());
-        assert_eq!(tok.count_tokens("   \n\t "), 0);
-    }
-
-    #[test]
     fn code_tokenizer_is_whitespace_insensitive() {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         assert_eq!(tok.tokenize("y=a+b;"), tok.tokenize("y = a + b ;"));
     }
 
     #[test]
     fn code_tokenizer_keeps_based_literals_together() {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         let tokens = tok.tokenize("assign y = 4'b1010 ^ 8'hFF;");
         assert!(tokens.contains(&"4'b1010".to_string()));
         assert!(tokens.contains(&"8'hff".to_string()));
@@ -224,23 +122,13 @@ mod tests {
 
     #[test]
     fn code_tokenizer_lowercases_identifiers_by_default() {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         assert_eq!(tok.tokenize("Module TOP"), vec!["module", "top"]);
     }
 
     #[test]
-    fn code_tokenizer_can_preserve_case_and_drop_punct() {
-        let tok = CodeTokenizer::with_options(CodeTokenizerOptions {
-            lowercase: false,
-            keep_punctuation: false,
-        });
-        assert_eq!(tok.tokenize("Foo + Bar;"), vec!["Foo", "Bar"]);
-        assert!(!tok.options().keep_punctuation);
-    }
-
-    #[test]
     fn code_tokenizer_handles_unicode_gracefully() {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         // Non-ASCII characters become punctuation-class tokens rather than
         // panicking or splitting identifiers incorrectly.
         let tokens = tok.tokenize("module café_x;");

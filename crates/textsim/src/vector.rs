@@ -1,4 +1,4 @@
-//! Sparse term vectors and an IDF model for TF-IDF weighting.
+//! Sparse term vectors.
 
 use std::collections::BTreeMap;
 
@@ -16,7 +16,7 @@ use crate::tokenize::Tokenizer;
 /// ```
 /// use textsim::{CodeTokenizer, TermVector};
 ///
-/// let tok = CodeTokenizer::default();
+/// let tok = CodeTokenizer::new();
 /// let v = TermVector::from_text(&tok, "assign y = a & a;");
 /// assert_eq!(v.weight("a"), 2.0);
 /// assert_eq!(v.weight("xor"), 0.0);
@@ -37,19 +37,6 @@ impl TermVector {
         let mut weights = BTreeMap::new();
         for token in tokenizer.tokenize(text) {
             *weights.entry(token).or_insert(0.0) += 1.0;
-        }
-        Self { weights }
-    }
-
-    /// Builds a term-frequency vector directly from pre-tokenised input.
-    pub fn from_tokens<I, S>(tokens: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let mut weights = BTreeMap::new();
-        for token in tokens {
-            *weights.entry(token.into()).or_insert(0.0) += 1.0;
         }
         Self { weights }
     }
@@ -101,17 +88,6 @@ impl TermVector {
             .map(|(term, w)| w * large.weight(term))
             .sum()
     }
-
-    /// Reweights every term by the supplied IDF model, returning a TF-IDF
-    /// vector. Terms unknown to the model keep the model's default IDF.
-    pub fn to_tf_idf(&self, idf: &IdfModel) -> TermVector {
-        let weights = self
-            .weights
-            .iter()
-            .map(|(term, tf)| (term.clone(), tf * idf.idf(term)))
-            .collect();
-        TermVector { weights }
-    }
 }
 
 impl FromIterator<(String, f64)> for TermVector {
@@ -132,72 +108,6 @@ impl Extend<(String, f64)> for TermVector {
     }
 }
 
-/// Inverse-document-frequency statistics learned from a corpus.
-///
-/// `idf(t) = ln((1 + N) / (1 + df(t))) + 1`, the smoothed formulation, so no
-/// term ever receives a zero or negative weight.
-///
-/// # Example
-///
-/// ```
-/// use textsim::{CodeTokenizer, IdfModel};
-///
-/// let tok = CodeTokenizer::default();
-/// let docs = ["module a; endmodule", "module b; endmodule", "assign y = q;"];
-/// let idf = IdfModel::fit(&tok, docs.iter().copied());
-/// // "module" appears in 2 of 3 documents, "assign" in only 1, so the rarer
-/// // term carries more weight.
-/// assert!(idf.idf("assign") > idf.idf("module"));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct IdfModel {
-    doc_count: usize,
-    doc_freq: BTreeMap<String, usize>,
-}
-
-impl IdfModel {
-    /// Creates an empty model (every term gets the default IDF of 1.0).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fits a model over an iterator of documents.
-    pub fn fit<'a, T, I>(tokenizer: &T, documents: I) -> Self
-    where
-        T: Tokenizer,
-        I: IntoIterator<Item = &'a str>,
-    {
-        let mut model = Self::new();
-        for doc in documents {
-            model.add_document(tokenizer, doc);
-        }
-        model
-    }
-
-    /// Adds one document's term set to the statistics.
-    pub fn add_document<T: Tokenizer>(&mut self, tokenizer: &T, document: &str) {
-        self.doc_count += 1;
-        let mut seen = std::collections::BTreeSet::new();
-        for token in tokenizer.tokenize(document) {
-            seen.insert(token);
-        }
-        for token in seen {
-            *self.doc_freq.entry(token).or_insert(0) += 1;
-        }
-    }
-
-    /// Number of documents the model was fitted on.
-    pub fn document_count(&self) -> usize {
-        self.doc_count
-    }
-
-    /// Smoothed inverse document frequency for `term`.
-    pub fn idf(&self, term: &str) -> f64 {
-        let df = self.doc_freq.get(term).copied().unwrap_or(0);
-        (((1 + self.doc_count) as f64) / ((1 + df) as f64)).ln() + 1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +115,7 @@ mod tests {
 
     #[test]
     fn term_vector_counts_terms() {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         let v = TermVector::from_text(&tok, "a b a c a");
         assert_eq!(v.weight("a"), 3.0);
         assert_eq!(v.weight("b"), 1.0);
@@ -223,7 +133,7 @@ mod tests {
 
     #[test]
     fn dot_product_is_symmetric() {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         let a = TermVector::from_text(&tok, "x y z x");
         let b = TermVector::from_text(&tok, "x z w");
         assert_eq!(a.dot(&b), b.dot(&a));
@@ -238,32 +148,5 @@ mod tests {
         v.extend(vec![("b".to_string(), 0.5)]);
         assert_eq!(v.weight("a"), 3.0);
         assert_eq!(v.weight("b"), 0.5);
-    }
-
-    #[test]
-    fn idf_prefers_rare_terms() {
-        let tok = CodeTokenizer::default();
-        let docs = ["common rare1", "common", "common other"];
-        let idf = IdfModel::fit(&tok, docs.iter().copied());
-        assert!(idf.idf("rare1") > idf.idf("common"));
-        assert_eq!(idf.document_count(), 3);
-    }
-
-    #[test]
-    fn idf_of_unknown_term_is_maximal() {
-        let tok = CodeTokenizer::default();
-        let idf = IdfModel::fit(&tok, ["a b", "a"]);
-        assert!(idf.idf("never_seen") >= idf.idf("b"));
-        assert!(idf.idf("b") >= idf.idf("a"));
-    }
-
-    #[test]
-    fn tf_idf_reweighting_preserves_terms() {
-        let tok = CodeTokenizer::default();
-        let idf = IdfModel::fit(&tok, ["a b", "a c"]);
-        let v = TermVector::from_text(&tok, "a b b");
-        let w = v.to_tf_idf(&idf);
-        assert_eq!(w.len(), v.len());
-        assert!(w.weight("b") > w.weight("a"));
     }
 }

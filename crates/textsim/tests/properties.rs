@@ -48,7 +48,7 @@ fn btree_jaccard(a: &BTreeSet<u64>, b: &BTreeSet<u64>) -> f64 {
 proptest! {
     #[test]
     fn cosine_is_bounded_and_symmetric(a in text_strategy(), b in text_strategy()) {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         let ab = cosine_similarity(&tok, &a, &b);
         let ba = cosine_similarity(&tok, &b, &a);
         prop_assert!((0.0..=1.0).contains(&ab));
@@ -57,7 +57,7 @@ proptest! {
 
     #[test]
     fn cosine_self_similarity_is_one_for_nonempty(a in text_strategy()) {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         prop_assume!(!tok.tokenize(&a).is_empty());
         let s = cosine_similarity(&tok, &a, &a);
         prop_assert!((s - 1.0).abs() < 1e-9);
@@ -133,7 +133,7 @@ proptest! {
 
     #[test]
     fn term_vector_norm_is_nonnegative_and_dot_bounded(a in text_strategy(), b in text_strategy()) {
-        let tok = CodeTokenizer::default();
+        let tok = CodeTokenizer::new();
         let va = TermVector::from_text(&tok, &a);
         let vb = TermVector::from_text(&tok, &b);
         prop_assert!(va.norm() >= 0.0);

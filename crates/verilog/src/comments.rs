@@ -123,68 +123,6 @@ pub fn extract_header_comment(src: &str) -> String {
     out
 }
 
-/// Splits a source file into the texts of its individual `module ...
-/// endmodule` regions (inclusive), in source order.
-///
-/// The split is purely lexical (no parsing), so it also works on files that
-/// would not fully parse; nested `module` keywords inside comments or strings
-/// are ignored because the scan operates on comment-stripped text offsets.
-///
-/// # Example
-///
-/// ```
-/// use verilog::extract_modules;
-///
-/// let src = "module a; endmodule\nmodule b; endmodule";
-/// let mods = extract_modules(src);
-/// assert_eq!(mods.len(), 2);
-/// assert!(mods[1].contains("module b"));
-/// ```
-pub fn extract_modules(src: &str) -> Vec<String> {
-    // Work on a comment-stripped copy to find boundaries, but slice the
-    // stripped text itself (prompt construction wants comment-free modules
-    // anyway, and offsets into the original would be misaligned).
-    let stripped = strip_comments(src);
-    let mut out = Vec::new();
-    let mut search_from = 0;
-    while let Some(rel_start) = find_word(&stripped[search_from..], "module") {
-        let start = search_from + rel_start;
-        let after = start + "module".len();
-        match find_word(&stripped[after..], "endmodule") {
-            Some(rel_end) => {
-                let end = after + rel_end + "endmodule".len();
-                out.push(stripped[start..end].trim().to_string());
-                search_from = end;
-            }
-            None => {
-                out.push(stripped[start..].trim().to_string());
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// Finds the byte offset of `word` in `haystack` where it appears as a whole
-/// word (not part of a longer identifier).
-fn find_word(haystack: &str, word: &str) -> Option<usize> {
-    let bytes = haystack.as_bytes();
-    let mut from = 0;
-    while let Some(rel) = haystack[from..].find(word) {
-        let pos = from + rel;
-        let before_ok =
-            pos == 0 || !(bytes[pos - 1].is_ascii_alphanumeric() || bytes[pos - 1] == b'_');
-        let after = pos + word.len();
-        let after_ok =
-            after >= bytes.len() || !(bytes[after].is_ascii_alphanumeric() || bytes[after] == b'_');
-        if before_ok && after_ok {
-            return Some(pos);
-        }
-        from = pos + word.len();
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,41 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn module_extraction_finds_each_module() {
-        let src = "// top\nmodule a(input x); endmodule\n\nmodule b; wire w; endmodule\n";
-        let mods = extract_modules(src);
-        assert_eq!(mods.len(), 2);
-        assert!(mods[0].starts_with("module a"));
-        assert!(mods[0].ends_with("endmodule"));
-        assert!(mods[1].contains("wire w;"));
-    }
-
-    #[test]
-    fn module_extraction_ignores_module_keyword_in_comments() {
-        let src = "// this module is great\nmodule real_one; endmodule";
-        let mods = extract_modules(src);
-        assert_eq!(mods.len(), 1);
-        assert!(mods[0].contains("real_one"));
-    }
-
-    #[test]
-    fn module_extraction_does_not_match_identifier_substrings() {
-        let src = "module m; wire endmodule_like; wire submodule; endmodule";
-        let mods = extract_modules(src);
-        assert_eq!(mods.len(), 1);
-        assert!(mods[0].ends_with("endmodule"));
-    }
-
-    #[test]
-    fn unterminated_module_is_still_extracted() {
-        let mods = extract_modules("module broken(input a);\nassign y = a;");
-        assert_eq!(mods.len(), 1);
-        assert!(mods[0].contains("assign"));
-    }
-
-    #[test]
-    fn empty_input_gives_no_modules() {
-        assert!(extract_modules("").is_empty());
+    fn empty_input_strips_to_empty() {
         assert_eq!(strip_comments(""), "");
     }
 }

@@ -71,11 +71,6 @@ impl ParsedFile {
     pub fn first_module(&self) -> Option<&Module> {
         self.modules.first()
     }
-
-    /// Consumes the parsed file, returning the module list.
-    pub fn into_modules(self) -> Vec<Module> {
-        self.modules
-    }
 }
 
 #[cfg(test)]

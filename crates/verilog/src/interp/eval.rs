@@ -7,7 +7,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::ast::{
-    BinaryOp, EdgeKind, Expr, ExprArena, ExprId, Module, ModuleItem, NetKind, PortDirection, Range,
+    BinaryOp, EdgeKind, Expr, ExprArena, ExprId, Module, ModuleItem, NetKind, Range,
     SensitivityList, Statement, UnaryOp,
 };
 use crate::intern::Interner;
@@ -80,7 +80,6 @@ struct SignalInfo {
 #[derive(Debug, Clone)]
 pub struct CompiledModule {
     name: String,
-    ports: Vec<(String, PortDirection, u32)>,
     signals: HashMap<String, SignalInfo>,
     parameters: HashMap<String, i64>,
     arena: ExprArena,
@@ -118,17 +117,14 @@ impl EvalState {
     pub fn memory_word(&self, name: &str, index: usize) -> Option<Value> {
         self.memories.get(name).and_then(|m| m.get(index)).copied()
     }
-
-    /// Names of all scalar signals in the state.
-    pub fn signal_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.values.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
-    }
 }
 
 const SETTLE_LIMIT: usize = 256;
 const FOR_LOOP_LIMIT: usize = 1 << 16;
+/// The most words one memory may hold. Every memory is allocated up front,
+/// and a failed allocation aborts the process, so a declared depth beyond
+/// this is an error rather than an allocation.
+const MAX_MEMORY_DEPTH: u64 = 1 << 20;
 
 impl CompiledModule {
     /// Elaborates a parsed module.
@@ -149,7 +145,6 @@ impl CompiledModule {
         )?;
 
         let mut signals: HashMap<String, SignalInfo> = HashMap::new();
-        let mut ports = Vec::new();
         for port in &module.ports {
             let width = range_width(
                 &module.arena,
@@ -158,13 +153,11 @@ impl CompiledModule {
                 &parameters,
             )?;
             let name = module.resolve(port.name).to_string();
-            signals.insert(name.clone(), SignalInfo { width, depth: None });
-            ports.push((name, port.direction, width));
+            signals.insert(name, SignalInfo { width, depth: None });
         }
 
         let mut compiled = CompiledModule {
             name: module.name.to_string(),
-            ports,
             signals,
             parameters,
             arena: module.arena.clone(),
@@ -211,7 +204,18 @@ impl CompiledModule {
                                     range.lsb,
                                     &self.parameters,
                                 )?;
-                                Some((hi - lo).unsigned_abs() as usize + 1)
+                                let depth = hi
+                                    .abs_diff(lo)
+                                    .checked_add(1)
+                                    .filter(|&d| d <= MAX_MEMORY_DEPTH)
+                                    .ok_or_else(|| {
+                                        EvalError::Unsupported(format!(
+                                            "memory `{}` [{hi}:{lo}] holds more than \
+                                             {MAX_MEMORY_DEPTH} words",
+                                            self.symbols.resolve(net.name)
+                                        ))
+                                    })?;
+                                Some(depth as usize)
                             }
                             None => None,
                         };
@@ -264,11 +268,6 @@ impl CompiledModule {
     /// The module name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// `(name, direction, width)` for every port.
-    pub fn ports(&self) -> &[(String, PortDirection, u32)] {
-        &self.ports
     }
 
     /// The width of a signal, if it exists.
@@ -818,18 +817,19 @@ fn range_width(
         Some(range) => {
             let msb = const_eval(arena, symbols, range.msb, parameters)?;
             let lsb = const_eval(arena, symbols, range.lsb, parameters)?;
-            let width = (msb - lsb).unsigned_abs() + 1;
-            if width > u64::from(Value::MAX_WIDTH) {
-                return Err(EvalError::WidthTooLarge(format!(
-                    "range [{msb}:{lsb}] is {width} bits wide"
-                )));
+            match msb.abs_diff(lsb).checked_add(1) {
+                Some(width) if width <= u64::from(Value::MAX_WIDTH) => Ok(width as u32),
+                _ => Err(EvalError::WidthTooLarge(format!(
+                    "range [{msb}:{lsb}] is wider than {} bits",
+                    Value::MAX_WIDTH
+                ))),
             }
-            Ok(width as u32)
         }
     }
 }
 
-/// Evaluates a constant expression over integer parameters.
+/// Evaluates a constant expression over integer parameters. Arithmetic wraps
+/// on `i64` overflow.
 pub(crate) fn const_eval(
     arena: &ExprArena,
     symbols: &Interner,
@@ -848,7 +848,7 @@ pub(crate) fn const_eval(
         Expr::Unary { op, operand } => {
             let v = const_eval(arena, symbols, operand, parameters)?;
             Ok(match op {
-                UnaryOp::Negate => -v,
+                UnaryOp::Negate => v.wrapping_neg(),
                 UnaryOp::Plus => v,
                 UnaryOp::Not => i64::from(v == 0),
                 UnaryOp::BitNot => !v,
@@ -863,22 +863,22 @@ pub(crate) fn const_eval(
             let a = const_eval(arena, symbols, lhs, parameters)?;
             let b = const_eval(arena, symbols, rhs, parameters)?;
             Ok(match op {
-                BinaryOp::Add => a + b,
-                BinaryOp::Sub => a - b,
-                BinaryOp::Mul => a * b,
+                BinaryOp::Add => a.wrapping_add(b),
+                BinaryOp::Sub => a.wrapping_sub(b),
+                BinaryOp::Mul => a.wrapping_mul(b),
                 BinaryOp::Div => {
                     if b == 0 {
                         return Err(EvalError::Elaboration("division by zero".into()));
                     }
-                    a / b
+                    a.wrapping_div(b)
                 }
                 BinaryOp::Mod => {
                     if b == 0 {
                         return Err(EvalError::Elaboration("modulo by zero".into()));
                     }
-                    a % b
+                    a.wrapping_rem(b)
                 }
-                BinaryOp::Pow => a.pow(b.clamp(0, 63) as u32),
+                BinaryOp::Pow => a.wrapping_pow(b.clamp(0, 63) as u32),
                 BinaryOp::Shl | BinaryOp::AShl => a << b.clamp(0, 63),
                 BinaryOp::Shr | BinaryOp::AShr => a >> b.clamp(0, 63),
                 BinaryOp::And => a & b,

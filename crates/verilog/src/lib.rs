@@ -51,7 +51,7 @@ pub use ast::{
     AlwaysBlock, BinaryOp, CaseArm, Declaration, EdgeKind, Expr, ExprArena, ExprId, Module,
     ModuleItem, Net, NetKind, Port, PortDirection, Range, SensitivityList, Statement, UnaryOp,
 };
-pub use comments::{extract_header_comment, extract_modules, strip_comments};
+pub use comments::{extract_header_comment, strip_comments};
 pub use frontend::ParsedFile;
 pub use intern::{Interner, Name, Symbol};
 pub use lexer::{lex_passes, LexError, LexedSource, Lexer};

@@ -405,11 +405,6 @@ impl Linter {
         }
         diagnostics
     }
-
-    /// The most severe severity among `diagnostics` (`None` when empty).
-    pub fn max_severity(diagnostics: &[LintDiagnostic]) -> Option<Severity> {
-        diagnostics.iter().map(|d| d.severity).max()
-    }
 }
 
 /// Convenience: a diagnostic with the rule's default severity.
@@ -490,6 +485,13 @@ mod tests {
     fn clean_module_has_no_diagnostics() {
         let source = "module m(input a, input b, output y);\nassign y = a & b;\nendmodule";
         assert!(Linter::new().lint_source(source).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_range_spanning_every_u64_lints_without_panicking() {
+        let source = "module m(input a, output y);\nwire [64'hffffffffffffffff:0] w;\n\
+                      assign w = a;\nassign y = a;\nendmodule";
+        assert!(Linter::new().lint_source(source).is_ok());
     }
 
     #[test]

@@ -673,11 +673,12 @@ pub(crate) fn const_eval(arena: &ExprArena, expr: ExprId, params: &[Option<u64>]
     }
 }
 
-/// Folds a packed range into its width in bits.
+/// Folds a packed range into its width in bits (`None` when a bound is not
+/// constant or the width does not fit a `u32`).
 pub(crate) fn range_width(arena: &ExprArena, range: &Range, params: &[Option<u64>]) -> Option<u32> {
     let msb = const_eval(arena, range.msb, params)?;
     let lsb = const_eval(arena, range.lsb, params)?;
-    u32::try_from(msb.abs_diff(lsb) + 1).ok()
+    u32::try_from(msb.abs_diff(lsb).checked_add(1)?).ok()
 }
 
 /// Resolves one instance against a possible target module: classifies each

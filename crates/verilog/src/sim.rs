@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::ast::{EdgeKind, Module, PortDirection};
+use crate::ast::{EdgeKind, Module};
 use crate::interp::{CompiledModule, EvalError, EvalState, Value};
 
 /// An interactive simulator for one module.
@@ -113,26 +113,6 @@ impl Simulator {
     /// Propagates evaluation errors.
     pub fn settle(&mut self) -> Result<(), EvalError> {
         self.compiled.settle(&mut self.state)
-    }
-
-    /// Names of the module's input ports (excluding the named clock, if any).
-    pub fn input_ports(&self) -> Vec<String> {
-        self.compiled
-            .ports()
-            .iter()
-            .filter(|(_, dir, _)| *dir == PortDirection::Input)
-            .map(|(name, _, _)| name.clone())
-            .collect()
-    }
-
-    /// Names of the module's output ports.
-    pub fn output_ports(&self) -> Vec<String> {
-        self.compiled
-            .ports()
-            .iter()
-            .filter(|(_, dir, _)| *dir == PortDirection::Output)
-            .map(|(name, _, _)| name.clone())
-            .collect()
     }
 }
 
@@ -352,8 +332,6 @@ mod tests {
         let mut sim = Simulator::new(&m).unwrap();
         assert!(sim.poke("nonexistent", 1).is_err());
         assert!(sim.peek("nonexistent").is_err());
-        assert_eq!(sim.input_ports(), vec!["a"]);
-        assert_eq!(sim.output_ports(), vec!["y"]);
     }
 
     #[test]
@@ -370,5 +348,49 @@ mod tests {
             ],
         );
         assert!(tb.passes(&accumulator).unwrap());
+    }
+
+    #[test]
+    fn overflowing_constant_folds_elaborate_instead_of_panicking() {
+        // Constant folding wraps on `i64` overflow; a range whose width
+        // overflows is too wide, not a panic.
+        let tb = Testbench::combinational(Vec::new());
+        for (decl, wrapped) in [
+            ("parameter P = 64'h8000000000000000 / -1;", Some(i64::MIN)),
+            ("parameter P = 64'h8000000000000000 % -1;", Some(0)),
+            ("parameter P = 64'h7fffffffffffffff + 1;", Some(i64::MIN)),
+            ("parameter P = -64'h8000000000000000;", Some(i64::MIN)),
+            ("parameter P = 3 ** 63;", Some(3i64.wrapping_pow(63))),
+            ("wire [64'h7fffffffffffffff:-1] w;", None),
+        ] {
+            let m = module(&format!(
+                "module m(input a, output y); {decl} assign y = a; endmodule"
+            ));
+            match wrapped {
+                Some(p) => {
+                    assert_eq!(tb.passes(&m), Ok(true), "{decl}");
+                    assert_eq!(
+                        Simulator::new(&m).unwrap().compiled().parameter("P"),
+                        Some(p)
+                    );
+                }
+                None => assert!(
+                    matches!(tb.passes(&m), Err(EvalError::WidthTooLarge(_))),
+                    "{decl}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_memory_is_rejected_before_allocation() {
+        let m = module(
+            "module m(input a, output y); reg [7:0] mem [0:64'h7fffffffffffffff];\n\
+             assign y = a; endmodule",
+        );
+        assert!(matches!(
+            Testbench::combinational(Vec::new()).passes(&m),
+            Err(EvalError::Unsupported(_))
+        ));
     }
 }

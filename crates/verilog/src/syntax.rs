@@ -43,13 +43,6 @@ pub struct SyntaxReport {
     pub unresolved_instances: Vec<String>,
 }
 
-impl SyntaxReport {
-    /// Whether every instantiated module is defined in the same file.
-    pub fn is_self_contained(&self) -> bool {
-        self.unresolved_instances.is_empty()
-    }
-}
-
 /// Checks Verilog files for syntax correctness.
 ///
 /// # Example
@@ -63,33 +56,14 @@ impl SyntaxReport {
 /// assert_eq!(report.unresolved_instances, vec!["sub"]); // tolerated
 /// # Ok::<(), verilog::SyntaxError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SyntaxChecker {
-    require_modules: bool,
-}
-
-impl Default for SyntaxChecker {
-    /// The paper's policy, the same as [`SyntaxChecker::new`].
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SyntaxChecker;
 
 impl SyntaxChecker {
     /// Creates a checker with the paper's policy: files must parse and must
     /// contain at least one module; unresolved instances are tolerated.
     pub fn new() -> Self {
-        Self {
-            require_modules: true,
-        }
-    }
-
-    /// Creates a checker that accepts module-free files (useful for checking
-    /// snippets or include fragments).
-    pub fn allow_module_free_files() -> Self {
-        Self {
-            require_modules: false,
-        }
+        Self
     }
 
     /// Checks `src`, returning a [`SyntaxReport`] on success.
@@ -97,11 +71,10 @@ impl SyntaxChecker {
     /// # Errors
     ///
     /// Returns [`SyntaxError::Parse`] when the file cannot be lexed/parsed and
-    /// [`SyntaxError::NoModules`] when it parses but defines no module (and
-    /// the checker requires one).
+    /// [`SyntaxError::NoModules`] when it parses but defines no module.
     pub fn check(&self, src: &str) -> Result<SyntaxReport, SyntaxError> {
         let modules = Parser::parse_source(src).map_err(SyntaxError::Parse)?;
-        if modules.is_empty() && self.require_modules {
+        if modules.is_empty() {
             return Err(SyntaxError::NoModules);
         }
         Ok(Self::report(&modules))
@@ -113,11 +86,11 @@ impl SyntaxChecker {
     ///
     /// # Errors
     ///
-    /// Returns [`SyntaxError::NoModules`] when the file defines no module and
-    /// the checker requires one. (Parse errors cannot occur: a `ParsedFile`
-    /// exists only if parsing succeeded.)
+    /// Returns [`SyntaxError::NoModules`] when the file defines no module.
+    /// (Parse errors cannot occur: a `ParsedFile` exists only if parsing
+    /// succeeded.)
     pub fn check_parsed(&self, parsed: &crate::ParsedFile) -> Result<SyntaxReport, SyntaxError> {
-        if parsed.modules().is_empty() && self.require_modules {
+        if parsed.modules().is_empty() {
             return Err(SyntaxError::NoModules);
         }
         Ok(Self::report(parsed.modules()))
@@ -159,7 +132,7 @@ mod tests {
         let checker = SyntaxChecker::new();
         let report = checker.check(GOOD).unwrap();
         assert_eq!(report.module_names, vec!["inv"]);
-        assert!(report.is_self_contained());
+        assert!(report.unresolved_instances.is_empty());
         assert!(checker.is_valid(GOOD));
     }
 
@@ -186,7 +159,6 @@ mod tests {
             .check("module top(input a, output y); helper u (.a(a), .y(y)); endmodule")
             .unwrap();
         assert_eq!(report.unresolved_instances, vec!["helper"]);
-        assert!(!report.is_self_contained());
     }
 
     #[test]
@@ -195,27 +167,16 @@ mod tests {
         let src = "module helper(input a, output y); assign y = a; endmodule\n\
                    module top(input a, output y); helper u (.a(a), .y(y)); endmodule";
         let report = checker.check(src).unwrap();
-        assert!(report.is_self_contained());
+        assert!(report.unresolved_instances.is_empty());
         assert_eq!(report.module_names.len(), 2);
     }
 
     #[test]
-    fn empty_file_fails_by_default_but_can_be_allowed() {
+    fn module_free_file_fails() {
         assert!(matches!(
             SyntaxChecker::new().check("// just a comment\n"),
             Err(SyntaxError::NoModules)
         ));
-        assert!(SyntaxChecker::allow_module_free_files()
-            .check("// just a comment\n")
-            .is_ok());
-    }
-
-    #[test]
-    fn default_keeps_the_module_requirement() {
-        // Regression: a derived `Default` left `require_modules` false, so
-        // a default-built checker passed module-free files.
-        assert!(!SyntaxChecker::default().is_valid("// just a comment"));
-        assert_eq!(SyntaxChecker::default(), SyntaxChecker::new());
     }
 
     #[test]

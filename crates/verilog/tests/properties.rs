@@ -1,8 +1,10 @@
 //! Property-based tests for the Verilog front-end and interpreter.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use proptest::prelude::*;
 use verilog::interp::Value;
-use verilog::{extract_modules, strip_comments, Lexer, Parser, SyntaxChecker};
+use verilog::{strip_comments, Lexer, Parser, SyntaxChecker, Testbench};
 
 /// A strategy producing random (mostly valid) simple combinational modules.
 fn simple_module_strategy() -> impl Strategy<Value = String> {
@@ -21,6 +23,58 @@ fn simple_module_strategy() -> impl Strategy<Value = String> {
 fn ascii_soup() -> impl Strategy<Value = String> {
     proptest::collection::vec(32u8..127, 0..300)
         .prop_map(|bytes| bytes.into_iter().map(|b| b as char).collect())
+}
+
+/// Every binary operator the interpreter folds in constant expressions.
+const FOLDED_BINARY_OPS: [&str; 13] = [
+    "+", "-", "*", "/", "%", "**", "<<", "<<<", ">>", ">>>", "&", "|", "^",
+];
+
+/// Every unary operator the interpreter folds in constant expressions.
+const FOLDED_UNARY_OPS: [&str; 4] = ["-", "+", "!", "~"];
+
+/// A 64-bit literal: an `i64`/`u64` overflow edge, or any value.
+fn edge_literal() -> impl Strategy<Value = String> {
+    let edge = prop_oneof![
+        Just(0u64),
+        Just(1),
+        Just((1 << 31) - 1),
+        Just(1 << 32),
+        Just(i64::MAX as u64),
+        Just(1 << 63),
+        Just(u64::MAX),
+    ];
+    prop_oneof![edge, any::<u64>()].prop_map(|v| format!("64'h{v:x}"))
+}
+
+/// `<lit> <op> <lit>` or `<op><lit>` over the folded operators.
+fn folded_constant() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (edge_literal(), 0..FOLDED_BINARY_OPS.len(), edge_literal())
+            .prop_map(|(a, op, b)| format!("{a} {} {b}", FOLDED_BINARY_OPS[op])),
+        (0..FOLDED_UNARY_OPS.len(), edge_literal())
+            .prop_map(|(op, a)| format!("{}{a}", FOLDED_UNARY_OPS[op])),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn elaborating_folded_constants_never_panics(expr in folded_constant()) {
+        let src = format!(
+            "module m(input a, output y);\nparameter P = {expr};\nwire [P:-1] w;\n\
+             assign y = a;\nendmodule\n"
+        );
+        let modules = Parser::parse_source(&src);
+        prop_assert!(modules.is_ok(), "did not parse:\n{}", src);
+        let module = &modules.unwrap()[0];
+        // Elaboration may reject the module; it must not panic.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            Testbench::combinational(Vec::new()).passes(module)
+        }));
+        prop_assert!(outcome.is_ok(), "panicked on:\n{}", src);
+    }
 }
 
 proptest! {
@@ -49,19 +103,6 @@ proptest! {
         prop_assert_eq!(modules.len(), 1);
         prop_assert_eq!(modules[0].input_names().len(), 2);
         prop_assert_eq!(modules[0].output_names(), vec!["y"]);
-    }
-
-    #[test]
-    fn module_extraction_finds_each_concatenated_module(count in 1usize..6) {
-        let src: String = (0..count)
-            .map(|i| format!("// header {i}\nmodule m{i}(input a, output y); assign y = a; endmodule\n"))
-            .collect();
-        let found = extract_modules(&src);
-        prop_assert_eq!(found.len(), count);
-        for m in found {
-            prop_assert!(m.starts_with("module"));
-            prop_assert!(m.ends_with("endmodule"));
-        }
     }
 
     #[test]

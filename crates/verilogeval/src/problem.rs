@@ -98,20 +98,6 @@ impl Problem {
         }
     }
 
-    /// Functionally checks a full module source against the testbench.
-    ///
-    /// Returns `false` for any parse, elaboration or simulation failure —
-    /// a candidate that cannot be simulated is simply wrong, matching how
-    /// the real benchmark treats un-compilable completions.
-    pub fn check_source(&self, source: &str) -> bool {
-        self.judge_source(source, false).functional
-    }
-
-    /// Checks a model completion (text after the prompt).
-    pub fn check_completion(&self, completion: &str) -> bool {
-        self.check_source(&self.assemble(completion))
-    }
-
     /// Whether a full module source is *lint-clean*: it parses and the
     /// semantic lint engine ([`verilog::lint`]) reports no error-severity
     /// findings. Warnings (style, latch inference, width truncation) do not
@@ -132,11 +118,6 @@ impl Problem {
             .lint_parsed(parsed)
             .iter()
             .all(|d| d.severity < verilog::Severity::Error)
-    }
-
-    /// Lint-checks a model completion (text after the prompt).
-    pub fn lint_clean_completion(&self, completion: &str) -> bool {
-        self.lint_clean(&self.assemble(completion))
     }
 
     /// Verifies that the golden solution passes its own testbench.
@@ -249,17 +230,34 @@ mod tests {
     #[test]
     fn correct_completion_is_accepted() {
         let p = and_problem();
-        assert!(p.check_completion("assign y = a & b;\nendmodule"));
-        assert!(p.check_completion("assign y = b & a; endmodule"));
+        let prepared = p.prepare();
+        assert!(
+            prepared
+                .judge_completion("assign y = a & b;\nendmodule", false)
+                .functional
+        );
+        assert!(
+            prepared
+                .judge_completion("assign y = b & a; endmodule", false)
+                .functional
+        );
     }
 
     #[test]
     fn wrong_or_broken_completions_are_rejected() {
         let p = and_problem();
-        assert!(!p.check_completion("assign y = a | b;\nendmodule"));
-        assert!(!p.check_completion("assign y = a & b;")); // missing endmodule
-        assert!(!p.check_completion("garbage <unk> tokens"));
-        assert!(!p.check_completion(""));
+        let prepared = p.prepare();
+        for completion in [
+            "assign y = a | b;\nendmodule",
+            "assign y = a & b;", // missing endmodule
+            "garbage <unk> tokens",
+            "",
+        ] {
+            assert!(
+                !prepared.judge_completion(completion, false).functional,
+                "{completion}"
+            );
+        }
     }
 
     #[test]
@@ -267,33 +265,40 @@ mod tests {
         let p = and_problem();
         // The golden solution is lint-clean.
         assert!(p.lint_clean(&p.golden_solution));
-        assert!(p.lint_clean_completion("assign y = a & b;\nendmodule"));
+        let lint_clean = |completion: &str| p.lint_clean(&p.assemble(completion));
+        assert!(lint_clean("assign y = a & b;\nendmodule"));
         // A doubly-driven output is an error-severity finding.
-        assert!(!p.lint_clean_completion("assign y = a & b;\nassign y = a;\nendmodule"));
+        assert!(!lint_clean("assign y = a & b;\nassign y = a;\nendmodule"));
         // Unparsable candidates are never clean.
-        assert!(!p.lint_clean_completion("garbage <unk> tokens"));
+        assert!(!lint_clean("garbage <unk> tokens"));
         // Warning-severity findings do not disqualify: an unused
         // intermediate wire is tolerated.
-        assert!(p.lint_clean_completion("wire t;\nassign t = a;\nassign y = t & b;\nendmodule"));
+        assert!(lint_clean(
+            "wire t;\nassign t = a;\nassign y = t & b;\nendmodule"
+        ));
     }
 
     #[test]
-    fn judge_source_matches_the_separate_check_and_lint_paths() {
+    fn judge_source_matches_the_lint_path_and_the_testbench() {
         let p = and_problem();
         let prepared = p.prepare();
         let candidates = [
-            p.golden_solution.clone(),
-            p.assemble("assign y = a & b;\nendmodule"),
-            p.assemble("assign y = a | b;\nendmodule"), // wrong but clean
-            p.assemble("assign y = a & b;\nassign y = a;\nendmodule"), // lint error
-            p.assemble("assign y = a & b;"),            // parse error
-            p.assemble("garbage <unk> tokens"),         // parse error
-            String::new(),                              // parses, no modules
-            "// comment only\n".to_string(),            // parses, no modules
+            (p.golden_solution.clone(), true),
+            (p.assemble("assign y = a & b;\nendmodule"), true),
+            (p.assemble("assign y = a | b;\nendmodule"), false), // wrong but clean
+            // A lint error that still matches both vectors.
+            (
+                p.assemble("assign y = a & b;\nassign y = a;\nendmodule"),
+                true,
+            ),
+            (p.assemble("assign y = a & b;"), false), // parse error
+            (p.assemble("garbage <unk> tokens"), false), // parse error
+            (String::new(), false),                   // parses, no modules
+            ("// comment only\n".to_string(), false), // parses, no modules
         ];
-        for source in &candidates {
+        for (source, functional) in &candidates {
             let verdict = prepared.judge_source(source, true);
-            assert_eq!(verdict.functional, p.check_source(source), "for:\n{source}");
+            assert_eq!(verdict.functional, *functional, "for:\n{source}");
             assert_eq!(verdict.lint_clean, p.lint_clean(source), "for:\n{source}");
             // With the gate off the lint engine is never consulted.
             let ungated = prepared.judge_source(source, false);

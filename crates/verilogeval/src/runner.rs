@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use hwlm::parallel::{derive_seed, ExecutionMode};
 use hwlm::{LanguageModel, SamplerConfig};
 
-use crate::passk::{mean_pass_at_k, pass_at_k};
+use crate::passk::mean_pass_at_k;
 use crate::problem::Problem;
 use crate::suite::ProblemSuite;
 
@@ -293,37 +293,6 @@ impl Runner {
         }
         best.expect("at least one temperature evaluated")
     }
-
-    /// Evaluates a single problem/model pair at one temperature — exposed for
-    /// fine-grained benchmarking.
-    ///
-    /// Uses the same seed derivation as [`Runner::evaluate`], so when
-    /// `temperature` is one of the configured points the result equals the
-    /// corresponding row of the full run.
-    pub fn evaluate_problem<M: LanguageModel>(
-        &self,
-        model: &M,
-        problem_id: &str,
-        temperature: f64,
-    ) -> Option<ProblemResult> {
-        let problem = self.suite.by_id(problem_id)?;
-        let t_index = self
-            .config
-            .temperatures
-            .iter()
-            .position(|t| *t == temperature)
-            .unwrap_or(0);
-        let seed = derive_seed(self.config.seed, problem_lane(problem), t_index as u64);
-        Some(self.solve_problem(model, problem, temperature, seed))
-    }
-}
-
-/// Re-export of the estimator for convenience alongside the runner.
-pub use crate::passk::pass_at_k as estimator;
-
-#[allow(dead_code)]
-fn _assert_estimator_reachable() {
-    let _ = pass_at_k(1, 1, 1);
 }
 
 #[cfg(test)]
@@ -439,29 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_problem_returns_none_for_unknown_id() {
-        let suite = ProblemSuite::verilog_eval_human().truncated(2);
-        let runner = Runner::new(
-            suite,
-            EvalConfig {
-                samples_per_problem: 1,
-                ks: vec![1],
-                temperatures: vec![0.2],
-                max_new_tokens: 20,
-                lint_gate: true,
-                seed: 4,
-                execution: ExecutionMode::Parallel,
-            },
-        );
-        assert!(runner
-            .evaluate_problem(&weak_model(), "nonexistent", 0.2)
-            .is_none());
-        assert!(runner
-            .evaluate_problem(&weak_model(), "and2", 0.2)
-            .is_some());
-    }
-
-    #[test]
     fn lint_gate_reports_gated_pass_rates() {
         let suite = ProblemSuite::verilog_eval_human().truncated(4);
         let config = EvalConfig {
@@ -574,30 +520,6 @@ mod tests {
                 .find(|r| r.id == result.id)
                 .expect("problem present in full suite");
             assert_eq!(same, result);
-        }
-    }
-
-    #[test]
-    fn single_problem_evaluation_matches_the_full_run_row() {
-        let suite = ProblemSuite::verilog_eval_human().truncated(4);
-        let model = oracle_model(&suite);
-        let config = EvalConfig {
-            samples_per_problem: 2,
-            ks: vec![1, 2],
-            temperatures: vec![0.2, 0.8],
-            max_new_tokens: 120,
-            lint_gate: true,
-            seed: 33,
-            execution: ExecutionMode::Serial,
-        };
-        let runner = Runner::new(suite.clone(), config);
-        let report = runner.evaluate(&model);
-        let temperature = report.best_temperature;
-        for row in &report.per_problem {
-            let single = runner
-                .evaluate_problem(&model, &row.id, temperature)
-                .expect("known problem");
-            assert_eq!(&single, row);
         }
     }
 
