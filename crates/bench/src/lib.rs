@@ -14,8 +14,10 @@
 //! examples, and the end-to-end benchmark is the `bench_e2e` package, which
 //! prints its metrics through [`format_metric`].
 
-/// Whether the harness runs in fast (smoke) mode: the benches run their
-/// tiny-scale pass only. CI sets `FFH_BENCH_FAST=1` to check the contracts
+/// Whether the harness runs in fast (smoke) mode: the benches run one small
+/// pass only — the tiny scale, except in `bench_eval`, which times the
+/// untruncated suite so that its serial run is long enough to measure a
+/// speedup against. CI sets `FFH_BENCH_FAST=1` to check the contracts
 /// on every push without the larger scale, whose timings would be noise on
 /// shared runners.
 pub fn fast_mode() -> bool {

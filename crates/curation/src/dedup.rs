@@ -37,7 +37,9 @@
 //!   LRU-by-last-touch eviction, so peak kept-state residency tracks the
 //!   budget plus the batch in flight instead of the kept set — and the
 //!   output stays byte-identical to the fully resident engine for any
-//!   shard count and any budget ≥ 1.
+//!   shard count and any budget ≥ 1. Under a [`crate::CurationSession`]
+//!   the batch in flight is one flush, which holds at most 256 KiB of file
+//!   content plus the push that filled it.
 //!
 //! Each document that does reach the signature path costs one shingle build
 //! and one 128-permutation signature. [`textsim::char_shingles`] returns a
@@ -282,6 +284,9 @@ pub struct StreamingDedupStats {
     /// Shingle hashes built for the largest single push — the batch-shaped
     /// transient working-set bound, identical in both execution modes
     /// (serial mode actually materialises only one file of it at a time).
+    /// Under a [`crate::CurationSession`] each push is one flushed batch, so
+    /// this stays at or under the session's 256 KiB flush budget plus its
+    /// largest single push: a file never has more shingles than bytes.
     pub peak_batch_hashes: usize,
     /// Shards currently resident in memory (equals the shard count when
     /// spilling is disabled).
@@ -548,7 +553,10 @@ enum Resolution {
 /// with [`jaccard_similarity_sorted`]) and candidate retrieval reuses one
 /// [`CandidateScratch`], so steady-state memory is the kept documents plus
 /// the batch in flight — or, with a [`DedupSpillConfig`], the resident-shard
-/// budget plus the batch in flight.
+/// budget plus the batch in flight. A [`crate::CurationSession`] pushes one
+/// flushed batch at a time, and a flush holds at most 256 KiB of file
+/// content plus the push that filled it, so the batch term stays bounded
+/// whatever the corpus size.
 ///
 /// # Example
 ///

@@ -2,25 +2,33 @@
 //!
 //! A [`CurationSession`] accepts the corpus incrementally — e.g. one
 //! repository at a time, straight off a concurrent scraper's handoff queue —
-//! instead of requiring the whole file bank up front. The session runs the
-//! leading *streamable* prefix of the stage list on each batch as it
-//! arrives: batch-invariant stages (license, length, syntax, copyright)
-//! apply statelessly, and stateful streaming stages (de-duplication, which
-//! resolves each batch against its persistent kept-index — see
-//! [`CurationStage::open_stream`]) carry their state across pushes. Under
-//! the paper's FreeSet policy every stage streams, so nothing is buffered
-//! and curation — dedup included — fully overlaps the scrape. Only a custom
-//! stage without a streaming form (and the stages after it) is deferred to
-//! [`CurationSession::finish`], which runs the deferred suffix over the
-//! buffered survivors in arrival order.
+//! instead of requiring the whole file bank up front. Pushed files gather in
+//! a pending buffer. Once it holds at least `FLUSH_BYTES` (256 KiB) of file
+//! content, the session flushes it as one batch through the leading
+//! *streamable* prefix of the stage list: batch-invariant stages (license,
+//! length, syntax, copyright) apply statelessly, and stateful streaming
+//! stages (de-duplication, which resolves each batch against its persistent
+//! kept-index — see [`CurationStage::open_stream`]) carry their state across
+//! flushes. [`CurationSession::finish`] flushes the remainder, then runs the
+//! deferred suffix — a custom stage without a streaming form and the stages
+//! after it — over the prefix's survivors in arrival order. Under the
+//! paper's FreeSet policy every stage streams, so nothing is deferred.
+//!
+//! Flushing at batch grain is what lets the per-stage fan-outs pay off: a
+//! scraped repository holds about a dozen files, too few to amortise
+//! starting worker threads six times, while a flush holds a few hundred. The
+//! budget counts content bytes rather than files or workers, so flush
+//! boundaries depend only on the pushed files, and de-duplication's in-flight
+//! working set stays bounded by `FLUSH_BYTES` plus the largest single push.
 //!
 //! The session is *exactly* equivalent to the one-shot path: for any split
 //! of a corpus into batches,
 //! `session.push(batch₁); …; session.push(batchₙ); session.finish()`
 //! produces the same [`CuratedDataset`] — files, funnel and rejection
 //! provenance — as `pipeline.run(batch₁ ⧺ … ⧺ batchₙ)` (property-tested in
-//! `tests/stage_properties.rs`). [`crate::CurationPipeline::run`] is in fact
-//! implemented as a single-batch session.
+//! `tests/stage_properties.rs`), because every streaming stage is
+//! prefix-consistent for any split. [`crate::CurationPipeline::run`] is in
+//! fact implemented as a single-batch session.
 
 use std::io;
 
@@ -30,7 +38,13 @@ use crate::funnel::FunnelStats;
 use crate::pipeline::{CuratedDataset, CurationPipeline};
 use crate::stage::{CurationStage, FileBatch, RejectedFile, StageOutcome, StageStreaming};
 
-/// Per-stage tallies accumulated across pushed batches.
+/// File content, in bytes, the pending buffer gathers before the session
+/// runs the streaming prefix over it: a few hundred scraped files, enough to
+/// amortise each stage's fan-out, and a small fraction of the kept set the
+/// de-duplicator holds anyway.
+const FLUSH_BYTES: usize = 256 * 1024;
+
+/// Per-stage tallies accumulated across flushed batches.
 #[derive(Default)]
 struct StageTally {
     entering: usize,
@@ -40,7 +54,7 @@ struct StageTally {
 
 /// Looks up a stage across the configured and custom stage lists.
 ///
-/// A free function (not a method) so `push` can borrow the stage while the
+/// A free function (not a method) so `flush` can borrow the stage while the
 /// per-stage streams are borrowed mutably — the borrows are disjoint fields.
 fn stage_at<'a>(
     configured: &'a [Box<dyn CurationStage>],
@@ -77,15 +91,20 @@ pub struct CurationSession<'p> {
     /// borrowed from the pipeline and run after these).
     configured: Vec<Box<dyn CurationStage>>,
     /// Index (into the configured ⧺ custom stage list) of the first stage
-    /// with no streaming form; stages before it run per batch.
+    /// with no streaming form; stages before it run once per flushed batch.
     split: usize,
     /// One streaming form per stage in the prefix (`Stateless` entries apply
     /// the stage directly; `Stateful` entries carry cross-batch state).
     streams: Vec<StageStreaming>,
     /// One tally per streaming stage.
     tallies: Vec<StageTally>,
+    /// Pushed files the streaming prefix has not run over yet, in arrival
+    /// order.
+    pending: Vec<ExtractedFile>,
+    /// Total content bytes of `pending`.
+    pending_bytes: usize,
     /// Survivors of the streaming prefix, in arrival order.
-    buffered: Vec<ExtractedFile>,
+    survivors: Vec<ExtractedFile>,
     /// Total files pushed (the funnel's initial count).
     pushed: usize,
 }
@@ -112,7 +131,9 @@ impl<'p> CurationSession<'p> {
             split,
             streams,
             tallies: (0..split).map(|_| StageTally::default()).collect(),
-            buffered: Vec::new(),
+            pending: Vec::new(),
+            pending_bytes: 0,
+            survivors: Vec::new(),
             pushed: 0,
         })
     }
@@ -125,9 +146,9 @@ impl<'p> CurationSession<'p> {
         self.configured.len() + self.pipeline.custom_stage_list().len()
     }
 
-    /// Number of leading stages applied incrementally per pushed batch.
-    /// Under the FreeSet policy this is *every* stage — de-duplication
-    /// streams against its persistent kept-index.
+    /// Number of leading stages applied incrementally, once per flushed
+    /// batch. Under the FreeSet policy this is *every* stage —
+    /// de-duplication streams against its persistent kept-index.
     pub fn streaming_stage_count(&self) -> usize {
         self.split
     }
@@ -137,18 +158,35 @@ impl<'p> CurationSession<'p> {
         self.pushed
     }
 
-    /// Feeds one batch through the streaming stage prefix, buffering its
-    /// survivors for the deferred stages (if any).
+    /// Queues one batch for the streaming stage prefix. The files join the
+    /// pending buffer; once it holds at least 256 KiB of content, the whole
+    /// buffer runs through the prefix as one batch and its survivors are
+    /// kept for the deferred stages (if any). Most pushes are plain appends.
     ///
     /// # Errors
     ///
     /// Returns the IO error of a spill-backed streaming stage (see
-    /// [`crate::DedupSpillConfig`]); sessions without spill never error.
-    /// After an error the session's carried state is suspect — discard it.
+    /// [`crate::DedupSpillConfig`]) when this push flushes. A flush carries
+    /// the files of every push since the previous one, so the error can
+    /// surface at a later push than the files that caused it, or only at
+    /// [`Self::finish`]. Sessions without spill never error. After an error
+    /// the session's carried state is suspect — discard it.
     pub fn push(&mut self, files: Vec<ExtractedFile>) -> io::Result<()> {
         self.pushed += files.len();
+        self.pending_bytes += files.iter().map(|f| f.content.len()).sum::<usize>();
+        self.pending.extend(files);
+        if self.pending_bytes >= FLUSH_BYTES {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Runs the pending files through the streaming prefix as one batch and
+    /// appends the prefix's survivors to `survivors`.
+    fn flush(&mut self) -> io::Result<()> {
+        let mut files = std::mem::take(&mut self.pending);
+        self.pending_bytes = 0;
         let mode = self.pipeline.mode();
-        let mut files = files;
         for index in 0..self.split {
             let mut outcome = match &mut self.streams[index] {
                 StageStreaming::Stateful(stream) => stream.push(FileBatch::new(files, mode))?,
@@ -168,20 +206,24 @@ impl<'p> CurationSession<'p> {
             tally.rejects.append(&mut outcome.rejected);
             files = outcome.kept;
         }
-        self.buffered.extend(files);
+        self.survivors.extend(files);
         Ok(())
     }
 
-    /// Runs the deferred stages over the buffered survivors and assembles
-    /// the dataset: identical, batch split notwithstanding, to a one-shot
+    /// Flushes the pending files through the streaming prefix, runs the
+    /// deferred stages over the survivors and assembles the dataset:
+    /// identical, batch split notwithstanding, to a one-shot
     /// [`CurationPipeline::run`] over the concatenated input.
     ///
     /// # Errors
     ///
-    /// Never returns `Err` today: the deferred stages run through
-    /// [`CurationStage::apply`], which is infallible. The `io::Result` is
-    /// reserved for a deferred stage that spills to disk.
+    /// Returns the IO error of a spill-backed streaming stage (see
+    /// [`crate::DedupSpillConfig`]) hit by the final flush, which carries
+    /// every file pushed since the last flush. Sessions without spill never
+    /// error; the deferred stages run through the infallible
+    /// [`CurationStage::apply`].
     pub fn finish(mut self) -> io::Result<CuratedDataset> {
+        self.flush()?;
         let mut funnel = FunnelStats::new(self.pushed);
         let mut rejects: Vec<RejectedFile> = Vec::new();
         // The streaming prefix: fold the per-batch tallies into the funnel.
@@ -200,7 +242,7 @@ impl<'p> CurationSession<'p> {
             rejects.append(&mut tally.rejects);
         }
         // The deferred suffix: ordinary stage-at-a-time execution.
-        let mut files = std::mem::take(&mut self.buffered);
+        let mut files = std::mem::take(&mut self.survivors);
         for index in self.split..self.stage_count() {
             let stage = self.stage_at(index);
             let mut outcome = stage.apply(FileBatch::new(files, self.pipeline.mode()));

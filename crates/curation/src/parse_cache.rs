@@ -12,7 +12,7 @@
 //! comparison, so hash collisions and repeated contents are both handled.
 //! [`ParseCache::take`] *removes* the entry it returns: memory is bounded
 //! by one batch's survivors, not the whole corpus, and a streaming session
-//! that pushes many batches drains the cache batch by batch.
+//! drains the cache once per flushed batch (about 256 KiB of content).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

@@ -211,11 +211,12 @@ impl StageOutcome {
 /// batches.
 ///
 /// Obtained from [`CurationStage::open_stream`]; a [`crate::CurationSession`]
-/// feeds every pushed batch through the stream in arrival order. A stream
-/// must be *prefix-consistent*: after pushing batches `b₁ … bₙ`, the
-/// concatenation of the returned outcomes must equal the outcome of the
-/// stage's one-shot [`CurationStage::apply`] over `b₁ ⧺ … ⧺ bₙ` — same kept
-/// files, same rejections, same provenance text. That is what lets the
+/// feeds its pushed files through the stream in arrival order, coalesced
+/// into batches of about 256 KiB of content. A stream must be
+/// *prefix-consistent*: after pushing batches `b₁ … bₙ`, the concatenation
+/// of the returned outcomes must equal the outcome of the stage's one-shot
+/// [`CurationStage::apply`] over `b₁ ⧺ … ⧺ bₙ` — same kept files, same
+/// rejections, same provenance text. That is what lets the
 /// session guarantee streamed output byte-identical to a one-shot run.
 pub trait StageStream: Send {
     /// Feeds one batch through the stage, carrying state forward to the next
@@ -237,7 +238,7 @@ pub enum StageStreaming {
     /// it, to `finish()`. The conservative answer, always correct.
     Deferred,
     /// The stage is batch-invariant: per-batch `apply` needs no carried
-    /// state, so the session simply applies it to each batch as it arrives.
+    /// state, so the session simply applies it to each batch it flushes.
     Stateless,
     /// The stage streams through per-session state (e.g. de-duplication
     /// against the persistent kept-index).

@@ -3,15 +3,17 @@
 //! The build runs on the **streaming path**: a concurrent
 //! [`gh_sim::fetch::FetchEngine`] clones repositories from a worker pool and
 //! hands each one's files off, in deterministic order, into a
-//! [`curation::CurationSession`] *while the scrape is still running*. Under
-//! the FreeSet policy every curation stage streams — including
-//! de-duplication, which resolves each repository's files against its
-//! persistent kept-index the moment they arrive — so the paper's largest
-//! funnel stage (~62% removal) overlaps the network phase instead of
-//! waiting for the full bank. Both halves are individually property-tested
-//! to be byte-identical to their serial equivalents, and
-//! [`scrape_and_curate`] is tested to match the serial scrape-then-curate
-//! composition end to end.
+//! [`curation::CurationSession`] *while the scrape is still running*. The
+//! session coalesces the repositories into batches of about 256 KiB of file
+//! content, a few hundred files each, and under the FreeSet policy runs
+//! every curation stage on each batch as it fills — including
+//! de-duplication, which resolves the batch against its persistent
+//! kept-index — so the paper's largest funnel stage (~62% removal) overlaps
+//! the network phase instead of waiting for the full bank, and each stage's
+//! per-file fan-out splits a few hundred files instead of one repository's
+//! dozen. Both halves are individually property-tested to be byte-identical
+//! to their serial equivalents, and [`scrape_and_curate`] is tested to match
+//! the serial scrape-then-curate composition end to end.
 
 use curation::{CuratedDataset, CurationPipeline};
 use gh_sim::fetch::{FetchConfig, FetchEngine};
@@ -68,15 +70,17 @@ pub fn build_freeset(config: &FreeSetConfig) -> FreeSetBuild {
 
 /// Builds FreeSet on the streaming path: the concurrent fetch engine clones
 /// repositories from a worker pool and pushes each one's files into a
-/// [`curation::CurationSession`] while the scrape is still in flight — all
-/// four FreeSet stages, de-duplication included, run on each batch as it
-/// arrives. The bounded handoff queue backpressures the workers against the
+/// [`curation::CurationSession`] while the scrape is still in flight. The
+/// session gathers the pushes into batches of about 256 KiB of file content
+/// and runs every FreeSet stage, de-duplication included, on each batch as
+/// it fills. The bounded handoff queue backpressures the workers against the
 /// curation stages' pace, so *in-flight* scrape buffering stays proportional
-/// to the queue and the session's residency tracks the kept set. (The raw
-/// file bank is still accumulated alongside the session —
-/// [`FreeSetBuild::scraped`] retains it so every policy comparison can
-/// reuse the same scrape — so peak memory remains corpus-proportional; a
-/// scrape-once-curate-only consumer could drop that accumulation.)
+/// to the queue, and the session holds its kept set plus at most one batch
+/// that has not been flushed yet. (The raw file bank is still accumulated
+/// alongside the session — [`FreeSetBuild::scraped`] retains it so every
+/// policy comparison can reuse the same scrape — so peak memory remains
+/// corpus-proportional; a scrape-once-curate-only consumer could drop that
+/// accumulation.)
 ///
 /// The result — raw file bank, curated dataset, funnel and rejection
 /// provenance — is identical to the serial composition

@@ -489,9 +489,8 @@ impl CompiledModule {
             }
             Expr::Slice { base, msb, lsb } => {
                 let name = self.ident_name(base)?;
-                let msb = self.eval_expr_id(msb, state)?.bits() as u32;
-                let lsb = self.eval_expr_id(lsb, state)?.bits() as u32;
-                Ok(ResolvedTarget::Range(name, msb.max(lsb), msb.min(lsb)))
+                let (msb, lsb) = self.slice_bounds(msb, lsb, state)?;
+                Ok(ResolvedTarget::Range(name, msb, lsb))
             }
             Expr::Concat(ref parts) => {
                 let mut resolved = Vec::new();
@@ -519,14 +518,20 @@ impl CompiledModule {
             }
             Expr::Index { .. } => 1,
             Expr::Slice { msb, lsb, .. } => {
-                let msb = self.eval_expr_id(msb, state)?.bits() as u32;
-                let lsb = self.eval_expr_id(lsb, state)?.bits() as u32;
-                msb.max(lsb) - msb.min(lsb) + 1
+                let (msb, lsb) = self.slice_bounds(msb, lsb, state)?;
+                msb - lsb + 1
             }
             Expr::Concat(ref parts) => {
-                let mut total = 0;
+                let mut total = 0u32;
                 for &p in parts {
-                    total += self.target_width(p, state)?;
+                    total = total
+                        .checked_add(self.target_width(p, state)?)
+                        .ok_or_else(|| {
+                            EvalError::Unsupported(format!(
+                                "concatenation target {:?} is too wide",
+                                self.debug(target)
+                            ))
+                        })?;
                 }
                 total
             }
@@ -537,6 +542,32 @@ impl CompiledModule {
                 )))
             }
         })
+    }
+
+    /// Evaluates a part-select's bounds, ordered as `(msb, lsb)`.
+    ///
+    /// Every bit at or past [`Value::MAX_WIDTH`] lies outside every value, so
+    /// a slice starting there is moved down to start at bit 64: it keeps its
+    /// width, still reads as zero and drops writes, and its bounds fit `u32`.
+    fn slice_bounds(
+        &self,
+        msb: ExprId,
+        lsb: ExprId,
+        state: &EvalState,
+    ) -> Result<(u32, u32), EvalError> {
+        let first = self.eval_expr_id(msb, state)?.bits();
+        let second = self.eval_expr_id(lsb, state)?.bits();
+        let (high, low) = (first.max(second), first.min(second));
+        match (high - low).checked_add(1) {
+            Some(width) if width <= u64::from(Value::MAX_WIDTH) => {
+                let low = low.min(u64::from(Value::MAX_WIDTH)) as u32;
+                Ok((low + width as u32 - 1, low))
+            }
+            _ => Err(EvalError::Unsupported(format!(
+                "part-select [{first}:{second}] wider than {} bits",
+                Value::MAX_WIDTH
+            ))),
+        }
     }
 
     fn assign(&self, target: ExprId, value: Value, state: &mut EvalState) -> Result<(), EvalError> {
@@ -616,9 +647,8 @@ impl CompiledModule {
             }
             Expr::Slice { base, msb, lsb } => {
                 let base_value = self.eval_expr_id(base, state)?;
-                let msb = self.eval_expr_id(msb, state)?.bits() as u32;
-                let lsb = self.eval_expr_id(lsb, state)?.bits() as u32;
-                Ok(base_value.select_range(msb.max(lsb), msb.min(lsb)))
+                let (msb, lsb) = self.slice_bounds(msb, lsb, state)?;
+                Ok(base_value.select_range(msb, lsb))
             }
             Expr::Concat(ref parts) => {
                 let mut acc: Option<Value> = None;
@@ -713,11 +743,8 @@ fn apply_resolved(state: &mut EvalState, target: ResolvedTarget, value: Value) {
             let mut remaining = total;
             for (part, width) in parts {
                 remaining -= width;
-                let slice = if width >= 64 {
-                    value
-                } else {
-                    Value::new(value.bits() >> remaining, width.max(1))
-                };
+                let bits = value.bits().checked_shr(remaining).unwrap_or(0);
+                let slice = Value::new(bits, width.clamp(1, Value::MAX_WIDTH));
                 apply_resolved(state, part, slice);
             }
         }

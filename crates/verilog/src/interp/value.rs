@@ -106,15 +106,15 @@ impl Value {
         }
     }
 
-    /// Extracts the slice `[msb:lsb]` as a new value.
+    /// Extracts the slice `[msb:lsb]` as a new value; bits beyond the width
+    /// read as zero, as in [`Value::select_bit`].
     ///
     /// # Panics
     ///
-    /// Panics if `msb < lsb`.
+    /// Panics if `msb < lsb` or the slice is wider than [`Value::MAX_WIDTH`].
     pub fn select_range(&self, msb: u32, lsb: u32) -> Self {
-        assert!(msb >= lsb, "part-select bounds reversed: [{msb}:{lsb}]");
-        let width = msb - lsb + 1;
-        Value::new(self.bits >> lsb, width.min(Self::MAX_WIDTH))
+        let width = slice_width(msb, lsb);
+        Value::new(self.bits.checked_shr(lsb).unwrap_or(0), width)
     }
 
     /// Returns a copy of `self` with bit `index` set to the LSB of `bit`.
@@ -127,13 +127,19 @@ impl Value {
     }
 
     /// Returns a copy of `self` with the slice `[msb:lsb]` replaced by
-    /// `value` (truncated or zero-extended to the slice width).
+    /// `value` (truncated or zero-extended to the slice width). Writes to
+    /// bits beyond the width are dropped, as in [`Value::with_bit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msb < lsb` or the slice is wider than [`Value::MAX_WIDTH`].
     pub fn with_range(&self, msb: u32, lsb: u32, value: Value) -> Self {
-        assert!(msb >= lsb, "part-select bounds reversed: [{msb}:{lsb}]");
-        let width = (msb - lsb + 1).min(Self::MAX_WIDTH);
-        let slice_mask = Self::mask(width) << lsb;
-        let new_bits = (self.bits & !slice_mask) | ((value.bits & Self::mask(width)) << lsb);
-        Value::new(new_bits, self.width)
+        let width = slice_width(msb, lsb);
+        let slice_mask = Self::mask(width).checked_shl(lsb).unwrap_or(0);
+        let slice_bits = (value.bits & Self::mask(width))
+            .checked_shl(lsb)
+            .unwrap_or(0);
+        Value::new((self.bits & !slice_mask) | slice_bits, self.width)
     }
 
     /// Concatenates `self` (more significant) with `low` (less significant).
@@ -158,6 +164,19 @@ impl Value {
         } else {
             self.bits as i64
         }
+    }
+}
+
+/// The width of the part-select `[msb:lsb]`.
+///
+/// # Panics
+///
+/// Panics if `msb < lsb` or the slice is wider than [`Value::MAX_WIDTH`].
+fn slice_width(msb: u32, lsb: u32) -> u32 {
+    assert!(msb >= lsb, "part-select bounds reversed: [{msb}:{lsb}]");
+    match (msb - lsb).checked_add(1) {
+        Some(width) if width <= Value::MAX_WIDTH => width,
+        _ => panic!("part-select [{msb}:{lsb}] exceeds the supported maximum of 64 bits"),
     }
 }
 
@@ -231,6 +250,27 @@ mod tests {
         assert_eq!(v.bits(), 0b1111_1000);
         // Out-of-range bit updates are ignored.
         assert_eq!(v.with_bit(30, Value::bit(true)), v);
+    }
+
+    #[test]
+    fn out_of_range_part_selects_read_zero_and_drop_writes() {
+        let v = Value::new(0xAB, 8);
+        assert_eq!(v.select_range(70, 66), Value::zero(5));
+        assert_eq!(v.select_range(11, 4), Value::new(0xA, 8));
+        assert_eq!(v.with_range(70, 66, Value::new(0x1F, 5)), v);
+        assert_eq!(
+            v.with_range(11, 4, Value::new(0x5F, 8)),
+            Value::new(0xFB, 8)
+        );
+        let ones = Value::new(u64::MAX, 64);
+        assert_eq!(ones.select_range(127, 64), Value::zero(64));
+        assert_eq!(ones.with_range(127, 64, Value::zero(64)), ones);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the supported maximum")]
+    fn overwide_part_select_rejected() {
+        let _ = Value::new(1, 8).select_range(u32::MAX, 0);
     }
 
     #[test]

@@ -383,6 +383,48 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_part_selects_read_zero_and_drop_writes() {
+        // Bits past a vector's width read as zero and drop writes, as single
+        // bit selects already did; a select wider than 64 bits is rejected.
+        let tb = |y: u64| {
+            Testbench::combinational(vec![TestVector::combinational(
+                vec![("a".into(), 0xFF)],
+                vec![("y".into(), y)],
+            )])
+        };
+        for (body, y) in [
+            ("assign y = a[70:66];", 0),
+            ("assign y = a[9:4];", 0xF),
+            (
+                "always @(*) begin r = 8'h0f; r[70:66] = a; end assign y = r;",
+                0x0F,
+            ),
+            (
+                "always @(*) begin r = 8'h0f; r[9:6] = a; end assign y = r;",
+                0xCF,
+            ),
+            ("always @(*) {r[70:66], s} = a; assign y = s;", 0xFF),
+        ] {
+            let m = module(&format!(
+                "module m(input [7:0] a, output [7:0] y); reg [7:0] r; reg [63:0] s; {body} endmodule"
+            ));
+            assert_eq!(tb(y).passes(&m), Ok(true), "{body}");
+        }
+        for body in [
+            "assign y = a[32'hffffffff:0];",
+            "always @(*) r[64:0] = a; assign y = r;",
+        ] {
+            let m = module(&format!(
+                "module m(input [7:0] a, output [7:0] y); reg [7:0] r; {body} endmodule"
+            ));
+            assert!(
+                matches!(tb(0).passes(&m), Err(EvalError::Unsupported(_))),
+                "{body}"
+            );
+        }
+    }
+
+    #[test]
     fn oversized_memory_is_rejected_before_allocation() {
         let m = module(
             "module m(input a, output y); reg [7:0] mem [0:64'h7fffffffffffffff];\n\

@@ -4,7 +4,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 use verilog::interp::Value;
-use verilog::{strip_comments, Lexer, Parser, SyntaxChecker, Testbench};
+use verilog::{strip_comments, Lexer, Parser, SyntaxChecker, TestVector, Testbench};
 
 /// A strategy producing random (mostly valid) simple combinational modules.
 fn simple_module_strategy() -> impl Strategy<Value = String> {
@@ -57,6 +57,33 @@ fn folded_constant() -> impl Strategy<Value = String> {
     ]
 }
 
+/// A part-select bound: inside or just past a 64-bit vector, or a 32-bit or
+/// 64-bit edge, or any value.
+fn select_bound() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..80,
+        Just(u64::from(u32::MAX)),
+        Just(1 << 32),
+        Just(u64::MAX),
+        any::<u64>(),
+    ]
+}
+
+/// A module that reads, writes or splits a concatenation across the
+/// part-select `[msb:lsb]` of 64-bit vectors.
+fn part_select_module(msb: u64, lsb: u64, form: usize) -> String {
+    let select = format!("[64'h{msb:x}:64'h{lsb:x}]");
+    let body = match form {
+        0 => format!("assign y = a{select};"),
+        1 => format!("always @(*) begin r = 0; r{select} = a; end\nassign y = r;"),
+        _ => format!("always @(*) {{r{select}, s}} = a;\nassign y = r ^ s;"),
+    };
+    format!(
+        "module m(input [63:0] a, output [63:0] y);\nreg [63:0] r;\nreg [63:0] s;\n\
+         {body}\nendmodule\n"
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
@@ -73,6 +100,25 @@ proptest! {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             Testbench::combinational(Vec::new()).passes(module)
         }));
+        prop_assert!(outcome.is_ok(), "panicked on:\n{}", src);
+    }
+
+    #[test]
+    fn simulating_part_selects_never_panics(
+        msb in select_bound(),
+        lsb in select_bound(),
+        form in 0usize..3,
+    ) {
+        let src = part_select_module(msb, lsb, form);
+        let modules = Parser::parse_source(&src);
+        prop_assert!(modules.is_ok(), "did not parse:\n{}", src);
+        let module = &modules.unwrap()[0];
+        let bench = Testbench::combinational(vec![TestVector::combinational(
+            vec![("a".into(), u64::MAX)],
+            vec![("y".into(), 0)],
+        )]);
+        // Simulation may reject the select; it must not panic.
+        let outcome = catch_unwind(AssertUnwindSafe(|| bench.passes(module)));
         prop_assert!(outcome.is_ok(), "panicked on:\n{}", src);
     }
 }
