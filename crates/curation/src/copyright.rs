@@ -33,35 +33,27 @@ pub struct CopyrightFinding {
 /// let open = "// Copyright (c) 2020 Jane Doe\n// SPDX-License-Identifier: MIT\nmodule m; endmodule";
 /// assert!(!detector.is_protected(open));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CopyrightDetector {
-    /// Keywords that individually mark a file as proprietary.
-    strong_keywords: Vec<String>,
-    /// Keywords that mark a file as proprietary only in combination with a
-    /// copyright statement.
-    weak_keywords: Vec<String>,
-}
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct CopyrightDetector;
 
-impl Default for CopyrightDetector {
-    fn default() -> Self {
-        Self {
-            strong_keywords: vec![
-                "proprietary".into(),
-                "confidential".into(),
-                "trade secret".into(),
-                "do not distribute".into(),
-                "unauthorized reproduction".into(),
-                "internal use only".into(),
-            ],
-            weak_keywords: vec!["all rights reserved".into()],
-        }
-    }
-}
+/// Keywords that individually mark a file as proprietary.
+const STRONG_KEYWORDS: [&str; 6] = [
+    "proprietary",
+    "confidential",
+    "trade secret",
+    "do not distribute",
+    "unauthorized reproduction",
+    "internal use only",
+];
+
+/// Keywords that mark a file as proprietary only in combination with a
+/// copyright statement.
+const WEAK_KEYWORDS: [&str; 1] = ["all rights reserved"];
 
 impl CopyrightDetector {
-    /// Creates a detector with the default keyword lists.
+    /// Creates a detector with the paper's keyword lists.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Scans a file, returning a finding when it looks copyright-protected.
@@ -69,21 +61,21 @@ impl CopyrightDetector {
     /// Only the header comment block is inspected, matching the paper
     /// ("check the header comments of individual files").
     pub fn scan(&self, content: &str) -> Option<CopyrightFinding> {
-        let header = extract_header_comment(content).to_lowercase();
+        let raw_header = extract_header_comment(content);
+        let header = raw_header.to_lowercase();
         if header.is_empty() {
             return None;
         }
         let has_copyright_line = header.contains("copyright") || header.contains("(c)");
-        let mut matched: Vec<String> = Vec::new();
-        for kw in &self.strong_keywords {
-            if header.contains(kw.as_str()) {
-                matched.push(kw.clone());
-            }
-        }
-        for kw in &self.weak_keywords {
-            if header.contains(kw.as_str()) && has_copyright_line {
-                matched.push(kw.clone());
-            }
+        let mut matched: Vec<String> = STRONG_KEYWORDS
+            .iter()
+            .filter(|kw| header.contains(*kw))
+            .map(|kw| kw.to_string())
+            .collect();
+        let strongly_matched = !matched.is_empty();
+        if has_copyright_line {
+            let weak = WEAK_KEYWORDS.iter().filter(|kw| header.contains(*kw));
+            matched.extend(weak.map(|kw| kw.to_string()));
         }
         // An SPDX identifier for an open license is a strong signal the
         // "all rights reserved" boilerplate is part of a permissive notice
@@ -91,13 +83,12 @@ impl CopyrightDetector {
         // that case.
         let has_open_spdx = header.contains("spdx-license-identifier")
             && !header.contains("licenseref-proprietary");
-        let strongly_matched = matched.iter().any(|k| self.strong_keywords.contains(k));
         if matched.is_empty() || (has_open_spdx && !strongly_matched) {
             return None;
         }
         Some(CopyrightFinding {
             matched_keywords: matched,
-            holder: extract_holder(&extract_header_comment(content)),
+            holder: extract_holder(&raw_header),
         })
     }
 
@@ -110,17 +101,15 @@ impl CopyrightDetector {
 /// Pulls the copyright holder out of a `Copyright (c) YEAR Holder` line.
 fn extract_holder(header: &str) -> Option<String> {
     for line in header.lines() {
-        let lower = line.to_lowercase();
+        // ASCII lower-casing keeps every byte offset, so `pos` indexes `line`.
+        let lower = line.to_ascii_lowercase();
         if let Some(pos) = lower.find("copyright") {
             // Drop the `(c)` marker and leading years/punctuation, keep the
             // text up to the first sentence break.
             let rest = line[pos + "copyright".len()..]
                 .replace("(c)", " ")
                 .replace("(C)", " ");
-            let holder: String = rest
-                .chars()
-                .skip_while(|c| !c.is_ascii_alphabetic())
-                .collect();
+            let holder: String = rest.chars().skip_while(|c| !c.is_alphabetic()).collect();
             let holder = holder
                 .split(['.', ',', ';'])
                 .next()
@@ -193,11 +182,31 @@ mod tests {
     }
 
     #[test]
+    fn case_mappings_that_change_byte_length_do_not_shift_the_holder() {
+        let d = CopyrightDetector::new();
+        // `İ` lower-cases to three bytes, one more than it takes.
+        let finding = d
+            .scan("// PROPRIETARY design \u{130}copyright\nmodule m; endmodule")
+            .expect("should be flagged");
+        assert_eq!(finding.matched_keywords, ["proprietary"]);
+        assert_eq!(finding.holder, None);
+        // The Kelvin sign lower-cases to one byte, two fewer than it takes.
+        let finding = d
+            .scan("// PROPRIETARY \u{212A} Copyright Acme Corp.\nmodule m; endmodule")
+            .expect("should be flagged");
+        assert_eq!(finding.holder.as_deref(), Some("Acme Corp"));
+    }
+
+    #[test]
     fn holder_extraction_handles_variants() {
         assert_eq!(
             extract_holder("Copyright (C) 2019 Xilinx Inc."),
             Some("Xilinx Inc".to_string())
         );
         assert_eq!(extract_holder("no legal text here"), None);
+        assert_eq!(
+            extract_holder("Copyright (c) 2020 \u{C9}mile Corp."),
+            Some("\u{C9}mile Corp".to_string())
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! Two entry points share one engine. [`Deduplicator`] is the one-shot API:
 //! hand it a complete bank, get the kept/removed partition back.
 //! [`StreamingDeduplicator`] is the incremental engine underneath: batches
-//! are pushed as they arrive (e.g. straight off the concurrent scraper) and
+//! are pushed as they arrive (e.g. straight off the scraper's stream) and
 //! resolved against the persistent kept-index immediately, so the corpus
 //! never has to be buffered.
 //!

@@ -1,9 +1,9 @@
 //! Streaming batch intake for the curation stage engine.
 //!
 //! A [`CurationSession`] accepts the corpus incrementally — e.g. one
-//! repository at a time, straight off a concurrent scraper's handoff queue —
-//! instead of requiring the whole file bank up front. Pushed files gather in
-//! a pending buffer. Once it holds at least `FLUSH_BYTES` (256 KiB) of file
+//! repository at a time, straight off the scraper's clone stream — instead
+//! of requiring the whole file bank up front. Pushed files gather in a
+//! pending buffer. Once it holds at least `FLUSH_BYTES` (256 KiB) of file
 //! content, the session flushes it as one batch through the leading
 //! *streamable* prefix of the stage list: batch-invariant stages (license,
 //! length, syntax, copyright) apply statelessly, and stateful streaming

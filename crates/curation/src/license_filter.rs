@@ -16,28 +16,24 @@ use serde::{Deserialize, Serialize};
 /// assert!(!filter.accepts_license(License::None));
 /// assert!(!filter.accepts_license(License::Proprietary));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LicenseFilter {
-    accepted: Vec<License>,
-}
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct LicenseFilter;
 
 impl LicenseFilter {
     /// The paper's accepted license set: MIT, Apache-2.0, GPL/LGPL variants,
     /// MPL-2.0, Creative Commons, Eclipse and the BSD licenses.
     pub fn paper_default() -> Self {
-        Self {
-            accepted: License::ACCEPTED.to_vec(),
-        }
+        Self
     }
 
-    /// The accepted license list.
+    /// The accepted license list, [`License::ACCEPTED`].
     pub fn accepted(&self) -> &[License] {
-        &self.accepted
+        &License::ACCEPTED
     }
 
     /// Whether a repository license is acceptable.
     pub fn accepts_license(&self, license: License) -> bool {
-        self.accepted.contains(&license)
+        license.is_accepted_open_source()
     }
 
     /// Whether an extracted file's repository license is acceptable.
@@ -48,12 +44,6 @@ impl LicenseFilter {
     /// Partitions files into `(accepted, rejected)`.
     pub fn partition(&self, files: Vec<ExtractedFile>) -> (Vec<ExtractedFile>, Vec<ExtractedFile>) {
         files.into_iter().partition(|f| self.accepts(f))
-    }
-}
-
-impl Default for LicenseFilter {
-    fn default() -> Self {
-        Self::paper_default()
     }
 }
 

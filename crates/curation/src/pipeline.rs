@@ -318,9 +318,9 @@ impl CurationPipeline {
     }
 
     /// Opens a streaming intake session: the corpus can be pushed batch by
-    /// batch (e.g. straight off a concurrent scraper's handoff queue) and
-    /// the result is identical to a one-shot [`CurationPipeline::run`] over
-    /// the concatenated batches. See [`CurationSession`].
+    /// batch (e.g. straight off the scraper's clone stream) and the result
+    /// is identical to a one-shot [`CurationPipeline::run`] over the
+    /// concatenated batches. See [`CurationSession`].
     ///
     /// # Panics
     ///

@@ -9,11 +9,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::FreeSetConfig;
 
-/// The per-window request budget every scrape client (serial reference,
-/// concurrent engine, benchmarks) runs against. Generous enough that
-/// supported experiment scales never exhaust a window — which keeps every
-/// scrape-report counter deterministic — while still finite, so the
-/// rate-limit machinery stays on the request path.
+/// The per-window request budget every scrape (collected, streamed or
+/// benchmarked) runs against. Generous enough that supported experiment
+/// scales never exhaust a window — which keeps every scrape-report counter
+/// deterministic — while still finite, so the rate-limit machinery stays on
+/// the request path.
 pub const SCRAPE_API_BUDGET: usize = 10_000;
 
 /// The raw scraped corpus, reused by every curation policy so that dataset

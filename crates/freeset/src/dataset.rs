@@ -1,19 +1,19 @@
 //! Building the FreeSet dataset (Figure 1's left half).
 //!
-//! The build runs on the **streaming path**: a concurrent
-//! [`gh_sim::fetch::FetchEngine`] clones repositories from a worker pool and
-//! hands each one's files off, in deterministic order, into a
-//! [`curation::CurationSession`] *while the scrape is still running*. The
-//! session coalesces the repositories into batches of about 256 KiB of file
-//! content, a few hundred files each, and under the FreeSet policy runs
-//! every curation stage on each batch as it fills — including
-//! de-duplication, which resolves the batch against its persistent
-//! kept-index — so the paper's largest funnel stage (~62% removal) overlaps
-//! the network phase instead of waiting for the full bank, and each stage's
-//! per-file fan-out splits a few hundred files instead of one repository's
-//! dozen. Both halves are individually property-tested to be byte-identical
-//! to their serial equivalents, and [`scrape_and_curate`] is tested to match
-//! the serial scrape-then-curate composition end to end.
+//! The build runs on the **streaming path**: the scraper discovers the
+//! repositories, then its clone phase streams into a
+//! [`curation::CurationSession`] on the same thread, one repository per
+//! pull ([`gh_sim::fetch::FetchEngine::run_streaming`]), so curation runs
+//! *while the scrape is still cloning*. The session coalesces the
+//! repositories into batches of about 256 KiB of file content, a few
+//! hundred files each, and under the FreeSet policy runs every curation
+//! stage on each batch as it fills — including de-duplication, which
+//! resolves the batch against its persistent kept-index — so the paper's
+//! largest funnel stage (~62% removal) runs alongside the scrape instead of
+//! waiting for the full bank, and each stage's per-file fan-out splits a
+//! few hundred files instead of one repository's dozen.
+//! [`scrape_and_curate`] is tested to match the collect-then-curate
+//! composition end to end.
 
 use curation::{CuratedDataset, CurationPipeline};
 use gh_sim::fetch::{FetchConfig, FetchEngine};
@@ -50,9 +50,9 @@ impl FreeSetBuild {
     }
 }
 
-/// Builds FreeSet end to end: generate the universe, scrape it concurrently,
-/// and curate it while the scrape streams — the default
-/// [`gh_sim::fetch::FetchConfig`] applied to [`scrape_and_curate`].
+/// Builds FreeSet end to end: generate the universe, scrape it, and curate
+/// it while the scrape streams — [`scrape_and_curate`] with the default
+/// [`gh_sim::fetch::FetchConfig`].
 ///
 /// # Example
 ///
@@ -68,34 +68,25 @@ pub fn build_freeset(config: &FreeSetConfig) -> FreeSetBuild {
     scrape_and_curate(config, &FetchConfig::default())
 }
 
-/// Builds FreeSet on the streaming path: the concurrent fetch engine clones
-/// repositories from a worker pool and pushes each one's files into a
-/// [`curation::CurationSession`] while the scrape is still in flight. The
-/// session gathers the pushes into batches of about 256 KiB of file content
-/// and runs every FreeSet stage, de-duplication included, on each batch as
-/// it fills. The bounded handoff queue backpressures the workers against the
-/// curation stages' pace, so *in-flight* scrape buffering stays proportional
-/// to the queue, and the session holds its kept set plus at most one batch
-/// that has not been flushed yet. (The raw file bank is still accumulated
-/// alongside the session — [`FreeSetBuild::scraped`] retains it so every
-/// policy comparison can reuse the same scrape — so peak memory remains
-/// corpus-proportional; a scrape-once-curate-only consumer could drop that
-/// accumulation.)
-///
-/// The result — raw file bank, curated dataset, funnel and rejection
-/// provenance — is identical to the serial composition
-/// (`ScrapedCorpus::build` followed by `CurationPipeline::run`) for every
-/// worker count and scheduler seed.
+/// Builds FreeSet on the streaming path: the scraper runs discovery, then
+/// clones one repository per pull of its stream and the consumer pushes each
+/// one's files into a [`curation::CurationSession`], all on the calling
+/// thread. The session gathers the pushes into batches of about 256 KiB of
+/// file content and runs every FreeSet stage, de-duplication included, on
+/// each batch as it fills. Nothing is cloned ahead of the session, so the
+/// scrape holds one repository in flight and the session holds its kept set
+/// plus at most one batch that has not been flushed yet. (The raw file bank
+/// is still accumulated alongside the session — [`FreeSetBuild::scraped`]
+/// retains it so every policy comparison can reuse the same scrape — so
+/// peak memory remains corpus-proportional; a scrape-once-curate-only
+/// consumer could drop that accumulation.) `fetch` has no settings.
 ///
 /// # Determinism
 ///
-/// The file bank, curated dataset, funnel and rejection provenance are
-/// byte-identical across runs, worker counts and scheduler seeds. The
-/// scrape report's *concurrency profile* (`max_in_flight`, and the
-/// retry/wait counters whenever requests actually contend for the window)
-/// describes the observed schedule, so it can vary run to run — at
-/// supported scales the [`crate::corpus::SCRAPE_API_BUDGET`] is never
-/// exhausted and every counter except `max_in_flight` is deterministic too.
+/// The raw file bank, curated dataset, funnel, rejection provenance and
+/// scrape report are identical to the collect-then-curate composition
+/// (`ScrapedCorpus::build` followed by `CurationPipeline::run`) and
+/// byte-identical across runs.
 ///
 /// # Panics
 ///
@@ -214,26 +205,14 @@ mod tests {
     #[test]
     fn streaming_build_matches_the_serial_composition() {
         let config = FreeSetConfig::at_scale(&ExperimentScale::tiny());
-        // The serial reference: blocking scrape, then one-shot curation.
+        // The reference: collect the whole scrape, then one-shot curation.
         let scraped = ScrapedCorpus::build(&config);
         let reference = CurationPipeline::new(config.curation.clone()).run(scraped.files.clone());
-        for workers in [1, 4] {
-            let build = scrape_and_curate(&config, &FetchConfig::with_workers(workers));
-            assert_eq!(
-                build.scraped.files, scraped.files,
-                "raw bank differs at {workers} workers"
-            );
-            assert_eq!(
-                build.dataset, reference,
-                "curated dataset differs at {workers} workers"
-            );
-            assert_eq!(build.dataset.funnel(), reference.funnel());
-            assert_eq!(
-                build.scraped.scrape_report.repositories_cloned,
-                scraped.scrape_report.repositories_cloned
-            );
-            assert!(build.scraped.scrape_report.max_in_flight <= workers);
-        }
+        let build = scrape_and_curate(&config, &FetchConfig::default());
+        assert_eq!(build.scraped.files, scraped.files);
+        assert_eq!(build.dataset, reference);
+        assert_eq!(build.dataset.funnel(), reference.funnel());
+        assert_eq!(build.scraped.scrape_report, scraped.scrape_report);
     }
 
     #[test]
@@ -255,12 +234,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_build_is_deterministic_across_seeds_and_runs() {
+    fn streaming_build_is_deterministic_across_runs() {
         let config = FreeSetConfig::at_scale(&ExperimentScale::tiny());
-        let a = scrape_and_curate(&config, &FetchConfig::with_workers(3).with_seed(1));
-        let b = scrape_and_curate(&config, &FetchConfig::with_workers(3).with_seed(2));
-        assert_eq!(a.scraped.files, b.scraped.files);
-        assert_eq!(a.dataset, b.dataset);
+        let a = scrape_and_curate(&config, &FetchConfig::default());
+        let b = scrape_and_curate(&config, &FetchConfig::default());
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -139,10 +139,9 @@ pub struct ApiUsage {
 ///
 /// Interior mutability (a [`Mutex`] around the rate-limit window and the
 /// usage counters) is used for the request accounting so that read-only API
-/// handles can be shared freely — by the serial [`crate::Scraper`] on one
-/// thread, or by every worker of a [`crate::fetch::FetchEngine`] at once:
-/// the type is `Sync`, and each request's admission decision is atomic with
-/// respect to concurrent requests.
+/// handles can be shared freely: the [`crate::Scraper`] and its consumer
+/// both hold `&GithubApi`, the type is `Sync`, and each request's admission
+/// decision is atomic with respect to concurrent requests.
 ///
 /// # Example
 ///
@@ -158,7 +157,7 @@ pub struct ApiUsage {
 #[derive(Debug)]
 pub struct GithubApi<'a> {
     universe: &'a Universe,
-    requests_per_window: usize,
+    window_budget: usize,
     window_remaining: Mutex<usize>,
     usage: Mutex<ApiUsage>,
 }
@@ -178,23 +177,18 @@ impl<'a> GithubApi<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `requests_per_window` is zero.
-    pub fn with_rate_limit(universe: &'a Universe, requests_per_window: usize) -> Self {
+    /// Panics if `window_budget` is zero.
+    pub fn with_rate_limit(universe: &'a Universe, window_budget: usize) -> Self {
         assert!(
-            requests_per_window > 0,
+            window_budget > 0,
             "rate limit must allow at least one request"
         );
         Self {
             universe,
-            requests_per_window,
-            window_remaining: Mutex::new(requests_per_window),
+            window_budget,
+            window_remaining: Mutex::new(window_budget),
             usage: Mutex::new(ApiUsage::default()),
         }
-    }
-
-    /// The per-window request budget this API enforces.
-    pub fn requests_per_window(&self) -> usize {
-        self.requests_per_window
     }
 
     /// Usage statistics so far.
@@ -208,7 +202,7 @@ impl<'a> GithubApi<'a> {
         *self
             .window_remaining
             .lock()
-            .expect("api window lock poisoned") = self.requests_per_window;
+            .expect("api window lock poisoned") = self.window_budget;
         self.usage
             .lock()
             .expect("api usage lock poisoned")
@@ -412,7 +406,6 @@ mod tests {
         });
         assert_eq!(successes, 10);
         assert_eq!(api.usage().rate_limit_rejections, 30);
-        assert_eq!(api.requests_per_window(), 10);
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! * [`GithubApi`] exposes that universe behind a thread-safe search/clone
 //!   API that enforces the same pagination cap and rate-limiting behaviour
 //!   the real API does; [`Scraper`] is the paper's query-granularisation
-//!   client (serial reference), and [`fetch::FetchEngine`] is its
-//!   deterministic concurrent equivalent — a worker pool with token-bucket
-//!   pacing, retry-with-backoff and in-order streaming handoff whose output
-//!   is byte-identical to the serial scraper's.
+//!   client. It runs serially on the calling thread, and
+//!   [`fetch::FetchEngine::run_streaming`] streams its clone phase, one
+//!   repository per pull, into a consumer such as a curation session.
 //!
 //! # Example
 //!
@@ -48,7 +47,7 @@ pub mod synth;
 pub mod universe;
 
 pub use api::{ApiError, ApiUsage, GithubApi, RepoQuery, SearchPage};
-pub use fetch::{FetchBatch, FetchConfig, FetchEngine, FetchStats};
+pub use fetch::{FetchBatch, FetchConfig, FetchEngine};
 pub use license::License;
 pub use repo::{ExtractedFile, FileKind, Repository, SourceFile};
 pub use scraper::{ScrapeOutput, ScrapeReport, Scraper, ScraperConfig};

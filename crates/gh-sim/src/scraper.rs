@@ -11,17 +11,17 @@
 //! 3. non-Verilog files are discarded and the Verilog files are condensed
 //!    into one large bank of [`ExtractedFile`]s.
 //!
-//! [`Scraper`] is the *serial* reference implementation: it drives the API
-//! one blocking request at a time and waits out every rate limit in-line, so
-//! there is never more than one request in flight. The concurrent
-//! [`crate::fetch::FetchEngine`] schedules the same requests from a worker
-//! pool and is property-tested to produce a byte-identical
-//! [`ExtractedFile`] bank; both clients share the granularisation rule
-//! (`granularise`) so they always split an over-cap query the same way.
+//! [`Scraper`] drives the API on the calling thread, one blocking request
+//! at a time, and waits out every rate limit in-line. [`Scraper::run`]
+//! collects the whole bank; [`crate::fetch::FetchEngine::run_streaming`]
+//! hands the clone phase to a consumer as a lazy
+//! [`crate::fetch::FetchBatches`] stream instead, so curation can run while
+//! the scrape is still cloning. Both drain the same stream.
 
 use serde::{Deserialize, Serialize};
 
 use crate::api::{ApiError, GithubApi, RepoQuery};
+use crate::fetch::FetchBatches;
 use crate::license::License;
 use crate::repo::ExtractedFile;
 
@@ -48,7 +48,7 @@ impl Default for ScraperConfig {
     }
 }
 
-/// Statistics describing a scraping run (serial or concurrent).
+/// Statistics describing a scraping run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct ScrapeReport {
     /// Search queries issued (including ones rejected for being too broad).
@@ -58,20 +58,12 @@ pub struct ScrapeReport {
     /// Times the client had to wait out the rate limit (window rollovers).
     pub rate_limit_waits: usize,
     /// Requests re-issued after a [`ApiError::RateLimited`] rejection. The
-    /// serial scraper retries exactly once per wait, so here this always
-    /// equals [`ScrapeReport::rate_limit_waits`]; under a concurrent
-    /// [`crate::fetch::FetchEngine`] several workers can be rejected in the
-    /// same window and retries outnumber waits.
+    /// scraper retries exactly once per wait, so this always equals
+    /// [`ScrapeReport::rate_limit_waits`].
     pub rate_limit_retries: usize,
-    /// Backoff pauses taken between retries (always zero for the serial
-    /// scraper, which waits for the window reset instead of backing off).
-    pub backoff_waits: usize,
-    /// Virtual ticks spent in backoff pauses (zero for the serial scraper).
+    /// Ticks spent backing off between retries. Always 0: the scraper waits
+    /// for the window reset instead of backing off.
     pub backoff_ticks_waited: u64,
-    /// The largest number of API requests that were ever simultaneously in
-    /// flight (1 for the serial scraper, up to the worker count for the
-    /// concurrent engine).
-    pub max_in_flight: usize,
     /// Repositories discovered by the search phase.
     pub repositories_found: usize,
     /// Repositories successfully cloned.
@@ -83,9 +75,17 @@ pub struct ScrapeReport {
 }
 
 impl ScrapeReport {
+    /// Waits out an exhausted rate-limit window, counting the wait and the
+    /// retry that follows it.
+    pub(crate) fn wait_for_reset(&mut self, api: &GithubApi<'_>) {
+        self.rate_limit_waits += 1;
+        self.rate_limit_retries += 1;
+        api.wait_for_rate_limit_reset();
+    }
+
     /// Checks the report's internal invariants; called (under
-    /// `debug_assertions`) before either scrape client returns its output.
-    pub(crate) fn debug_validate(&self) {
+    /// `debug_assertions`) before a scrape returns.
+    fn debug_validate(&self) {
         debug_assert!(
             self.repositories_cloned <= self.repositories_found,
             "cloned {} repositories but only {} were found",
@@ -142,7 +142,7 @@ impl Scraper {
     /// The top-level discovery queries the configuration describes: one
     /// whole-date-range query per license bucket (or a single unrestricted
     /// query when every license is scraped).
-    pub(crate) fn root_queries(&self) -> Vec<RepoQuery> {
+    fn root_queries(&self) -> Vec<RepoQuery> {
         let licenses: Vec<Option<License>> = if self.config.accepted_licenses_only {
             License::ACCEPTED.iter().copied().map(Some).collect()
         } else {
@@ -158,10 +158,9 @@ impl Scraper {
             .collect()
     }
 
-    /// Runs the scrape against `api` one blocking request at a time,
-    /// granularising queries as needed and waiting out rate limits in-line.
-    /// At most one request is ever in flight; the concurrent equivalent is
-    /// [`crate::fetch::FetchEngine::run`].
+    /// Runs the scrape and collects every extracted file, draining the clone
+    /// stream that [`crate::fetch::FetchEngine::run_streaming`] hands to its
+    /// consumer.
     ///
     /// # Errors
     ///
@@ -169,14 +168,21 @@ impl Scraper {
     /// (for example a single year × license bucket still exceeding the result
     /// cap, which cannot happen with generated universes at supported sizes).
     pub fn run(&self, api: &GithubApi<'_>) -> Result<ScrapeOutput, ApiError> {
-        let mut report = ScrapeReport {
-            max_in_flight: 1,
-            ..ScrapeReport::default()
-        };
-        let mut repo_ids: Vec<u64> = Vec::new();
+        let (files, report) = self.stream(api, |batches| {
+            batches.flat_map(|batch| batch.files).collect()
+        })?;
+        Ok(ScrapeOutput { files, report })
+    }
 
-        // Phase 1: discovery. Try whole-range queries first and granularise
-        // by year, then by license, when the result cap is hit.
+    /// Runs discovery, then hands the clone phase to `consume` (see
+    /// [`crate::fetch::FetchEngine::run_streaming`]).
+    pub(crate) fn stream<T>(
+        &self,
+        api: &GithubApi<'_>,
+        consume: impl FnOnce(FetchBatches<'_>) -> T,
+    ) -> Result<(T, ScrapeReport), ApiError> {
+        let mut report = ScrapeReport::default();
+        let mut repo_ids: Vec<u64> = Vec::new();
         for base in self.root_queries() {
             self.discover(api, base, &mut report, &mut repo_ids)?;
         }
@@ -184,29 +190,18 @@ impl Scraper {
         repo_ids.dedup();
         report.repositories_found = repo_ids.len();
 
-        // Phase 2: clone and extract.
-        let mut files = Vec::new();
-        for id in repo_ids {
-            let repo = loop {
-                match api.clone_repository(id) {
-                    Ok(repo) => break repo,
-                    Err(ApiError::RateLimited) => {
-                        report.rate_limit_waits += 1;
-                        report.rate_limit_retries += 1;
-                        api.wait_for_rate_limit_reset();
-                    }
-                    Err(other) => return Err(other),
-                }
-            };
-            report.repositories_cloned += 1;
-            report.files_seen += repo.files.len();
-            for file in repo.verilog_files() {
-                report.verilog_files_extracted += 1;
-                files.push(extract_file(repo, file));
-            }
+        let mut error = None;
+        let consumed = consume(FetchBatches {
+            api,
+            ids: repo_ids.iter(),
+            report: &mut report,
+            error: &mut error,
+        });
+        if let Some(error) = error {
+            return Err(error);
         }
         report.debug_validate();
-        Ok(ScrapeOutput { files, report })
+        Ok((consumed, report))
     }
 
     /// Recursively narrows `query` until every bucket fits under the result
@@ -233,11 +228,7 @@ impl Scraper {
                     }
                     page += 1;
                 }
-                Err(ApiError::RateLimited) => {
-                    report.rate_limit_waits += 1;
-                    report.rate_limit_retries += 1;
-                    api.wait_for_rate_limit_reset();
-                }
+                Err(ApiError::RateLimited) => report.wait_for_reset(api),
                 Err(ApiError::TooManyResults { matched }) => {
                     report.queries_over_cap += 1;
                     let default_range = (self.config.from_year, self.config.to_year);
@@ -258,29 +249,11 @@ impl Scraper {
     }
 }
 
-/// Builds an [`ExtractedFile`] from one Verilog file of a cloned repository
-/// (the condensation step both scrape clients share).
-pub(crate) fn extract_file(
-    repo: &crate::repo::Repository,
-    file: &crate::repo::SourceFile,
-) -> ExtractedFile {
-    ExtractedFile {
-        repo_id: repo.id,
-        repo_full_name: repo.full_name.clone(),
-        owner: repo.owner.clone(),
-        repo_license: repo.license,
-        created_year: repo.created_year,
-        path: file.path.clone(),
-        content: file.content.clone(),
-    }
-}
-
-/// The paper's granularisation rule, shared by the serial [`Scraper`] and the
-/// concurrent [`crate::fetch::FetchEngine`]: an over-cap query is split into
-/// the two halves of its creation-date range; a single-year query is split
-/// into one query per license; a single year × single license bucket cannot
-/// be narrowed further (`None`).
-pub(crate) fn granularise(query: &RepoQuery, default_range: (u32, u32)) -> Option<Vec<RepoQuery>> {
+/// The paper's granularisation rule: an over-cap query is split into the two
+/// halves of its creation-date range; a single-year query is split into one
+/// query per license; a single year × single license bucket cannot be
+/// narrowed further (`None`).
+fn granularise(query: &RepoQuery, default_range: (u32, u32)) -> Option<Vec<RepoQuery>> {
     let (from, to) = query.created_between.unwrap_or(default_range);
     if from < to {
         let mid = (from + to) / 2;

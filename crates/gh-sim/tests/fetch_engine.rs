@@ -1,126 +1,56 @@
-//! Property tests for the concurrent fetch engine: for any universe seed,
-//! any scheduler seed and any worker count, the engine's extracted-file bank
-//! is byte-identical to the serial scraper's.
+//! The streamed scrape equals the collected one: for any universe seed and
+//! any API budget, the bank streamed through `FetchEngine::run_streaming` is
+//! byte-identical to `Scraper::run`'s, with the same report, and both hold
+//! every Verilog file of the universe in ascending repository-id order.
 
 use gh_sim::fetch::{FetchConfig, FetchEngine};
-use gh_sim::{GithubApi, ScrapeOutput, Scraper, ScraperConfig, Universe, UniverseConfig};
+use gh_sim::{GithubApi, Scraper, ScraperConfig, Universe, UniverseConfig};
 use proptest::prelude::*;
 
-fn universe(repo_count: usize, seed: u64) -> Universe {
-    Universe::generate(&UniverseConfig {
-        repo_count,
-        seed,
-        ..Default::default()
-    })
-}
-
-fn serial_scrape(u: &Universe, budget: usize) -> ScrapeOutput {
-    Scraper::new(ScraperConfig::default())
-        .run(&GithubApi::with_rate_limit(u, budget))
-        .expect("serial scrape cannot fail at these scales")
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     #[test]
-    fn concurrent_bank_is_byte_identical_to_serial(
+    fn streamed_bank_is_byte_identical_to_the_collected_bank(
         repo_count in 5usize..35,
         universe_seed in any::<u64>(),
-        engine_seed in any::<u64>(),
-        workers in 1usize..6,
+        budget in prop_oneof![3usize..11, Just(100_000usize)],
     ) {
-        let u = universe(repo_count, universe_seed);
-        let serial = serial_scrape(&u, 100_000);
-        let engine = FetchEngine::new(FetchConfig::with_workers(workers).with_seed(engine_seed));
-        let concurrent = engine
-            .run(&GithubApi::with_rate_limit(&u, 100_000), ScraperConfig::default())
-            .expect("concurrent scrape cannot fail at these scales");
-
-        // Byte-identical bank: structural equality plus the Debug rendering
-        // (which pins every field, including string contents, byte for byte).
-        prop_assert_eq!(&concurrent.files, &serial.files);
-        prop_assert_eq!(
-            format!("{:?}", &concurrent.files),
-            format!("{:?}", &serial.files)
-        );
-
-        // The timing-independent report counters agree exactly; with a
-        // generous budget no request is ever rejected, so even the query
-        // counts match the serial run.
-        prop_assert_eq!(
-            concurrent.report.repositories_found,
-            serial.report.repositories_found
-        );
-        prop_assert_eq!(
-            concurrent.report.repositories_cloned,
-            serial.report.repositories_cloned
-        );
-        prop_assert_eq!(concurrent.report.files_seen, serial.report.files_seen);
-        prop_assert_eq!(
-            concurrent.report.verilog_files_extracted,
-            serial.report.verilog_files_extracted
-        );
-        prop_assert_eq!(concurrent.report.queries_issued, serial.report.queries_issued);
-        prop_assert_eq!(
-            concurrent.report.queries_over_cap,
-            serial.report.queries_over_cap
-        );
-        prop_assert!(concurrent.report.max_in_flight <= workers.max(1));
-    }
-
-    #[test]
-    fn rate_limit_contention_never_changes_the_bank(
-        repo_count in 5usize..25,
-        universe_seed in any::<u64>(),
-        engine_seed in any::<u64>(),
-        workers in 2usize..6,
-        budget in 3usize..10,
-    ) {
-        let u = universe(repo_count, universe_seed);
-        let serial = serial_scrape(&u, budget);
-        let engine = FetchEngine::new(FetchConfig::with_workers(workers).with_seed(engine_seed));
-        let concurrent = engine
-            .run(&GithubApi::with_rate_limit(&u, budget), ScraperConfig::default())
-            .expect("the engine must wait out any finite rate limit");
-
-        prop_assert_eq!(&concurrent.files, &serial.files);
-        prop_assert!(
-            concurrent.report.rate_limit_waits > 0,
-            "a budget of {} must force window rollovers",
-            budget
-        );
-    }
-
-    #[test]
-    fn streaming_and_collecting_runs_agree(
-        repo_count in 5usize..25,
-        universe_seed in any::<u64>(),
-        workers in 1usize..5,
-    ) {
-        let u = universe(repo_count, universe_seed);
-        let engine = FetchEngine::new(FetchConfig::with_workers(workers));
-        let collected = engine
-            .run(&GithubApi::with_rate_limit(&u, 100_000), ScraperConfig::default())
-            .expect("collecting run");
-        let (streamed, report) = engine
+        let u = Universe::generate(&UniverseConfig {
+            repo_count,
+            seed: universe_seed,
+            ..Default::default()
+        });
+        let collected = Scraper::new(ScraperConfig::default())
+            .run(&GithubApi::with_rate_limit(&u, budget))
+            .expect("the scraper waits out any finite rate limit");
+        let (streamed, report) = FetchEngine::new(FetchConfig::default())
             .run_streaming(
-                &GithubApi::with_rate_limit(&u, 100_000),
+                &GithubApi::with_rate_limit(&u, budget),
                 ScraperConfig::default(),
-                |batches| {
-                    let mut files = Vec::new();
-                    let mut last_seq = None;
-                    for batch in batches {
-                        // Contiguous, strictly increasing handoff order.
-                        assert_eq!(batch.seq, last_seq.map_or(0, |s| s + 1));
-                        last_seq = Some(batch.seq);
-                        files.extend(batch.files);
-                    }
-                    files
-                },
+                |batches| batches.flat_map(|batch| batch.files).collect::<Vec<_>>(),
             )
-            .expect("streaming run");
+            .expect("the stream waits out any finite rate limit");
+
+        // Structural equality plus the Debug rendering, which pins every
+        // field, string contents included, byte for byte.
         prop_assert_eq!(&streamed, &collected.files);
-        prop_assert_eq!(report.repositories_cloned, collected.report.repositories_cloned);
+        prop_assert_eq!(format!("{:?}", &streamed), format!("{:?}", &collected.files));
+        prop_assert_eq!(report, collected.report);
+        // An oracle independent of the scraper: the universe's own files.
+        let mut repos: Vec<_> = u.repositories().iter().collect();
+        repos.sort_by_key(|r| r.id);
+        let expected = repos.iter().flat_map(|r| {
+            r.verilog_files().map(move |f| (r.id, f.path.as_str(), f.content.as_str()))
+        });
+        let got = streamed.iter().map(|f| (f.repo_id, f.path.as_str(), f.content.as_str()));
+        prop_assert!(got.eq(expected));
+        if budget < 100_000 {
+            prop_assert!(
+                report.rate_limit_waits > 0,
+                "a budget of {} must force window rollovers",
+                budget
+            );
+        }
     }
 }

@@ -37,21 +37,23 @@ fn single_year_single_license_over_cap_is_a_terminal_error() {
     );
     let expected = ApiError::TooManyResults { matched: count };
 
-    let serial = Scraper::new(ScraperConfig::default())
+    let collected = Scraper::new(ScraperConfig::default())
         .run(&GithubApi::with_rate_limit(&u, 1_000_000))
         .unwrap_err();
-    assert_eq!(serial, expected);
+    assert_eq!(collected, expected);
 
-    // The concurrent engine reports the identical terminal error.
-    for workers in [1, 4] {
-        let concurrent = FetchEngine::new(FetchConfig::with_workers(workers))
-            .run(
-                &GithubApi::with_rate_limit(&u, 1_000_000),
-                ScraperConfig::default(),
-            )
-            .unwrap_err();
-        assert_eq!(concurrent, expected, "workers = {workers}");
-    }
+    // The stream reports the identical terminal error from discovery,
+    // before the consumer is ever called.
+    let mut consumed = false;
+    let streamed = FetchEngine::new(FetchConfig::default())
+        .run_streaming(
+            &GithubApi::with_rate_limit(&u, 1_000_000),
+            ScraperConfig::default(),
+            |_batches| consumed = true,
+        )
+        .unwrap_err();
+    assert_eq!(streamed, expected);
+    assert!(!consumed, "the consumer ran although discovery failed");
 }
 
 #[test]
@@ -74,24 +76,12 @@ fn single_year_over_cap_is_rescued_by_license_splitting() {
         serial.report.queries_over_cap > 0,
         "the cap must have forced splitting"
     );
-
-    let concurrent = FetchEngine::new(FetchConfig::with_workers(4))
-        .run(
-            &GithubApi::with_rate_limit(&u, 1_000_000),
-            ScraperConfig::default(),
-        )
-        .unwrap();
-    assert_eq!(concurrent.files, serial.files);
-    assert_eq!(
-        concurrent.report.queries_over_cap,
-        serial.report.queries_over_cap
-    );
 }
 
 #[test]
 fn result_sets_on_exact_page_boundaries_are_paged_without_errors() {
     // Exactly two full pages: the last page must report `has_more = false`
-    // so neither client ever requests the page past the end.
+    // so the scraper never requests the page past the end.
     let u = Universe::from_repositories(
         (0..(2 * PAGE_SIZE) as u64)
             .map(|id| repo(id, 2012, License::Mit))
@@ -101,19 +91,11 @@ fn result_sets_on_exact_page_boundaries_are_paged_without_errors() {
     let serial = Scraper::new(ScraperConfig::default()).run(&api).unwrap();
     assert_eq!(serial.report.repositories_found, 2 * PAGE_SIZE);
     assert_eq!(serial.report.repositories_cloned, 2 * PAGE_SIZE);
-
-    let concurrent = FetchEngine::new(FetchConfig::with_workers(3))
-        .run(
-            &GithubApi::with_rate_limit(&u, 1_000_000),
-            ScraperConfig::default(),
-        )
-        .unwrap();
-    assert_eq!(concurrent.files, serial.files);
 }
 
 #[test]
 fn last_partial_page_is_fetched_and_the_page_after_it_is_an_error() {
-    // 250 matches: pages of 100/100/50. Both clients stop after the partial
+    // 250 matches: pages of 100/100/50. The scraper stops after the partial
     // page; a direct request for the page past it is a PageOutOfRange.
     let count = 2 * PAGE_SIZE + PAGE_SIZE / 2;
     let u = Universe::from_repositories(
@@ -133,13 +115,6 @@ fn last_partial_page_is_fetched_and_the_page_after_it_is_an_error() {
 
     let serial = Scraper::new(ScraperConfig::default()).run(&api).unwrap();
     assert_eq!(serial.report.repositories_found, count);
-    let concurrent = FetchEngine::new(FetchConfig::with_workers(4))
-        .run(
-            &GithubApi::with_rate_limit(&u, 1_000_000),
-            ScraperConfig::default(),
-        )
-        .unwrap();
-    assert_eq!(concurrent.files, serial.files);
 }
 
 #[test]
@@ -154,8 +129,7 @@ fn serial_scraper_counts_retries_alongside_waits() {
         output.report.rate_limit_retries,
         output.report.rate_limit_waits
     );
-    // The serial client never backs off and never overlaps requests.
-    assert_eq!(output.report.backoff_waits, 0);
-    assert_eq!(output.report.max_in_flight, 1);
+    // The scraper waits for the window reset instead of backing off.
+    assert_eq!(output.report.backoff_ticks_waited, 0);
     assert!(output.report.repositories_cloned <= output.report.repositories_found);
 }

@@ -29,19 +29,19 @@
 pub fn strip_comments(src: &str) -> String {
     let bytes = src.as_bytes();
     let mut out = String::with_capacity(src.len());
+    // Start of the current run of code and string literals. Runs are cut
+    // only at ASCII comment markers, so each is a UTF-8 slice of `src`.
+    let mut run = 0;
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
             b'"' => {
-                // Copy the string literal verbatim.
-                out.push('"');
+                // Skip over the string literal: it is part of the run.
                 i += 1;
                 while i < bytes.len() {
                     let c = bytes[i];
-                    out.push(c as char);
                     i += 1;
                     if c == b'\\' && i < bytes.len() {
-                        out.push(bytes[i] as char);
                         i += 1;
                     } else if c == b'"' {
                         break;
@@ -49,23 +49,25 @@ pub fn strip_comments(src: &str) -> String {
                 }
             }
             b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
+                out.push_str(&src[run..i]);
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
+                run = i;
             }
             b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
+                out.push_str(&src[run..i]);
                 i += 2;
                 while i + 1 < bytes.len() && !(bytes[i] == b'*' && bytes[i + 1] == b'/') {
                     i += 1;
                 }
                 i = (i + 2).min(bytes.len());
+                run = i;
             }
-            c => {
-                out.push(c as char);
-                i += 1;
-            }
+            _ => i += 1,
         }
     }
+    out.push_str(&src[run..]);
     out
 }
 
@@ -168,6 +170,15 @@ mod tests {
     #[test]
     fn file_without_header_comment_yields_empty() {
         assert_eq!(extract_header_comment("module m; endmodule"), "");
+    }
+
+    #[test]
+    fn non_ascii_text_outside_comments_is_copied_unchanged() {
+        let src = "module m; // c\nassign s = \"café\"; wire λ; endmodule";
+        assert_eq!(
+            strip_comments(src),
+            "module m; \nassign s = \"café\"; wire λ; endmodule"
+        );
     }
 
     #[test]

@@ -4,7 +4,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 use verilog::interp::Value;
-use verilog::{strip_comments, Lexer, Parser, SyntaxChecker, TestVector, Testbench};
+use verilog::{
+    extract_header_comment, strip_comments, Lexer, Parser, SyntaxChecker, TestVector, Testbench,
+};
 
 /// A strategy producing random (mostly valid) simple combinational modules.
 fn simple_module_strategy() -> impl Strategy<Value = String> {
@@ -23,6 +25,47 @@ fn simple_module_strategy() -> impl Strategy<Value = String> {
 fn ascii_soup() -> impl Strategy<Value = String> {
     proptest::collection::vec(32u8..127, 0..300)
         .prop_map(|bytes| bytes.into_iter().map(|b| b as char).collect())
+}
+
+/// Pieces of Verilog-like text: code, comment markers, quotes, newlines,
+/// letters whose case mapping changes their UTF-8 length (`İ`, `ẞ`, the
+/// Kelvin sign) or keeps it (`Σ`, `é`, `λ`), and the words the copyright
+/// scan looks for.
+const UNICODE_PIECES: [&str; 22] = [
+    "module m;",
+    "assign y = a;",
+    "endmodule",
+    " ",
+    "\n",
+    "//",
+    "/*",
+    "*/",
+    "/",
+    "*",
+    "\"",
+    "\\",
+    "\u{130}",
+    "\u{1E9E}",
+    "\u{212A}",
+    "\u{3A3}",
+    "\u{E9}",
+    "\u{3BB}",
+    "copyright",
+    "COPYRIGHT",
+    "proprietary",
+    "(c)",
+];
+
+/// Text concatenated from [`UNICODE_PIECES`].
+fn unicode_soup() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..UNICODE_PIECES.len(), 0..60)
+        .prop_map(|pieces| pieces.into_iter().map(|i| UNICODE_PIECES[i]).collect())
+}
+
+/// Whether `small`'s characters appear in `big` in the same order.
+fn is_subsequence(small: &str, big: &str) -> bool {
+    let mut big = big.chars();
+    small.chars().all(|c| big.any(|b| b == c))
 }
 
 /// Every binary operator the interpreter folds in constant expressions.
@@ -140,6 +183,37 @@ proptest! {
         let once = strip_comments(&text);
         let twice = strip_comments(&once);
         prop_assert_eq!(once, twice);
+    }
+
+    #[test]
+    fn strip_comments_is_idempotent_on_unicode(text in unicode_soup()) {
+        let once = strip_comments(&text);
+        let twice = strip_comments(&once);
+        prop_assert_eq!(once, twice);
+    }
+
+    #[test]
+    fn strip_comments_is_the_identity_without_slashes(text in unicode_soup()) {
+        let text = text.replace('/', "");
+        prop_assert_eq!(strip_comments(&text), text);
+    }
+
+    #[test]
+    fn comment_utilities_only_delete_text(text in unicode_soup()) {
+        let stripped = catch_unwind(|| strip_comments(&text));
+        prop_assert!(stripped.is_ok(), "strip_comments panicked on {:?}", text);
+        let stripped = stripped.unwrap();
+        prop_assert!(
+            is_subsequence(&stripped, &text),
+            "{:?} is not a subsequence of {:?}",
+            stripped,
+            text
+        );
+        let header = catch_unwind(|| extract_header_comment(&text));
+        prop_assert!(header.is_ok(), "extract_header_comment panicked on {:?}", text);
+        for line in header.unwrap().lines() {
+            prop_assert!(text.contains(line), "{:?} is not in {:?}", line, text);
+        }
     }
 
     #[test]
