@@ -1,11 +1,11 @@
 //! Shared helpers for the metric-contract benches.
 //!
 //! Five bench targets each exercise one layer and re-assert its contracts:
-//! `bench_dedup` (streamed and spill-budgeted dedup equal one-shot, peak
-//! residency inside the budget), `bench_parse` (operator dispatch, serial ≡
-//! parallel parse), `bench_lint` (serial ≡ parallel lint, every rule firing
-//! on its planted defect), `bench_train` (sharded ≡ serial training) and
-//! `bench_eval` (parallel ≡ serial eval and copyright reports). Each prints
+//! `bench_dedup` (streamed and no-fast-path dedup equal one-shot),
+//! `bench_parse` (operator dispatch, serial ≡ parallel parse), `bench_lint`
+//! (serial ≡ parallel lint, every rule firing on its planted defect),
+//! `bench_train` (sharded ≡ serial training) and `bench_eval` (parallel ≡
+//! serial eval and copyright reports). Each prints
 //! its headline numbers as [`format_metric`] lines through a [`MetricLog`],
 //! declares the metric names it must print, and exits non-zero, naming the
 //! metric, when one is missing.
@@ -154,19 +154,13 @@ mod tests {
 
     #[test]
     fn a_run_printing_every_required_metric_passes() {
-        let required: Vec<String> = ["exact_hit_rate", "peak_resident_hashes"]
+        let required: Vec<String> = ["exact_hit_rate", "kept_hashes"]
             .iter()
             .map(|name| name.to_string())
             .collect();
         let mut log = MetricLog::default();
         log.emit("bench_dedup", "tiny", "exact_hit_rate", 0.2, "fraction");
-        log.emit(
-            "bench_dedup",
-            "small",
-            "peak_resident_hashes",
-            7.0,
-            "hashes",
-        );
+        log.emit("bench_dedup", "small", "kept_hashes", 7.0, "hashes");
         assert_eq!(log.check("bench_dedup", &required), Ok(()));
     }
 }

@@ -14,32 +14,25 @@
 //! resolved against the persistent kept-index immediately, so the corpus
 //! never has to be buffered.
 //!
-//! Two mechanisms bound the engine's cost by *policy* rather than corpus
-//! size:
+//! The engine's state lives in memory: an [`LshIndex`] with one bucket table
+//! per band, and the kept documents' shingle hashes in one flat vector
+//! addressed by the ids the index returns. The largest benchmark build keeps
+//! about 1.1 million hashes (9 MB). Under a [`crate::CurationSession`] the
+//! batch in flight is one flush, which holds at most 256 KiB of file content
+//! plus the push that filled it.
 //!
-//! * **Exact-hash pre-dedup** (on by default, [`DedupConfig::exact_prededup`]):
-//!   every file's shingle-normalized content (comment-stripped, exactly the
-//!   text the shingles are built from) is fingerprinted, and a repeat of
-//!   previously seen content short-circuits to the first occurrence's
-//!   resolution *before* any shingling or MinHash work — real scraped
-//!   corpora are full of byte-identical forks, and signature construction
-//!   is the dominant cost. The short-circuit is output-invariant: identical
-//!   content ⇒ identical shingle set ⇒ identical signature ⇒ the sequential
-//!   resolution reaches the very same verdict (pinned by the property
-//!   tests). Repeats are recognised by a 128-bit fingerprint plus length,
-//!   so a false match is astronomically unlikely rather than impossible.
-//! * **Per-shard spill-to-disk** ([`DedupSpillConfig`]): the kept state —
-//!   LSH buckets *and* kept shingle vectors — is partitioned into the
-//!   [`ShardedLshIndex`]'s shards (a kept document is homed to shard
-//!   `slot % shards`), and at most `resident_shards` of them are held in
-//!   memory; the rest live in per-shard spill files. Queries and insertions
-//!   walk bands one shard at a time, reloading on touch with
-//!   LRU-by-last-touch eviction, so peak kept-state residency tracks the
-//!   budget plus the batch in flight instead of the kept set — and the
-//!   output stays byte-identical to the fully resident engine for any
-//!   shard count and any budget ≥ 1. Under a [`crate::CurationSession`]
-//!   the batch in flight is one flush, which holds at most 256 KiB of file
-//!   content plus the push that filled it.
+//! **Exact-hash pre-dedup** (on by default, [`DedupConfig::exact_prededup`])
+//! bounds the signature work by the number of *distinct* contents: every
+//! file's shingle-normalized content (comment-stripped, exactly the text the
+//! shingles are built from) is fingerprinted, and a repeat of previously
+//! seen content short-circuits to the first occurrence's resolution *before*
+//! any shingling or MinHash work — real scraped corpora are full of
+//! byte-identical forks, and signature construction is the dominant cost.
+//! The short-circuit is output-invariant: identical content ⇒ identical
+//! shingle set ⇒ identical signature ⇒ the sequential resolution reaches the
+//! very same verdict (pinned by the property tests). Repeats are recognised
+//! by a 128-bit fingerprint plus length, so a false match is astronomically
+//! unlikely rather than impossible.
 //!
 //! Each document that does reach the signature path costs one shingle build
 //! and one 128-permutation signature. [`textsim::char_shingles`] returns a
@@ -55,14 +48,11 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 use textsim::{
-    char_shingles, jaccard_similarity_sorted, read_count_le, read_u64_le, write_u64_le,
-    CandidateScratch, InsertOrMatch, LshParams, MinHasher, ShardedLshIndex, ShingleSet, Signature,
-    DEFAULT_LSH_SHARDS,
+    char_shingles, jaccard_similarity_sorted, CandidateScratch, LshIndex, LshParams, MinHasher,
+    ShingleSet, Signature,
 };
 
 use crate::stage::ExecutionMode;
@@ -97,33 +87,24 @@ impl Default for DedupConfig {
     }
 }
 
-/// Spill-to-disk policy for a [`StreamingDeduplicator`].
+/// A spill-to-disk policy for the de-duplicator's kept state. The type has
+/// no values.
 ///
-/// The kept state is partitioned into `shards`; at most `resident_shards`
-/// are held in memory, the rest serialized into per-shard files under a
-/// private directory (removed when the engine is dropped). Smaller budgets
-/// trade reload traffic for a lower memory ceiling; the kept/removed outcome
-/// is byte-identical whatever the budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DedupSpillConfig {
-    /// Number of shards the kept state (LSH buckets + kept shingle vectors)
-    /// is partitioned into.
-    pub shards: usize,
-    /// Maximum number of shards resident in memory at once (≥ 1).
-    pub resident_shards: usize,
-    /// Parent directory for the engine's private spill directory; `None`
-    /// uses the system temp dir. Each engine creates (and on drop removes)
-    /// its own unique subdirectory, so engines never collide.
-    pub spill_dir: Option<String>,
-}
+/// The engine keeps its whole state in memory, so there is no policy to
+/// set: [`crate::CurationConfig::dedup_spill`] can only be `None`,
+/// [`crate::DedupStage::spill_config`] always returns `None`, and
+/// [`Deduplicator::streaming_with_spill`] cannot be called. The name stays
+/// for callers that still pass the field through. A bounded-memory kept
+/// store belongs with a persistent corpus service, which this crate does
+/// not have.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+pub enum DedupSpillConfig {}
 
-impl Default for DedupSpillConfig {
-    fn default() -> Self {
-        Self {
-            shards: DEFAULT_LSH_SHARDS,
-            resident_shards: 4,
-            spill_dir: None,
-        }
+// Written out because the offline `serde` stand-in's derive matches on
+// `self`, a reference, which the compiler does not treat as uninhabited.
+impl Serialize for DedupSpillConfig {
+    fn to_value(&self) -> serde::Value {
+        match *self {}
     }
 }
 
@@ -203,32 +184,28 @@ impl Deduplicator {
     /// Opens a stateful streaming engine with this de-duplicator's
     /// configuration (sharing its already-built permutation family).
     pub fn streaming(&self) -> StreamingDeduplicator {
-        StreamingDeduplicator::from_parts(self.config, self.hasher.clone(), self.lsh_params, None)
-            .expect("in-memory streaming engine performs no IO")
+        StreamingDeduplicator {
+            config: self.config,
+            hasher: self.hasher.clone(),
+            index: LshIndex::new(self.lsh_params),
+            kept: Vec::new(),
+            exact: HashMap::new(),
+            scratch: CandidateScratch::new(),
+            seen: 0,
+            kept_hashes: 0,
+            pushed_hashes: 0,
+            peak_batch_hashes: 0,
+            exact_hits: 0,
+        }
     }
 
-    /// Opens a streaming engine whose kept state spills to disk under the
-    /// given policy. Output is byte-identical to [`Self::streaming`] for any
-    /// shard count and resident budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying IO error if the spill directory cannot be
-    /// created or the initial shard eviction cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy requests zero shards or a zero resident budget.
+    /// Opens a streaming engine under a spill policy. [`DedupSpillConfig`]
+    /// has no values, so this cannot be called; use [`Self::streaming`].
     pub fn streaming_with_spill(
         &self,
         spill: &DedupSpillConfig,
     ) -> io::Result<StreamingDeduplicator> {
-        StreamingDeduplicator::from_parts(
-            self.config,
-            self.hasher.clone(),
-            self.lsh_params,
-            Some(spill),
-        )
+        match *spill {}
     }
 
     /// De-duplicates a slice of raw texts, keeping the first occurrence of
@@ -254,16 +231,13 @@ impl Deduplicator {
         texts: &[S],
         mode: ExecutionMode,
     ) -> DedupOutcome {
-        self.streaming()
-            .push_texts_with_mode(texts, mode)
-            .expect("in-memory dedup performs no IO")
+        self.streaming().push_texts_with_mode(texts, mode)
     }
 }
 
-/// Residency statistics of a [`StreamingDeduplicator`] — what the engine is
-/// actually holding and how hard each bounding mechanism is working, so
-/// benchmarks (and capacity planning) can verify that memory tracks the
-/// spill budget instead of the corpus.
+/// Counters of a [`StreamingDeduplicator`]: how much it has been fed, how
+/// often the exact-hash fast path answered, and how many shingle hashes it
+/// holds and has built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StreamingDedupStats {
     /// Total documents pushed so far.
@@ -274,7 +248,7 @@ pub struct StreamingDedupStats {
     /// Documents currently kept.
     pub kept_docs: usize,
     /// Total shingle hashes stored for the kept documents — the dominant
-    /// kept-state term, one `u64` per hash (resident or spilled).
+    /// kept-state term, one `u64` per hash.
     pub kept_hashes: usize,
     /// Total shingle hashes across every *signature-built* document (exact
     /// hits never materialise shingles) — what a corpus-buffering
@@ -288,21 +262,6 @@ pub struct StreamingDedupStats {
     /// this stays at or under the session's 256 KiB flush budget plus its
     /// largest single push: a file never has more shingles than bytes.
     pub peak_batch_hashes: usize,
-    /// Shards currently resident in memory (equals the shard count when
-    /// spilling is disabled).
-    pub resident_shards: usize,
-    /// Most shards ever resident at once — stays at or under the configured
-    /// budget when spilling is enabled.
-    pub peak_resident_shards: usize,
-    /// Kept shingle hashes currently resident in memory.
-    pub resident_kept_hashes: usize,
-    /// Most kept shingle hashes ever resident at once — the bounded-memory
-    /// headline: with a spill budget this stays well under `kept_hashes`.
-    pub peak_resident_kept_hashes: usize,
-    /// Shard spill (serialize + write) events.
-    pub shard_spills: usize,
-    /// Shard reload (read + restore) events.
-    pub shard_reloads: usize,
 }
 
 /// Exact-table key: a 128-bit fingerprint (two independent 64-bit mixes
@@ -354,197 +313,13 @@ enum ExactSeen {
     Removed { kept_input: usize, similarity: f64 },
 }
 
-/// One kept document: its global input index and compact ascending shingle
-/// hashes.
-type KeptDoc = (usize, Vec<u64>);
-
-/// Where the kept shingle vectors live.
-#[derive(Debug)]
-enum KeptStore {
-    /// Fully resident, addressed by kept slot.
-    Flat(Vec<KeptDoc>),
-    /// Partitioned by home shard (`slot % shards`, position `slot / shards`);
-    /// `None` marks a shard spilled to disk alongside its LSH buckets.
-    Sharded(Vec<Option<Vec<KeptDoc>>>),
-}
-
-/// Spill bookkeeping: the LRU clock, residency accounting and file plumbing.
-#[derive(Debug)]
-struct SpillBook {
-    dir: PathBuf,
-    budget: usize,
-    clock: u64,
-    last_touch: Vec<u64>,
-    /// Total kept shingle hashes homed to each shard, resident or not.
-    shard_kept_hashes: Vec<usize>,
-    resident_kept_hashes: usize,
-    peak_resident_kept_hashes: usize,
-    peak_resident_shards: usize,
-    spills: usize,
-    reloads: usize,
-}
-
-static SPILL_DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
-
-impl SpillBook {
-    fn new(config: &DedupSpillConfig) -> io::Result<Self> {
-        assert!(config.shards > 0, "spill shard count must be positive");
-        assert!(
-            config.resident_shards > 0,
-            "resident shard budget must be positive"
-        );
-        let parent = config
-            .spill_dir
-            .as_ref()
-            .map(PathBuf::from)
-            .unwrap_or_else(std::env::temp_dir);
-        let dir = parent.join(format!(
-            "ffh-dedup-spill-{}-{}",
-            std::process::id(),
-            SPILL_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir)?;
-        Ok(Self {
-            dir,
-            budget: config.resident_shards,
-            clock: 0,
-            last_touch: vec![0; config.shards],
-            shard_kept_hashes: vec![0; config.shards],
-            resident_kept_hashes: 0,
-            peak_resident_kept_hashes: 0,
-            peak_resident_shards: 0,
-            spills: 0,
-            reloads: 0,
-        })
-    }
-
-    fn shard_file(&self, shard: usize) -> PathBuf {
-        self.dir.join(format!("shard-{shard}.bin"))
-    }
-}
-
-impl Drop for SpillBook {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
-
-/// Serializes one spilled shard: the LSH shard bytes (as produced by
-/// [`ShardedLshIndex::evict_shard`]) followed by the shard's kept documents.
-fn encode_shard(lsh_bytes: &[u8], docs: &[KeptDoc]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + lsh_bytes.len());
-    write_u64_le(&mut out, lsh_bytes.len() as u64);
-    out.extend_from_slice(lsh_bytes);
-    write_u64_le(&mut out, docs.len() as u64);
-    for (input_index, hashes) in docs {
-        write_u64_le(&mut out, *input_index as u64);
-        write_u64_le(&mut out, hashes.len() as u64);
-        for h in hashes {
-            write_u64_le(&mut out, *h);
-        }
-    }
-    out
-}
-
-/// Parses the output of [`encode_shard`] back into LSH bytes + kept docs.
-///
-/// A truncated or garbled file is [`io::ErrorKind::InvalidData`]; every
-/// count is checked against the bytes left before it sizes an allocation.
-fn decode_shard(bytes: &[u8]) -> io::Result<(&[u8], Vec<KeptDoc>)> {
-    let mut offset = 0usize;
-    let lsh_len = read_count_le(bytes, &mut offset, 1)?;
-    let lsh_bytes = &bytes[offset..offset + lsh_len];
-    offset += lsh_len;
-    // Each kept doc is at least its input index and hash count.
-    let doc_count = read_count_le(bytes, &mut offset, 16)?;
-    let mut docs = Vec::with_capacity(doc_count);
-    for _ in 0..doc_count {
-        let input_index = usize::try_from(read_u64_le(bytes, &mut offset)?)
-            .map_err(|_| corrupt_spill("input index out of range"))?;
-        let hash_count = read_count_le(bytes, &mut offset, 8)?;
-        let mut hashes = Vec::with_capacity(hash_count);
-        for _ in 0..hash_count {
-            hashes.push(read_u64_le(bytes, &mut offset)?);
-        }
-        docs.push((input_index, hashes));
-    }
-    if offset != bytes.len() {
-        return Err(corrupt_spill("trailing bytes in spill file"));
-    }
-    Ok((lsh_bytes, docs))
-}
-
-/// An [`io::ErrorKind::InvalidData`] error for a spill file that does not
-/// hold what the engine wrote.
-fn corrupt_spill(message: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message)
-}
-
-/// Evicts `victim` — LSH buckets and kept docs — into its spill file.
-fn spill_shard(
-    index: &mut ShardedLshIndex,
-    kept_shards: &mut [Option<Vec<KeptDoc>>],
-    book: &mut SpillBook,
-    victim: usize,
-) -> io::Result<()> {
-    let lsh_bytes = index.evict_shard(victim);
-    let docs = kept_shards[victim]
-        .take()
-        .expect("kept shard residency out of sync with the LSH index");
-    let path = book.shard_file(victim);
-    std::fs::write(&path, encode_shard(&lsh_bytes, &docs))?;
-    book.resident_kept_hashes -= book.shard_kept_hashes[victim];
-    book.spills += 1;
-    Ok(())
-}
-
-/// Makes `shard` resident, evicting least-recently-touched shards down to
-/// the budget first. The reload path is the "transparent reload on candidate
-/// hit": callers just touch the shard they are about to read.
-fn ensure_resident(
-    index: &mut ShardedLshIndex,
-    kept_shards: &mut [Option<Vec<KeptDoc>>],
-    book: &mut SpillBook,
-    shard: usize,
-) -> io::Result<()> {
-    book.clock += 1;
-    book.last_touch[shard] = book.clock;
-    if index.shard_is_resident(shard) {
-        return Ok(());
-    }
-    while index.resident_shard_count() >= book.budget {
-        let victim = (0..index.shard_count())
-            .filter(|&s| s != shard && index.shard_is_resident(s))
-            .min_by_key(|&s| book.last_touch[s])
-            .expect("budget overflow with no evictable shard");
-        spill_shard(index, kept_shards, book, victim)?;
-    }
-    let bytes = std::fs::read(book.shard_file(shard))?;
-    let (lsh_bytes, docs) = decode_shard(&bytes)?;
-    index.restore_shard(shard, lsh_bytes)?;
-    book.resident_kept_hashes += book.shard_kept_hashes[shard];
-    book.peak_resident_kept_hashes = book
-        .peak_resident_kept_hashes
-        .max(book.resident_kept_hashes);
-    kept_shards[shard] = Some(docs);
-    book.reloads += 1;
-    book.peak_resident_shards = book.peak_resident_shards.max(index.resident_shard_count());
-    Ok(())
-}
-
-/// The verdict of resolving one document against the kept set.
-enum Resolution {
-    Kept,
-    Duplicate { kept_input: usize, similarity: f64 },
-}
-
 /// The incremental MinHash/LSH de-duplication engine.
 ///
 /// Batches are pushed in arrival order; each document is resolved against
 /// the persistent kept-index immediately (exact-hash short-circuit first,
-/// then LSH candidates from a [`ShardedLshIndex`] verified with exact
-/// Jaccard) and either recorded as a duplicate of an earlier *kept* document
-/// or inserted as newly kept. Pushing batches b₁…bₙ yields exactly the
+/// then LSH candidates from an [`LshIndex`] verified with exact Jaccard)
+/// and either recorded as a duplicate of an earlier *kept* document or
+/// inserted as newly kept. Pushing batches b₁…bₙ yields exactly the
 /// outcomes of one-shot de-duplication over b₁ ⧺ … ⧺ bₙ, split along the
 /// same boundaries — the one-shot [`Deduplicator`] API is literally a
 /// single-push stream.
@@ -552,11 +327,10 @@ enum Resolution {
 /// Kept shingle sets are stored as compact ascending `Vec<u64>`s (verified
 /// with [`jaccard_similarity_sorted`]) and candidate retrieval reuses one
 /// [`CandidateScratch`], so steady-state memory is the kept documents plus
-/// the batch in flight — or, with a [`DedupSpillConfig`], the resident-shard
-/// budget plus the batch in flight. A [`crate::CurationSession`] pushes one
-/// flushed batch at a time, and a flush holds at most 256 KiB of file
-/// content plus the push that filled it, so the batch term stays bounded
-/// whatever the corpus size.
+/// the batch in flight. A [`crate::CurationSession`] pushes one flushed
+/// batch at a time, and a flush holds at most 256 KiB of file content plus
+/// the push that filled it, so the batch term stays bounded whatever the
+/// corpus size.
 ///
 /// # Example
 ///
@@ -565,28 +339,29 @@ enum Resolution {
 ///
 /// let dedup = Deduplicator::new(DedupConfig::default());
 /// let mut stream = dedup.streaming();
-/// let first = stream.push_texts(&["module a(input x); assign y = ~x; endmodule"])?;
+/// let first = stream.push_texts(&["module a(input x); assign y = ~x; endmodule"]);
 /// assert_eq!(first.kept, vec![0]);
 /// // The duplicate arrives in a later batch but still points back at the
 /// // kept file's global index.
-/// let second = stream.push_texts(&["module a(input x); assign y = ~x; endmodule"])?;
+/// let second = stream.push_texts(&["module a(input x); assign y = ~x; endmodule"]);
 /// assert_eq!(second.removed, vec![(1, 0, 1.0)]);
-/// # Ok::<(), std::io::Error>(())
 /// ```
 #[derive(Debug)]
 pub struct StreamingDeduplicator {
     config: DedupConfig,
     hasher: MinHasher,
-    index: ShardedLshIndex,
-    kept: KeptStore,
+    /// LSH buckets over the kept documents' signatures; a kept document's id
+    /// is its slot in `kept`.
+    index: LshIndex,
+    /// Each kept document's global input index and ascending shingle hashes,
+    /// in slot order.
+    kept: Vec<(usize, Vec<u64>)>,
     /// First-occurrence resolutions keyed by content fingerprint. Bounded by
     /// distinct contents seen at ~32 bytes each — three orders of magnitude
     /// lighter than the shingle sets it saves rebuilding.
     exact: HashMap<ContentFingerprint, ExactSeen>,
     scratch: CandidateScratch,
-    spill: Option<SpillBook>,
     seen: usize,
-    kept_docs: usize,
     kept_hashes: usize,
     pushed_hashes: usize,
     peak_batch_hashes: usize,
@@ -604,48 +379,6 @@ impl StreamingDeduplicator {
         Deduplicator::new(config).streaming()
     }
 
-    fn from_parts(
-        config: DedupConfig,
-        hasher: MinHasher,
-        lsh_params: LshParams,
-        spill: Option<&DedupSpillConfig>,
-    ) -> io::Result<Self> {
-        let (index, kept, book) = match spill {
-            None => (
-                ShardedLshIndex::new(lsh_params),
-                KeptStore::Flat(Vec::new()),
-                None,
-            ),
-            Some(policy) => {
-                let mut book = SpillBook::new(policy)?;
-                let mut index = ShardedLshIndex::with_shards(lsh_params, policy.shards);
-                let mut shards: Vec<Option<Vec<KeptDoc>>> = vec![Some(Vec::new()); policy.shards];
-                // Trim the (empty) initial state down to the budget so peak
-                // residency respects it from the first document on.
-                for victim in policy.resident_shards..policy.shards {
-                    spill_shard(&mut index, &mut shards, &mut book, victim)?;
-                }
-                book.peak_resident_shards = index.resident_shard_count();
-                (index, KeptStore::Sharded(shards), Some(book))
-            }
-        };
-        Ok(Self {
-            config,
-            hasher,
-            index,
-            kept,
-            exact: HashMap::new(),
-            scratch: CandidateScratch::new(),
-            spill: book,
-            seen: 0,
-            kept_docs: 0,
-            kept_hashes: 0,
-            pushed_hashes: 0,
-            peak_batch_hashes: 0,
-            exact_hits: 0,
-        })
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> DedupConfig {
         self.config
@@ -658,61 +391,24 @@ impl StreamingDeduplicator {
 
     /// Number of documents currently kept.
     pub fn kept_len(&self) -> usize {
-        self.kept_docs
+        self.kept.len()
     }
 
-    /// Current residency statistics.
+    /// Current counters.
     pub fn stats(&self) -> StreamingDedupStats {
-        let (
-            resident_shards,
-            peak_resident_shards,
-            resident_kept_hashes,
-            peak_resident_kept_hashes,
-            shard_spills,
-            shard_reloads,
-        ) = match &self.spill {
-            None => (
-                self.index.shard_count(),
-                self.index.shard_count(),
-                self.kept_hashes,
-                self.kept_hashes,
-                0,
-                0,
-            ),
-            Some(book) => (
-                self.index.resident_shard_count(),
-                book.peak_resident_shards,
-                book.resident_kept_hashes,
-                book.peak_resident_kept_hashes,
-                book.spills,
-                book.reloads,
-            ),
-        };
         StreamingDedupStats {
             pushed: self.seen,
             exact_hits: self.exact_hits,
-            kept_docs: self.kept_docs,
+            kept_docs: self.kept.len(),
             kept_hashes: self.kept_hashes,
             pushed_hashes: self.pushed_hashes,
             peak_batch_hashes: self.peak_batch_hashes,
-            resident_shards,
-            peak_resident_shards,
-            resident_kept_hashes,
-            peak_resident_kept_hashes,
-            shard_spills,
-            shard_reloads,
         }
-    }
-
-    /// Per-shard occupied-bucket counts of the underlying LSH index
-    /// (maintained across spills).
-    pub fn shard_bucket_counts(&self) -> Vec<usize> {
-        self.index.shard_bucket_counts()
     }
 
     /// Pushes one batch single-threaded; see
     /// [`Self::push_texts_with_mode`].
-    pub fn push_texts<S: AsRef<str> + Sync>(&mut self, texts: &[S]) -> io::Result<DedupOutcome> {
+    pub fn push_texts<S: AsRef<str> + Sync>(&mut self, texts: &[S]) -> DedupOutcome {
         self.push_texts_with_mode(texts, ExecutionMode::Serial)
     }
 
@@ -723,18 +419,11 @@ impl StreamingDeduplicator {
     /// results, so both modes produce identical outcomes. Only the first
     /// occurrence of each distinct content builds a signature — repeats are
     /// short-circuited by the exact-hash table in both modes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying IO error when a spill-backed engine fails to
-    /// write or read a shard file. A fully resident engine never errors.
-    /// After an error the engine's residency bookkeeping may be out of sync
-    /// with its spill files; discard it rather than pushing further batches.
     pub fn push_texts_with_mode<S: AsRef<str> + Sync>(
         &mut self,
         texts: &[S],
         mode: ExecutionMode,
-    ) -> io::Result<DedupOutcome> {
+    ) -> DedupOutcome {
         let mut outcome = DedupOutcome::default();
         let mut batch_hashes = 0usize;
         match mode {
@@ -750,7 +439,7 @@ impl StreamingDeduplicator {
                     }
                     let (shingles, signature) = self.shingle_and_sign(&code);
                     batch_hashes += shingles.len();
-                    self.resolve(fingerprint, &shingles, &signature, &mut outcome)?;
+                    self.resolve(fingerprint, &shingles, &signature, &mut outcome);
                 }
             }
             ExecutionMode::Parallel => {
@@ -790,7 +479,7 @@ impl StreamingDeduplicator {
                 for (&(_, fingerprint), &build) in stripped.iter().zip(&to_build) {
                     if build {
                         let (set, signature) = built.next().expect("one build per flagged doc");
-                        self.resolve(fingerprint, &set, &signature, &mut outcome)?;
+                        self.resolve(fingerprint, &set, &signature, &mut outcome);
                     } else {
                         // Either pre-seen or a repeat of an earlier in-batch
                         // first occurrence, which resolve() has recorded by
@@ -806,7 +495,7 @@ impl StreamingDeduplicator {
         }
         self.pushed_hashes += batch_hashes;
         self.peak_batch_hashes = self.peak_batch_hashes.max(batch_hashes);
-        Ok(outcome)
+        outcome
     }
 
     /// Builds one comment-stripped document's shingle set and signature.
@@ -830,169 +519,50 @@ impl StreamingDeduplicator {
         }
     }
 
-    /// The sequential first-occurrence-wins resolution of one document.
+    /// The sequential first-occurrence-wins resolution of one document: the
+    /// LSH candidates are verified with exact Jaccard in ascending slot
+    /// order, the first at or above the threshold makes the document its
+    /// duplicate, and a document no candidate matches is kept and inserted
+    /// under the next slot. A kept document's hashes are copied into an
+    /// exact-length vector here, on the resolving thread.
     fn resolve(
         &mut self,
         fingerprint: ContentFingerprint,
         shingles: &ShingleSet,
         signature: &Signature,
         outcome: &mut DedupOutcome,
-    ) -> io::Result<()> {
+    ) {
         let input_index = self.seen;
         self.seen += 1;
         let hashes = shingles.as_slice();
-        let resolution = if self.spill.is_some() {
-            self.resolve_sharded(input_index, hashes, signature)?
-        } else {
-            self.resolve_flat(input_index, hashes, signature)
-        };
-        match resolution {
-            Resolution::Duplicate {
-                kept_input,
-                similarity,
-            } => {
-                outcome.removed.push((input_index, kept_input, similarity));
-                if self.config.exact_prededup {
-                    self.exact.entry(fingerprint).or_insert(ExactSeen::Removed {
-                        kept_input,
-                        similarity,
-                    });
-                }
-            }
-            Resolution::Kept => {
-                self.kept_docs += 1;
-                self.kept_hashes += hashes.len();
-                outcome.kept.push(input_index);
-                if self.config.exact_prededup {
-                    self.exact.entry(fingerprint).or_insert(ExactSeen::Kept {
-                        kept_input: input_index,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fully-resident resolution: one [`ShardedLshIndex::insert_or_match`]
-    /// call against the flat kept store. A kept document's hashes are copied
-    /// into an exact-length vector here, on the resolving thread.
-    fn resolve_flat(
-        &mut self,
-        input_index: usize,
-        hashes: &[u64],
-        signature: &Signature,
-    ) -> Resolution {
         let threshold = self.config.similarity_threshold;
-        let KeptStore::Flat(kept) = &self.kept else {
-            unreachable!("flat resolve with a sharded kept store");
-        };
-        let verdict = self.index.insert_or_match(
-            kept.len() as u64,
-            signature,
-            &mut self.scratch,
-            |candidate| {
-                let (_, kept_hashes) = &kept[candidate as usize];
-                let similarity = jaccard_similarity_sorted(hashes, kept_hashes);
-                (similarity >= threshold).then_some(similarity)
-            },
-        );
-        match verdict {
-            InsertOrMatch::Matched(slot, similarity) => {
-                let KeptStore::Flat(kept) = &self.kept else {
-                    unreachable!();
-                };
-                Resolution::Duplicate {
-                    kept_input: kept[slot as usize].0,
+        self.index.candidates_into(signature, &mut self.scratch);
+        let duplicate = self.scratch.candidates().iter().find_map(|&slot| {
+            let (kept_input, kept_hashes) = &self.kept[slot as usize];
+            let similarity = jaccard_similarity_sorted(hashes, kept_hashes);
+            (similarity >= threshold).then_some((*kept_input, similarity))
+        });
+        let resolution = match duplicate {
+            Some((kept_input, similarity)) => {
+                outcome.removed.push((input_index, kept_input, similarity));
+                ExactSeen::Removed {
+                    kept_input,
                     similarity,
                 }
             }
-            InsertOrMatch::Inserted => {
-                let KeptStore::Flat(kept) = &mut self.kept else {
-                    unreachable!();
-                };
-                kept.push((input_index, hashes.to_vec()));
-                Resolution::Kept
+            None => {
+                self.index.insert(self.kept.len() as u64, signature);
+                self.kept.push((input_index, hashes.to_vec()));
+                self.kept_hashes += hashes.len();
+                outcome.kept.push(input_index);
+                ExactSeen::Kept {
+                    kept_input: input_index,
+                }
             }
+        };
+        if self.config.exact_prededup {
+            self.exact.entry(fingerprint).or_insert(resolution);
         }
-    }
-
-    /// Spill-aware resolution: walk bands one shard at a time (reloading on
-    /// touch), verify candidates in ascending slot order, and home a newly
-    /// kept document to shard `slot % shards`. Byte-identical to
-    /// [`Self::resolve_flat`] — same candidate set, same scan order, same
-    /// verdicts — for any shard count and any budget.
-    fn resolve_sharded(
-        &mut self,
-        input_index: usize,
-        hashes: &[u64],
-        signature: &Signature,
-    ) -> io::Result<Resolution> {
-        let slot = self.kept_docs;
-        let bands = self.index.params().bands;
-        let shard_count = self.index.shard_count();
-        let threshold = self.config.similarity_threshold;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        // The fallible body runs in a closure so the scratch buffer is
-        // restored on the error path too (the engine stays droppable).
-        let resolution = (|| {
-            let index = &mut self.index;
-            let KeptStore::Sharded(kept_shards) = &mut self.kept else {
-                unreachable!("sharded resolve with a flat kept store");
-            };
-            let book = self.spill.as_mut().expect("sharded resolve without spill");
-            scratch.begin();
-            for band in 0..bands {
-                let shard = index.shard_for_band(signature, band);
-                ensure_resident(index, kept_shards, book, shard)?;
-                index.collect_band(signature, band, &mut scratch);
-            }
-            scratch.finish();
-            let mut matched = None;
-            for &candidate in scratch.candidates() {
-                let home = candidate as usize % shard_count;
-                ensure_resident(index, kept_shards, book, home)?;
-                // A garbled spill file can name a slot its shard never held.
-                let (kept_input, kept_hashes) = kept_shards[home]
-                    .as_ref()
-                    .expect("just made resident")
-                    .get(candidate as usize / shard_count)
-                    .ok_or_else(|| corrupt_spill("LSH bucket names a missing kept document"))?;
-                let similarity = jaccard_similarity_sorted(hashes, kept_hashes);
-                if similarity >= threshold {
-                    matched = Some(Resolution::Duplicate {
-                        kept_input: *kept_input,
-                        similarity,
-                    });
-                    break;
-                }
-            }
-            match matched {
-                Some(resolution) => Ok(resolution),
-                None => {
-                    for band in 0..bands {
-                        let shard = index.shard_for_band(signature, band);
-                        ensure_resident(index, kept_shards, book, shard)?;
-                        index.insert_band(slot as u64, signature, band);
-                    }
-                    index.commit_insert();
-                    let home = slot % shard_count;
-                    ensure_resident(index, kept_shards, book, home)?;
-                    let hash_count = hashes.len();
-                    kept_shards[home]
-                        .as_mut()
-                        .expect("just made resident")
-                        .push((input_index, hashes.to_vec()));
-                    book.shard_kept_hashes[home] += hash_count;
-                    book.resident_kept_hashes += hash_count;
-                    book.peak_resident_kept_hashes = book
-                        .peak_resident_kept_hashes
-                        .max(book.resident_kept_hashes);
-                    Ok(Resolution::Kept)
-                }
-            }
-        })();
-        self.scratch = scratch;
-        resolution
     }
 }
 
@@ -1169,9 +739,7 @@ mod tests {
                 let mut stream = dedup.streaming();
                 let mut merged = DedupOutcome::default();
                 for chunk in many.chunks(batch_size) {
-                    let outcome = stream
-                        .push_texts_with_mode(chunk, mode)
-                        .expect("in-memory push performs no IO");
+                    let outcome = stream.push_texts_with_mode(chunk, mode);
                     merged.kept.extend(outcome.kept);
                     merged.removed.extend(outcome.removed);
                 }
@@ -1214,13 +782,11 @@ mod tests {
         // The fast path actually fires, and skips signature construction:
         // it builds hashes only for first occurrences.
         let mut fast = with.streaming();
-        fast.push_texts_with_mode(&many, ExecutionMode::Parallel)
-            .expect("in-memory push performs no IO");
+        fast.push_texts_with_mode(&many, ExecutionMode::Parallel);
         let fast_stats = fast.stats();
         assert!(fast_stats.exact_hits > 0, "no exact hits on forked corpus");
         let mut slow = without.streaming();
-        slow.push_texts_with_mode(&many, ExecutionMode::Parallel)
-            .expect("in-memory push performs no IO");
+        slow.push_texts_with_mode(&many, ExecutionMode::Parallel);
         assert_eq!(slow.stats().exact_hits, 0);
         assert!(
             fast_stats.pushed_hashes < slow.stats().pushed_hashes,
@@ -1244,135 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn spilled_engine_matches_the_resident_engine_for_any_budget() {
-        let dedup = Deduplicator::new(DedupConfig::default());
-        let docs = distinct_docs();
-        let many: Vec<String> = (0..60)
-            .map(|i| {
-                let base = &docs[i % docs.len()];
-                if i % 5 == 0 {
-                    base.clone()
-                } else {
-                    format!("// file {i}\n{base}\nmodule pad_{i}(input p{i}); endmodule")
-                }
-            })
-            .collect();
-        let reference = dedup.dedup_texts_with_mode(&many, ExecutionMode::Parallel);
-        for (shards, budget) in [(1, 1), (4, 1), (16, 2), (16, 4), (8, 32)] {
-            let mut stream = dedup
-                .streaming_with_spill(&DedupSpillConfig {
-                    shards,
-                    resident_shards: budget,
-                    spill_dir: None,
-                })
-                .expect("spill engine opens");
-            let mut merged = DedupOutcome::default();
-            for chunk in many.chunks(7) {
-                let outcome = stream
-                    .push_texts_with_mode(chunk, ExecutionMode::Parallel)
-                    .expect("spill IO succeeds");
-                merged.kept.extend(outcome.kept);
-                merged.removed.extend(outcome.removed);
-            }
-            assert_eq!(
-                merged, reference,
-                "spilled outcome diverged at {shards} shards, budget {budget}"
-            );
-            let stats = stream.stats();
-            assert!(
-                stats.peak_resident_shards <= budget.min(shards),
-                "peak residency {} exceeded budget {budget} ({shards} shards)",
-                stats.peak_resident_shards
-            );
-            if budget < shards {
-                assert!(stats.shard_spills > 0, "bounded run never spilled");
-                assert!(stats.shard_reloads > 0, "bounded run never reloaded");
-                assert!(
-                    stats.peak_resident_kept_hashes < stats.kept_hashes,
-                    "kept-hash residency was never bounded"
-                );
-            }
-            assert_eq!(stats.kept_docs, reference.kept.len());
-        }
-    }
-
-    #[test]
-    fn a_truncated_spill_file_is_an_error_not_a_panic() {
-        let dedup = Deduplicator::new(DedupConfig::default());
-        let mut stream = dedup
-            .streaming_with_spill(&DedupSpillConfig {
-                shards: 2,
-                resident_shards: 1,
-                spill_dir: None,
-            })
-            .expect("spill engine opens");
-        stream
-            .push_texts(&distinct_docs())
-            .expect("intact spill files read back");
-        let spilled = (0..2)
-            .find(|&shard| !stream.index.shard_is_resident(shard))
-            .expect("a budget of 1 in 2 leaves one shard spilled");
-        let path = stream
-            .spill
-            .as_ref()
-            .expect("spill enabled")
-            .shard_file(spilled);
-        let bytes = std::fs::read(&path).expect("the spilled shard has a file");
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate the spill file");
-        // New content, so the exact-hash table cannot answer without the
-        // band walk, which touches both shards.
-        let fresh: Vec<String> = distinct_docs()
-            .iter()
-            .map(|doc| format!("{doc}\nmodule pad(input p); endmodule"))
-            .collect();
-        let err = stream
-            .push_texts(&fresh)
-            .expect_err("a truncated spill file must surface as an error");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-    }
-
-    #[test]
-    fn garbled_spill_counts_are_rejected_before_allocation() {
-        let docs: Vec<KeptDoc> = vec![(3, vec![1, 5, 9]), (7, vec![2])];
-        let bytes = encode_shard(&[0xAB; 16], &docs);
-        let (lsh_bytes, decoded) = decode_shard(&bytes).expect("intact shard decodes");
-        assert_eq!((lsh_bytes, decoded), (&[0xAB; 16][..], docs));
-        // Offsets of the LSH length, the doc count and the first hash count.
-        for offset in [0, 24, 40] {
-            let mut garbled = bytes.clone();
-            garbled[offset..offset + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            let err = decode_shard(&garbled).expect_err("a garbage count must be rejected");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        }
-        for len in [0, 5, bytes.len() - 1] {
-            let err = decode_shard(&bytes[..len]).expect_err("a truncated shard must be rejected");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        }
-        let mut trailing = bytes;
-        trailing.push(0);
-        assert!(decode_shard(&trailing).is_err());
-    }
-
-    #[test]
-    fn spill_directory_is_removed_on_drop() {
-        let dedup = Deduplicator::new(DedupConfig::default());
-        let stream = dedup
-            .streaming_with_spill(&DedupSpillConfig {
-                shards: 8,
-                resident_shards: 2,
-                spill_dir: None,
-            })
-            .expect("spill engine opens");
-        let dir = stream.spill.as_ref().expect("spill enabled").dir.clone();
-        assert!(
-            dir.exists(),
-            "spill dir should exist while the engine lives"
-        );
-        drop(stream);
-        assert!(!dir.exists(), "spill dir must be removed on drop");
-    }
-
-    #[test]
     fn streaming_residency_tracks_the_kept_set() {
         let dedup = Deduplicator::new(DedupConfig::default());
         let docs = distinct_docs();
@@ -1380,9 +817,7 @@ mod tests {
         let many: Vec<String> = (0..90).map(|i| docs[i % docs.len()].clone()).collect();
         let mut stream = dedup.streaming();
         for chunk in many.chunks(10) {
-            stream
-                .push_texts_with_mode(chunk, ExecutionMode::Parallel)
-                .expect("in-memory push performs no IO");
+            stream.push_texts_with_mode(chunk, ExecutionMode::Parallel);
         }
         let stats = stream.stats();
         assert_eq!(stats.pushed, 90);
@@ -1392,9 +827,7 @@ mod tests {
         // it would hold having seen only the 3 distinct files — the kept
         // set, not the corpus.
         let mut reference = dedup.streaming();
-        reference
-            .push_texts(&docs)
-            .expect("in-memory push performs no IO");
+        reference.push_texts(&docs);
         assert_eq!(stats.kept_hashes, reference.stats().kept_hashes);
         assert_eq!(stats.kept_docs, reference.stats().kept_docs);
         // With exact-hash pre-dedup, only the 3 first occurrences ever built
@@ -1403,7 +836,5 @@ mod tests {
         assert_eq!(stats.exact_hits, 87);
         assert_eq!(stats.pushed_hashes, stats.kept_hashes);
         assert!(stats.peak_batch_hashes <= stats.kept_hashes);
-        // The sharded index spread its buckets.
-        assert!(stream.shard_bucket_counts().iter().sum::<usize>() > 0);
     }
 }

@@ -29,6 +29,12 @@
 //! `tests/stage_properties.rs`), because every streaming stage is
 //! prefix-consistent for any split. [`crate::CurationPipeline::run`] is in
 //! fact implemented as a single-batch session.
+//!
+//! [`CurationSession::push`] and [`CurationSession::finish`] return
+//! `io::Result` so that a custom stage whose stream does IO can fail without
+//! panicking; the error surfaces from the call that runs the failing flush.
+//! The built-in stages, de-duplication included, are in memory and never
+//! fail.
 
 use std::io;
 
@@ -165,12 +171,12 @@ impl<'p> CurationSession<'p> {
     ///
     /// # Errors
     ///
-    /// Returns the IO error of a spill-backed streaming stage (see
-    /// [`crate::DedupSpillConfig`]) when this push flushes. A flush carries
-    /// the files of every push since the previous one, so the error can
-    /// surface at a later push than the files that caused it, or only at
-    /// [`Self::finish`]. Sessions without spill never error. After an error
-    /// the session's carried state is suspect — discard it.
+    /// Returns the error of a custom stage's [`crate::StageStream::push`]
+    /// when this push flushes. A flush carries the files of every push since
+    /// the previous one, so the error can surface at a later push than the
+    /// files that caused it, or only at [`Self::finish`]. The built-in
+    /// stages never error. After an error the session's carried state is
+    /// suspect — discard it.
     pub fn push(&mut self, files: Vec<ExtractedFile>) -> io::Result<()> {
         self.pushed += files.len();
         self.pending_bytes += files.iter().map(|f| f.content.len()).sum::<usize>();
@@ -217,11 +223,10 @@ impl<'p> CurationSession<'p> {
     ///
     /// # Errors
     ///
-    /// Returns the IO error of a spill-backed streaming stage (see
-    /// [`crate::DedupSpillConfig`]) hit by the final flush, which carries
-    /// every file pushed since the last flush. Sessions without spill never
-    /// error; the deferred stages run through the infallible
-    /// [`CurationStage::apply`].
+    /// Returns the error of a custom stage's [`crate::StageStream::push`]
+    /// hit by the final flush, which carries every file pushed since the
+    /// last flush. The built-in stages never error; the deferred stages run
+    /// through the infallible [`CurationStage::apply`].
     pub fn finish(mut self) -> io::Result<CuratedDataset> {
         self.flush()?;
         let mut funnel = FunnelStats::new(self.pushed);

@@ -14,7 +14,8 @@
 //! 3. **De-duplication** ([`DedupStage`] over [`Deduplicator`]): MinHash
 //!    signatures with locality-sensitive hashing retrieve near-duplicate
 //!    candidates, which are verified with exact Jaccard similarity at a 0.85
-//!    threshold.
+//!    threshold. The [`StreamingDeduplicator`] behind it keeps its kept set
+//!    and LSH index in memory and resolves each batch as it arrives.
 //! 4. **Syntax filtering** ([`SyntaxStage`] over [`verilog::SyntaxChecker`]):
 //!    files that do not lex/parse are removed (unresolved cross-file module
 //!    references are tolerated).

@@ -7,7 +7,10 @@
 //! experiments can curate with policies the paper never shipped. The
 //! pipeline runs each stage in order, records a stage-keyed [`FunnelStats`],
 //! and retains every rejection with provenance in the produced
-//! [`CuratedDataset`].
+//! [`CuratedDataset`]. [`CurationPipeline::try_run`] and
+//! [`CurationPipeline::try_session`] return the error of a custom stage's
+//! stream; [`CurationPipeline::run`] and [`CurationPipeline::session`]
+//! panic on it, and the built-in stages never produce one.
 
 use std::io;
 
@@ -58,9 +61,8 @@ pub struct CurationConfig {
     pub max_file_chars: Option<usize>,
     /// De-duplication parameters.
     pub dedup: DedupConfig,
-    /// Optional spill-to-disk policy bounding the de-duplicator's resident
-    /// kept state (`None` keeps everything in memory; the outcome is
-    /// byte-identical either way).
+    /// Always `None`: [`DedupSpillConfig`] has no values, and the
+    /// de-duplicator keeps its state in memory.
     pub dedup_spill: Option<DedupSpillConfig>,
     /// Dataset structure produced by the policy.
     pub structure: DatasetStructure,
@@ -275,10 +277,7 @@ impl CurationPipeline {
             stages.push(Box::new(LengthCapStage::new(cap)));
         }
         if self.config.deduplicate {
-            stages.push(Box::new(DedupStage::with_spill(
-                self.config.dedup,
-                self.config.dedup_spill.clone(),
-            )));
+            stages.push(Box::new(DedupStage::new(self.config.dedup)));
         }
         // When the syntax filter feeds straight into the lint stage, the
         // pair shares a ParseCache: syntax parses each file exactly once
@@ -324,15 +323,15 @@ impl CurationPipeline {
     ///
     /// # Panics
     ///
-    /// Panics if a spill-backed stage cannot create its spill directory; use
-    /// [`CurationPipeline::try_session`] to handle that IO error instead.
+    /// Panics if a custom stage's [`CurationStage::open_stream`] fails; use
+    /// [`CurationPipeline::try_session`] to handle that error instead. The
+    /// built-in stages never fail.
     pub fn session(&self) -> CurationSession<'_> {
-        self.try_session()
-            .expect("curation session opens (spill directory is writable)")
+        self.try_session().expect("curation session opens")
     }
 
-    /// [`CurationPipeline::session`], surfacing spill-directory IO errors
-    /// instead of panicking.
+    /// [`CurationPipeline::session`], returning the error of a custom
+    /// stage's [`CurationStage::open_stream`] instead of panicking.
     pub fn try_session(&self) -> io::Result<CurationSession<'_>> {
         CurationSession::new(self)
     }
@@ -343,15 +342,15 @@ impl CurationPipeline {
     ///
     /// # Panics
     ///
-    /// Panics if a configured spill policy hits an IO error; use
-    /// [`CurationPipeline::try_run`] to handle it instead. Policies without
-    /// spill never touch the filesystem.
+    /// Panics if a custom stage's stream fails to open or to take a batch;
+    /// use [`CurationPipeline::try_run`] to handle that error instead. The
+    /// built-in stages never fail.
     pub fn run(&self, files: Vec<ExtractedFile>) -> CuratedDataset {
-        self.try_run(files).expect("curation spill IO succeeds")
+        self.try_run(files).expect("curation stages succeed")
     }
 
-    /// [`CurationPipeline::run`], surfacing spill IO errors instead of
-    /// panicking.
+    /// [`CurationPipeline::run`], returning the error of a custom stage's
+    /// stream instead of panicking.
     pub fn try_run(&self, files: Vec<ExtractedFile>) -> io::Result<CuratedDataset> {
         let mut session = self.try_session()?;
         session.push(files)?;

@@ -14,6 +14,10 @@
 //! output. De-duplication is inherently sequential (first occurrence wins)
 //! but parallelises its MinHash signature construction — see
 //! [`crate::dedup::Deduplicator`].
+//!
+//! [`CurationStage::open_stream`] and [`StageStream::push`] return
+//! `io::Result` for custom stages whose streaming state needs IO; every
+//! built-in stage returns `Ok`.
 
 use std::io;
 
@@ -224,10 +228,10 @@ pub trait StageStream: Send {
     ///
     /// # Errors
     ///
-    /// Streams backed by spill files (see [`crate::DedupSpillConfig`])
-    /// surface their IO failures here instead of panicking; purely in-memory
-    /// streams never error. After an error the stream's carried state is
-    /// suspect — discard the session rather than pushing further batches.
+    /// A stream that does IO (a custom stage backed by files or a service)
+    /// returns its failure here instead of panicking; the built-in streams
+    /// never error. After an error the stream's carried state is suspect —
+    /// discard the session rather than pushing further batches.
     fn push(&mut self, batch: FileBatch) -> io::Result<StageOutcome>;
 }
 
@@ -282,9 +286,9 @@ pub trait CurationStage: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Stages whose streaming state lives partly on disk (spill-backed
-    /// de-duplication) return the IO error that prevented opening it; all
-    /// other stages — including this default — never error.
+    /// A custom stage whose streaming state needs IO to set up returns the
+    /// error that prevented opening it; the built-in stages — and this
+    /// default — never error.
     fn open_stream(&self) -> io::Result<StageStreaming> {
         Ok(if self.batch_invariant() {
             StageStreaming::Stateless

@@ -4,7 +4,9 @@
 //! Each stage wraps one of the reusable filter components
 //! ([`LicenseFilter`], [`Deduplicator`], [`SyntaxChecker`],
 //! [`CopyrightDetector`]) and adapts it to the batch-in/outcome-out stage
-//! interface with provenance-tagged rejections.
+//! interface with provenance-tagged rejections. De-duplication is the only
+//! stage that streams with carried state ([`DedupStream`]); that state is in
+//! memory, so none of these stages ever returns an error.
 
 use std::io;
 use std::sync::Arc;
@@ -99,25 +101,27 @@ impl CurationStage for LengthCapStage {
 /// resolves each pushed batch against the persistent kept-index, so a
 /// [`crate::CurationSession`] de-duplicates while the scrape is still in
 /// flight. One-shot `apply` is a single-push stream — byte-identical by
-/// construction.
+/// construction. The engine is in memory, so neither path can fail.
 #[derive(Debug, Clone)]
 pub struct DedupStage {
     dedup: Deduplicator,
-    spill: Option<DedupSpillConfig>,
 }
 
 impl DedupStage {
-    /// Stage with the given de-duplication parameters, fully resident.
+    /// Stage with the given de-duplication parameters.
     pub fn new(config: DedupConfig) -> Self {
-        Self::with_spill(config, None)
-    }
-
-    /// Stage whose kept state spills to disk under the given policy (the
-    /// outcome is byte-identical to the resident stage for any policy).
-    pub fn with_spill(config: DedupConfig, spill: Option<DedupSpillConfig>) -> Self {
         Self {
             dedup: Deduplicator::new(config),
-            spill,
+        }
+    }
+
+    /// [`Self::new`], for callers that pass a
+    /// [`crate::CurationConfig::dedup_spill`] through. [`DedupSpillConfig`]
+    /// has no values, so `spill` is always `None`.
+    pub fn with_spill(config: DedupConfig, spill: Option<DedupSpillConfig>) -> Self {
+        match spill {
+            None => Self::new(config),
+            Some(policy) => match policy {},
         }
     }
 
@@ -126,16 +130,9 @@ impl DedupStage {
         &self.dedup
     }
 
-    /// The spill policy, if one is configured.
+    /// Always `None`: [`DedupSpillConfig`] has no values.
     pub fn spill_config(&self) -> Option<&DedupSpillConfig> {
-        self.spill.as_ref()
-    }
-
-    fn open_engine(&self) -> io::Result<StreamingDeduplicator> {
-        match &self.spill {
-            None => Ok(self.dedup.streaming()),
-            Some(policy) => self.dedup.streaming_with_spill(policy),
-        }
+        None
     }
 }
 
@@ -145,22 +142,13 @@ impl CurationStage for DedupStage {
     }
 
     /// One-shot application — a single-push stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a configured spill policy hits an IO error; the streaming
-    /// path ([`CurationStage::open_stream`] → [`StageStream::push`]) surfaces
-    /// the same errors as `io::Result` instead.
     fn apply(&self, batch: FileBatch) -> StageOutcome {
-        let engine = self.open_engine().expect("dedup spill directory opens");
-        DedupStream::new(engine)
-            .push(batch)
-            .expect("dedup spill IO succeeds")
+        DedupStream::new(self.dedup.streaming()).resolve(batch)
     }
 
     fn open_stream(&self) -> io::Result<StageStreaming> {
         Ok(StageStreaming::Stateful(Box::new(DedupStream::new(
-            self.open_engine()?,
+            self.dedup.streaming(),
         ))))
     }
 }
@@ -180,19 +168,18 @@ impl DedupStream {
         Self { inner }
     }
 
-    /// The engine, for residency inspection.
+    /// The engine, for reading its [`crate::StreamingDedupStats`].
     pub fn engine(&self) -> &StreamingDeduplicator {
         &self.inner
     }
-}
 
-impl StageStream for DedupStream {
-    fn push(&mut self, batch: FileBatch) -> io::Result<StageOutcome> {
+    /// Resolves one batch against everything the stream has kept so far.
+    fn resolve(&mut self, batch: FileBatch) -> StageOutcome {
         let mode = batch.mode();
         let files = batch.into_files();
         let base = self.inner.seen();
         let contents: Vec<&str> = files.iter().map(|f| f.content.as_str()).collect();
-        let result = self.inner.push_texts_with_mode(&contents, mode)?;
+        let result = self.inner.push_texts_with_mode(&contents, mode);
         // Map the engine's global indices back onto this batch's files.
         let removed_info: std::collections::HashMap<usize, (usize, f64)> = result
             .removed
@@ -213,7 +200,13 @@ impl StageStream for DedupStream {
                 ),
             }
         }
-        Ok(outcome)
+        outcome
+    }
+}
+
+impl StageStream for DedupStream {
+    fn push(&mut self, batch: FileBatch) -> io::Result<StageOutcome> {
+        Ok(self.resolve(batch))
     }
 }
 

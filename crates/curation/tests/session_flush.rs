@@ -3,15 +3,17 @@
 //! stage prefix runs, so a corpus several times that size, pushed one
 //! repository at a time, must run the prefix a few times before `finish`,
 //! once more inside it, and still equal the one-shot run byte for byte. A
-//! spill error met by the final flush must surface from `finish`.
+//! custom stage whose stream fails must surface the error from the push that
+//! runs the failing flush, from `finish` when only the final flush fails,
+//! and from `try_session` and `try_run` when the stream cannot open.
 
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use curation::{
-    CurationConfig, CurationPipeline, CurationStage, DedupSpillConfig, FileBatch, StageOutcome,
-    StageStream, StageStreaming,
+    CurationConfig, CurationPipeline, CurationStage, FileBatch, StageOutcome, StageStream,
+    StageStreaming,
 };
 use gh_sim::{ExtractedFile, GithubApi, License, Scraper, ScraperConfig, Universe, UniverseConfig};
 
@@ -115,43 +117,97 @@ fn per_repository_pushes_flush_several_times_and_equal_one_shot() {
     assert_eq!(format!("{streamed:?}"), format!("{one_shot:?}"));
 }
 
-#[test]
-fn a_spill_error_in_the_final_flush_surfaces_from_finish() {
-    let spill_parent =
-        std::env::temp_dir().join(format!("ffh-session-flush-test-{}", std::process::id()));
-    std::fs::create_dir_all(&spill_parent).expect("create the spill parent");
-    let mut config = CurationConfig::freeset();
-    config.dedup_spill = Some(DedupSpillConfig {
-        resident_shards: 1,
-        spill_dir: Some(spill_parent.to_string_lossy().into_owned()),
-        ..DedupSpillConfig::default()
-    });
-    let pipeline = CurationPipeline::new(config);
-    let mut session = pipeline.session();
+/// A pass-through stage whose stream fails on its `fail_on`-th batch
+/// (counting from 1), or, with `fail_open`, refuses to open at all.
+struct Faulty {
+    fail_open: bool,
+    fail_on: usize,
+}
 
-    let files = corpus(40, 5);
-    assert!(content_bytes(&files) >= FLUSH_BYTES, "one push must flush");
-    session
-        .push(files)
-        .expect("the first flush reads intact spill files");
-    let mut shard_files = Vec::new();
-    for engine_dir in std::fs::read_dir(&spill_parent).expect("list the spill parent") {
-        let engine_dir = engine_dir.expect("spill entry").path();
-        for shard in std::fs::read_dir(&engine_dir).expect("list the engine's spill dir") {
-            shard_files.push(shard.expect("shard entry").path());
+impl CurationStage for Faulty {
+    fn name(&self) -> &str {
+        "faulty"
+    }
+
+    fn apply(&self, batch: FileBatch) -> StageOutcome {
+        StageOutcome::keep_all(batch.into_files())
+    }
+
+    fn open_stream(&self) -> io::Result<StageStreaming> {
+        if self.fail_open {
+            return Err(io::Error::new(
+                io::ErrorKind::PermissionDenied,
+                "the stream cannot open",
+            ));
+        }
+        Ok(StageStreaming::Stateful(Box::new(FaultyStream {
+            fail_on: self.fail_on,
+            batches: 0,
+        })))
+    }
+}
+
+struct FaultyStream {
+    fail_on: usize,
+    batches: usize,
+}
+
+impl StageStream for FaultyStream {
+    fn push(&mut self, batch: FileBatch) -> io::Result<StageOutcome> {
+        self.batches += 1;
+        if self.batches == self.fail_on {
+            return Err(io::Error::other(format!("batch {} failed", self.batches)));
+        }
+        Ok(StageOutcome::keep_all(batch.into_files()))
+    }
+}
+
+fn failing_on(fail_on: usize) -> CurationPipeline {
+    CurationPipeline::new(CurationConfig::freeset()).with_stage(Box::new(Faulty {
+        fail_open: false,
+        fail_on,
+    }))
+}
+
+#[test]
+fn a_failing_flush_surfaces_from_the_push_that_runs_it() {
+    let batches = per_repository(&corpus(150, 23));
+    // The pushes that flush, by the documented rule: the one that brings the
+    // pending content to 256 KiB or more.
+    let mut pending = 0;
+    let mut flushing = Vec::new();
+    for (index, batch) in batches.iter().enumerate() {
+        pending += content_bytes(batch);
+        if pending >= FLUSH_BYTES {
+            flushing.push(index);
+            pending = 0;
         }
     }
-    assert!(
-        !shard_files.is_empty(),
-        "the flush left no spilled shard to corrupt"
-    );
-    for path in &shard_files {
-        let bytes = std::fs::read(path).expect("read a shard file");
-        std::fs::write(path, &bytes[..bytes.len() / 2]).expect("truncate a shard file");
+    assert!(flushing.len() >= 3, "too few flushes: {flushing:?}");
+    let pipeline = failing_on(2);
+    let mut session = pipeline.session();
+    for (index, batch) in batches.iter().enumerate() {
+        let result = session.push(batch.clone());
+        if index < flushing[1] {
+            result.expect("the pushes before the second flush succeed");
+        } else {
+            let err = result.expect_err("the push that runs the second flush fails");
+            assert_eq!(index, flushing[1]);
+            assert_eq!(err.to_string(), "batch 2 failed");
+            return;
+        }
     }
+    unreachable!("the second flush never ran");
+}
 
-    // Fresh licensed content: its band walk has to reload a spilled shard.
-    // The push is far below the budget, so only `finish` runs it.
+#[test]
+fn an_error_in_only_the_final_flush_surfaces_from_finish() {
+    let files = corpus(40, 5);
+    assert!(content_bytes(&files) >= FLUSH_BYTES, "one push must flush");
+    let pipeline = failing_on(2);
+    let mut session = pipeline.session();
+    session.push(files).expect("the first flush succeeds");
+    // Fresh licensed content far below the budget: only `finish` runs it.
     let remainder: Vec<ExtractedFile> = (0..8)
         .map(|i| ExtractedFile {
             repo_id: 1_000_000 + i,
@@ -168,7 +224,22 @@ fn a_spill_error_in_the_final_flush_surfaces_from_finish() {
         .expect("a push below the budget only appends");
     let err = session
         .finish()
-        .expect_err("a truncated spill file must surface from finish");
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-    std::fs::remove_dir_all(&spill_parent).expect("remove the spill parent");
+        .expect_err("the final flush's error must surface from finish");
+    assert_eq!(err.to_string(), "batch 2 failed");
+}
+
+#[test]
+fn a_stream_that_cannot_open_fails_try_session_and_try_run() {
+    let pipeline = CurationPipeline::new(CurationConfig::freeset()).with_stage(Box::new(Faulty {
+        fail_open: true,
+        fail_on: 0,
+    }));
+    let Err(err) = pipeline.try_session() else {
+        panic!("try_session opened a stream that cannot open");
+    };
+    assert_eq!(err.kind(), io::ErrorKind::PermissionDenied, "{err}");
+    let err = pipeline
+        .try_run(corpus(10, 3))
+        .expect_err("try_run must return the open error");
+    assert_eq!(err.kind(), io::ErrorKind::PermissionDenied, "{err}");
 }

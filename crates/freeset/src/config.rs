@@ -1,6 +1,6 @@
 //! Experiment configuration and scaling presets.
 
-use curation::{CurationConfig, DedupSpillConfig};
+use curation::CurationConfig;
 use gh_sim::{ScraperConfig, UniverseConfig};
 use serde::{Deserialize, Serialize};
 
@@ -81,15 +81,6 @@ impl FreeSetConfig {
             curation: CurationConfig::freeset(),
         }
     }
-
-    /// Bounds the de-duplicator's resident kept state during curation with a
-    /// spill-to-disk policy. The built dataset is byte-identical with or
-    /// without the bound — only peak memory changes — so heavy-traffic
-    /// builds can cap residency without re-validating outputs.
-    pub fn with_dedup_spill(mut self, spill: DedupSpillConfig) -> Self {
-        self.curation.dedup_spill = Some(spill);
-        self
-    }
 }
 
 impl Default for FreeSetConfig {
@@ -116,23 +107,6 @@ mod tests {
         let b = a.with_seed(42);
         assert_eq!(a.repo_count, b.repo_count);
         assert_ne!(a.seed, b.seed);
-    }
-
-    #[test]
-    fn with_dedup_spill_sets_only_the_spill_policy() {
-        let scale = ExperimentScale::tiny();
-        let plain = FreeSetConfig::at_scale(&scale);
-        let spilled = FreeSetConfig::at_scale(&scale).with_dedup_spill(DedupSpillConfig {
-            shards: 8,
-            resident_shards: 2,
-            spill_dir: None,
-        });
-        assert!(plain.curation.dedup_spill.is_none());
-        assert_eq!(
-            spilled.curation.dedup_spill.as_ref().map(|s| s.shards),
-            Some(8)
-        );
-        assert_eq!(plain.curation.dedup, spilled.curation.dedup);
     }
 
     #[test]

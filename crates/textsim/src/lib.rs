@@ -9,6 +9,8 @@
 //! * **MinHash / LSH near-duplicate detection** — the FreeSet curation
 //!   framework de-duplicates the scraped corpus with MinHash signatures and
 //!   Locality-Sensitive Hashing at a Jaccard threshold of `0.85` (§III-D).
+//!   [`MinHasher`] builds the signatures and [`LshIndex`] bands them, one
+//!   hash table per band.
 //!
 //! This crate implements both from scratch, plus the shared building blocks
 //! (code-aware tokenisation, shingling and sparse term vectors).
@@ -34,7 +36,6 @@ mod cosine;
 mod jaccard;
 mod lsh;
 mod minhash;
-mod sharded;
 mod shingle;
 mod tokenize;
 mod vector;
@@ -43,9 +44,6 @@ pub use cosine::{cosine_similarity, cosine_similarity_vectors};
 pub use jaccard::{jaccard_similarity, jaccard_similarity_sorted};
 pub use lsh::{CandidateScratch, LshIndex, LshParams};
 pub use minhash::{MinHasher, Signature};
-pub use sharded::{
-    read_count_le, read_u64_le, write_u64_le, InsertOrMatch, ShardedLshIndex, DEFAULT_LSH_SHARDS,
-};
 pub use shingle::{char_shingles, ShingleSet};
 pub use tokenize::{CodeTokenizer, Tokenizer};
 pub use vector::TermVector;

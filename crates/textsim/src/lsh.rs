@@ -5,7 +5,9 @@
 //! every kept file. Banding LSH answers that: signatures are split into `b`
 //! bands of `r` rows; documents colliding in *any* band become candidates and
 //! only candidates are verified with the full signature estimate (and, in the
-//! pipeline, exact Jaccard).
+//! pipeline, exact Jaccard). [`LshIndex`] keeps one hash table per band,
+//! which is all banding needs, and is the index `curation`'s streaming
+//! de-duplicator resolves every file against.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -16,12 +18,11 @@ use crate::minhash::Signature;
 
 /// Reusable buffers for candidate retrieval.
 ///
-/// [`LshIndex::candidates`] (and its sharded sibling) must collect, sort and
-/// de-duplicate the ids colliding with a query — allocating a fresh set and
-/// vector per query. The de-duplication hot loop issues one query per file,
-/// so it keeps one `CandidateScratch` alive and calls
-/// [`LshIndex::candidates_into`] instead; the buffers are cleared, never
-/// freed, between queries.
+/// [`LshIndex::candidates`] must collect, sort and de-duplicate the ids
+/// colliding with a query — allocating a fresh vector per query. The
+/// de-duplication hot loop issues one query per file, so it keeps one
+/// `CandidateScratch` alive and calls [`LshIndex::candidates_into`] instead;
+/// the buffer is cleared, never freed, between queries.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateScratch {
     out: Vec<u64>,
@@ -45,13 +46,7 @@ impl CandidateScratch {
     }
 
     /// Resets the buffer for a new query.
-    ///
-    /// Public so that external band-at-a-time query drivers (the spill-aware
-    /// de-duplicator walks bands one shard at a time, making shards resident
-    /// as it goes) can bracket a sequence of
-    /// [`crate::ShardedLshIndex::collect_band`] calls: `begin`, collect every
-    /// band, then [`Self::finish`].
-    pub fn begin(&mut self) {
+    pub(crate) fn begin(&mut self) {
         self.out.clear();
     }
 
@@ -61,9 +56,8 @@ impl CandidateScratch {
     }
 
     /// Sorts and de-duplicates the collected ids, ending a query started with
-    /// [`Self::begin`]. Internal retrieval calls this automatically; it is
-    /// public for external band-at-a-time drivers.
-    pub fn finish(&mut self) {
+    /// [`Self::begin`].
+    pub(crate) fn finish(&mut self) {
         self.out.sort_unstable();
         self.out.dedup();
     }
@@ -183,9 +177,11 @@ impl LshParams {
 /// let dup = hasher.signature(&char_shingles("module m(input a); assign y = a; endmodule", 5));
 /// assert!(index.candidates(&dup).contains(&1));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LshIndex {
-    params: Option<LshParams>,
+    params: LshParams,
+    /// One table per band, mapping a band key to the ids inserted under it
+    /// in insertion order.
     buckets: Vec<HashMap<u64, Vec<u64>>>,
     len: usize,
 }
@@ -195,13 +191,13 @@ impl LshIndex {
     pub fn new(params: LshParams) -> Self {
         Self {
             buckets: vec![HashMap::new(); params.bands],
-            params: Some(params),
+            params,
             len: 0,
         }
     }
 
-    /// The banding parameters, if the index was constructed with `new`.
-    pub fn params(&self) -> Option<LshParams> {
+    /// The banding parameters.
+    pub fn params(&self) -> LshParams {
         self.params
     }
 
@@ -215,9 +211,8 @@ impl LshIndex {
         self.len == 0
     }
 
-    /// Hash key of one band of a signature — shared with
-    /// [`crate::ShardedLshIndex`] so both indexes bucket identically.
-    pub(crate) fn band_key(signature: &Signature, band: usize, rows: usize) -> u64 {
+    /// Hash key of one band of a signature.
+    fn band_key(signature: &Signature, band: usize, rows: usize) -> u64 {
         // FNV-1a over the band's signature values.
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -233,9 +228,7 @@ impl LshIndex {
     }
 
     fn check_signature(&self, signature: &Signature) -> LshParams {
-        let params = self
-            .params
-            .expect("LshIndex must be constructed with LshIndex::new");
+        let params = self.params;
         assert!(
             signature.len() >= params.required_signature_len(),
             "signature has {} positions but the index requires at least {}",

@@ -130,25 +130,19 @@ impl<'a> Lexer<'a> {
 
     /// Decodes a string-literal span (as produced in
     /// [`TokenKind::StringLit`]) into its value: escapes are processed by
-    /// dropping the backslash and keeping the next byte verbatim, matching
-    /// the original frontend byte for byte.
+    /// dropping the backslash and keeping the next character verbatim. The
+    /// text between escapes is copied as UTF-8, so `"café"` decodes to
+    /// `café`.
     pub fn string_value(src: &str, span: Span) -> String {
-        let bytes = span.bytes(src);
-        let mut out = String::with_capacity(bytes.len());
-        let mut i = 0;
-        while i < bytes.len() {
-            let c = bytes[i];
-            if c == b'\\' {
-                i += 1;
-                if i < bytes.len() {
-                    out.push(bytes[i] as char);
-                    i += 1;
-                }
-            } else {
-                out.push(c as char);
-                i += 1;
-            }
+        let mut rest = span.text(src);
+        let mut out = String::with_capacity(rest.len());
+        while let Some(backslash) = rest.find('\\') {
+            out.push_str(&rest[..backslash]);
+            let mut escaped = rest[backslash + 1..].chars();
+            out.extend(escaped.next());
+            rest = escaped.as_str();
         }
+        out.push_str(rest);
         out
     }
 
@@ -731,6 +725,13 @@ mod tests {
             })
             .expect("a string literal");
         assert_eq!(value, "a\"b\\c");
+    }
+
+    #[test]
+    fn non_ascii_string_literals_decode_as_utf8() {
+        assert_eq!(texts("$display(\"caf\u{e9}\");")[2], "caf\u{e9}");
+        // An escaped multi-byte character is kept whole.
+        assert_eq!(texts("$display(\"\\\u{3bb}x\");")[2], "\u{3bb}x");
     }
 
     #[test]

@@ -165,11 +165,6 @@ impl Span {
     pub fn text<'a>(&self, src: &'a str) -> &'a str {
         &src[self.start as usize..(self.start + self.len) as usize]
     }
-
-    /// The spanned bytes within `src`.
-    pub fn bytes<'a>(&self, src: &'a str) -> &'a [u8] {
-        &src.as_bytes()[self.start as usize..(self.start + self.len) as usize]
-    }
 }
 
 /// An operator or punctuation token.
@@ -520,6 +515,5 @@ mod tests {
         let src = "module m;";
         let span = Span::new(7, 1);
         assert_eq!(span.text(src), "m");
-        assert_eq!(span.bytes(src), b"m");
     }
 }

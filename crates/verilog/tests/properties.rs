@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use verilog::interp::Value;
 use verilog::{
     extract_header_comment, strip_comments, Lexer, Parser, SyntaxChecker, TestVector, Testbench,
+    TokenKind,
 };
 
 /// A strategy producing random (mostly valid) simple combinational modules.
@@ -214,6 +215,27 @@ proptest! {
         for line in header.unwrap().lines() {
             prop_assert!(text.contains(line), "{:?} is not in {:?}", line, text);
         }
+    }
+
+    #[test]
+    fn string_literals_decode_to_their_text(text in unicode_soup()) {
+        // A literal cannot span lines; escape what would end it early.
+        let text = text.replace('\n', "");
+        let mut src = String::from("\"");
+        for c in text.chars() {
+            if c == '"' || c == '\\' {
+                src.push('\\');
+            }
+            src.push(c);
+        }
+        src.push('"');
+        let lexed = Lexer::new(&src).tokenize();
+        prop_assert!(lexed.is_ok(), "{:?} did not lex", src);
+        let decoded = lexed.unwrap().tokens.iter().find_map(|token| match token.kind {
+            TokenKind::StringLit(span) => Some(Lexer::string_value(&src, span)),
+            _ => None,
+        });
+        prop_assert_eq!(decoded, Some(text));
     }
 
     #[test]
