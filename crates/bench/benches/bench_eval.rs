@@ -101,7 +101,7 @@ fn report_verilogeval(log: &mut MetricLog, label: &str, suite: &ProblemSuite, mo
     // On a single-core machine the fan-out degenerates to serial execution
     // plus thread overhead, so the speedup contract only binds when there is
     // parallelism to exploit.
-    let workers = hwlm::parallel::default_workers();
+    let workers = rayon::current_num_threads();
     assert!(
         workers == 1 || speedup > 1.0,
         "parallel evaluation ({parallel_secs:.4}s on {workers} workers) must \

@@ -1,9 +1,10 @@
 //! Benchmarks the shard-and-merge training driver (`hwlm::parallel`):
-//! tokens/sec for the serial reference fold vs the parallel map-reduce over
-//! scoped worker threads. Every run re-asserts the driver's contract — the
-//! sharded model is byte-identical to [`NgramModel::train_named`] — and
-//! that fanning the count fold out actually pays for itself
-//! (`speedup_vs_serial > 1`).
+//! tokens/sec for a serial fold vs [`NgramModel::train_named`], which runs
+//! the driver on the machine's available parallelism. The serial side fits
+//! the same vocabulary with [`HdlTokenizer::fit`] and folds every document
+//! longhand on the calling thread. Every run re-asserts the driver's
+//! contract — the two models are byte-identical — and that fanning the
+//! count fold out actually pays for itself (`speedup_vs_serial > 1`).
 //!
 //! With `FFH_BENCH_FAST=1` only the tiny scale runs. The run exits non-zero
 //! when a metric in [`REQUIRED`] was not printed.
@@ -12,8 +13,7 @@ use std::time::Instant;
 
 use bench::{fast_mode, print_artifact, MetricLog};
 use gh_sim::{DesignKind, SynthConfig, Synthesizer};
-use hwlm::parallel::{default_workers, train_model_sharded};
-use hwlm::{NgramModel, TrainConfig};
+use hwlm::{HdlTokenizer, NgramCounts, NgramModel, TrainConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -41,6 +41,19 @@ fn corpus(files: usize) -> Vec<String> {
         .collect()
 }
 
+/// The serial reference: [`HdlTokenizer::fit`]'s vocabulary and the
+/// `encode → truncate → observe` fold over every document in corpus order.
+fn train_serially(files: &[String], config: &TrainConfig) -> NgramModel {
+    let tokenizer = HdlTokenizer::fit(files);
+    let mut counts = NgramCounts::new(config.order);
+    for doc in files {
+        let mut ids = tokenizer.encode_document(doc);
+        ids.truncate(config.max_seq_len.max(2));
+        counts.observe_sequence(&ids);
+    }
+    NgramModel::from_parts("bench", tokenizer, counts)
+}
+
 /// Wall-clock seconds for one invocation of `pass`.
 fn time_once<T, F: FnOnce() -> T>(pass: F) -> (f64, T) {
     let start = Instant::now();
@@ -50,7 +63,7 @@ fn time_once<T, F: FnOnce() -> T>(pass: F) -> (f64, T) {
 
 fn report_scale(log: &mut MetricLog, label: &str, files: &[String]) {
     let config = TrainConfig::default();
-    let workers = default_workers();
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let reps = 7;
 
     // Serial and parallel passes run interleaved, best-of-N each, so a
@@ -60,11 +73,11 @@ fn report_scale(log: &mut MetricLog, label: &str, files: &[String]) {
     let mut serial_model = None;
     let mut parallel_model = None;
     for _ in 0..reps {
-        let (secs, model) = time_once(|| NgramModel::train_named("bench", files, &config));
+        let (secs, model) = time_once(|| train_serially(files, &config));
         serial_secs = serial_secs.min(secs);
         serial_model = Some(model);
 
-        let (secs, model) = time_once(|| train_model_sharded("bench", files, &config, workers));
+        let (secs, model) = time_once(|| NgramModel::train_named("bench", files, &config));
         parallel_secs = parallel_secs.min(secs);
         parallel_model = Some(model);
     }
@@ -79,9 +92,9 @@ fn report_scale(log: &mut MetricLog, label: &str, files: &[String]) {
     );
     let tokens = serial_model.counts().trained_tokens();
     let speedup = serial_secs / parallel_secs;
-    // On a single-core machine the sharded driver degenerates to the serial
-    // fold plus thread overhead, so the speedup contract only binds when
-    // there is parallelism to exploit.
+    // On a single-core machine the driver degenerates to the serial fold,
+    // so the speedup contract only binds when there is parallelism to
+    // exploit.
     assert!(
         workers == 1 || speedup > 1.0,
         "sharded training ({parallel_secs:.4}s on {workers} workers) must beat \

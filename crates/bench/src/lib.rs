@@ -4,8 +4,9 @@
 //! `bench_dedup` (streamed and no-fast-path dedup equal one-shot),
 //! `bench_parse` (operator dispatch, serial ≡ parallel parse), `bench_lint`
 //! (serial ≡ parallel lint, every rule firing on its planted defect),
-//! `bench_train` (sharded ≡ serial training) and `bench_eval` (parallel ≡
-//! serial eval and copyright reports). Each prints
+//! `bench_train` (`NgramModel::train_named` ≡ a longhand serial fold over
+//! the same vocabulary) and `bench_eval` (parallel ≡ serial eval and
+//! copyright reports). Each prints
 //! its headline numbers as [`format_metric`] lines through a [`MetricLog`],
 //! declares the metric names it must print, and exits non-zero, naming the
 //! metric, when one is missing.

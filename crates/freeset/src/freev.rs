@@ -1,8 +1,7 @@
 //! FreeV: continual pre-training of a base model on FreeSet (Figure 1's
 //! right half), evaluated in 4-bit quantised form.
 
-use hwlm::parallel::{default_workers, train_model_sharded};
-use hwlm::{AdaptedModel, ContinualPretrainConfig, NgramModel, QuantizedModel, TrainConfig};
+use hwlm::{AdaptedModel, NgramModel, QuantizedModel, TrainConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::corpus::{general_code_corpus, ScrapedCorpus};
@@ -17,11 +16,13 @@ pub struct FreeVBuilder {
     /// foundation models have seen *some* public Verilog, which is why their
     /// violation rates are non-zero even before fine-tuning.
     pub base_verilog_fraction: f64,
-    /// Base-model training hyper-parameters.
+    /// Base-model training settings (order 8).
     pub base_train: TrainConfig,
-    /// Continual pre-training hyper-parameters (paper: 1 epoch, 2 048 max
-    /// sequence length, batch 16, gradient accumulation 2, LoRA rank/alpha 8).
-    pub pretrain: ContinualPretrainConfig,
+    /// Continual pre-training settings: the adapter's n-gram order (20) and
+    /// the paper's 2 048-token maximum sequence length. The paper's other
+    /// QLoRA settings (one epoch, LoRA rank = alpha = 8) are what fix the
+    /// adapter's mixing weight; see [`hwlm::adapter`].
+    pub pretrain: TrainConfig,
     /// Quantisation width used at inference time (paper: 4 bits).
     pub quantization_bits: u32,
     /// Seed for the base-corpus mixing.
@@ -37,8 +38,8 @@ impl Default for FreeVBuilder {
                 order: 8,
                 ..Default::default()
             },
-            pretrain: ContinualPretrainConfig {
-                adapter_order: 20,
+            pretrain: TrainConfig {
+                order: 20,
                 ..Default::default()
             },
             quantization_bits: 4,
@@ -89,18 +90,16 @@ impl FreeVBuilder {
     pub fn build(&self, scraped: &ScrapedCorpus, freeset_corpus: &[String]) -> FreeVModel {
         let mut base_corpus = general_code_corpus(self.base_general_documents, self.seed);
         base_corpus.extend(scraped.sample_fraction(self.base_verilog_fraction, self.seed ^ 0x5A5A));
-        let base = train_model_sharded(
+        let base = NgramModel::train_named(
             "Llama-3.1-8B-Instruct (sim)",
             &base_corpus,
             &self.base_train,
-            default_workers(),
         );
-        let tuned = AdaptedModel::continual_pretrain_sharded(
+        let tuned = AdaptedModel::continual_pretrain(
             "FreeV-Llama3.1 (sim)",
             base.clone(),
             freeset_corpus,
             &self.pretrain,
-            default_workers(),
         );
         FreeVModel {
             base,

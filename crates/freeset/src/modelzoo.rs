@@ -10,8 +10,7 @@
 //! studies: what the curation policy does to copyright regurgitation.
 
 use curation::{CurationConfig, DatasetStructure};
-use hwlm::parallel::{default_workers, train_model_sharded};
-use hwlm::{AdaptedModel, ContinualPretrainConfig, NgramModel, TrainConfig};
+use hwlm::{AdaptedModel, NgramModel, TrainConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::corpus::{general_code_corpus, ScrapedCorpus};
@@ -231,7 +230,7 @@ pub struct ZooModel {
 pub struct ModelZoo {
     scraped: ScrapedCorpus,
     base_train: TrainConfig,
-    pretrain: ContinualPretrainConfig,
+    pretrain: TrainConfig,
     base_general_documents: usize,
     max_finetune_files: usize,
 }
@@ -245,8 +244,8 @@ impl ModelZoo {
                 order: 8,
                 ..Default::default()
             },
-            pretrain: ContinualPretrainConfig {
-                adapter_order: 20,
+            pretrain: TrainConfig {
+                order: 20,
                 ..Default::default()
             },
             base_general_documents: 400,
@@ -273,12 +272,7 @@ impl ModelZoo {
             self.scraped
                 .sample_fraction(entry.base_verilog_fraction, seed ^ 0xB45E),
         );
-        train_model_sharded(
-            entry.base_name.clone(),
-            &corpus,
-            &self.base_train,
-            default_workers(),
-        )
+        NgramModel::train_named(entry.base_name.clone(), &corpus, &self.base_train)
     }
 
     /// Builds the base + fine-tuned pair for an entry.
@@ -295,12 +289,11 @@ impl ModelZoo {
             .take(self.max_finetune_files)
             .map(str::to_string)
             .collect();
-        let tuned = AdaptedModel::continual_pretrain_sharded(
+        let tuned = AdaptedModel::continual_pretrain(
             entry.name.clone(),
             base.clone(),
             &corpus,
             &self.pretrain,
-            default_workers(),
         );
         ZooModel {
             entry: entry.clone(),

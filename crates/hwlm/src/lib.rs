@@ -23,6 +23,14 @@
 //! **4-bit quantisation** of the predictive distributions
 //! ([`quant::QuantizedModel`]).
 //!
+//! Every trainer ([`NgramModel::train_named`], [`HdlTokenizer::fit`],
+//! [`HdlTokenizer::extended_with`], [`AdaptedModel::continual_pretrain`])
+//! runs one shard-and-merge driver on the machine's available parallelism
+//! ([`parallel`]) and builds the same model for any worker count. A
+//! [`TrainConfig`] holds the two settings that change what is learned: the
+//! n-gram order and the maximum sequence length. A [`SamplerConfig`] holds
+//! one: the temperature.
+//!
 //! # Example
 //!
 //! ```
@@ -51,7 +59,7 @@ pub mod quant;
 pub mod sampler;
 pub mod tokenizer;
 
-pub use adapter::{AdaptedModel, ContinualPretrainConfig};
+pub use adapter::AdaptedModel;
 pub use model::{Distribution, LanguageModel, TrainConfig};
 pub use ngram::{NgramCounts, NgramModel, UNSEEN_SCORE_FLOOR};
 pub use parallel::{derive_seed, ExecutionMode};

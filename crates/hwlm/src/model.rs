@@ -55,33 +55,32 @@ impl Distribution {
         self.entries.first().map(|(t, _)| *t)
     }
 
-    /// Returns a copy restricted to the `k` most probable tokens,
-    /// renormalised.
-    pub fn top_k(&self, k: usize) -> Distribution {
-        if k == 0 || k >= self.entries.len() {
-            return self.clone();
-        }
-        Distribution::from_weights(self.entries[..k].to_vec())
-    }
-
     /// Returns a copy with the given softmax temperature applied
-    /// (`p_i ∝ p_i^(1/T)`); temperature 0 is greedy (argmax keeps all mass).
+    /// (`p_i ∝ p_i^(1/T)`). Temperature 0 is greedy: the argmax keeps all
+    /// mass. So is any temperature at which every reweighted entry
+    /// underflows to 0 (a small positive `T`, or `NaN`), instead of leaving
+    /// nothing to sample.
     pub fn with_temperature(&self, temperature: f64) -> Distribution {
-        if self.entries.is_empty() {
-            return self.clone();
-        }
+        let Some(&(argmax, _)) = self.entries.first() else {
+            return Distribution::default();
+        };
+        let greedy = || Distribution {
+            entries: vec![(argmax, 1.0)],
+        };
         if temperature <= f64::EPSILON {
-            let (t, _) = self.entries[0];
-            return Distribution {
-                entries: vec![(t, 1.0)],
-            };
+            return greedy();
         }
-        let reweighted = self
-            .entries
-            .iter()
-            .map(|(t, p)| (*t, p.powf(1.0 / temperature)))
-            .collect();
-        Distribution::from_weights(reweighted)
+        let reweighted = Distribution::from_weights(
+            self.entries
+                .iter()
+                .map(|&(t, p)| (t, p.powf(1.0 / temperature)))
+                .collect(),
+        );
+        if reweighted.is_empty() {
+            greedy()
+        } else {
+            reweighted
+        }
     }
 
     /// Mixes two distributions: `(1 - weight) * self + weight * other`.
@@ -124,13 +123,13 @@ impl Distribution {
     }
 }
 
-/// Hyper-parameters for training a base n-gram model.
+/// Training settings, shared by base training
+/// ([`crate::NgramModel::train_named`]) and continual pre-training
+/// ([`crate::AdaptedModel::continual_pretrain`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainConfig {
     /// n-gram order (context length + 1).
     pub order: usize,
-    /// Minimum token frequency for inclusion in the vocabulary.
-    pub min_token_count: usize,
     /// Maximum number of tokens taken from each training document (the
     /// max-sequence-length analogue; the paper trains with 2 048).
     pub max_seq_len: usize,
@@ -140,7 +139,6 @@ impl Default for TrainConfig {
     fn default() -> Self {
         Self {
             order: 6,
-            min_token_count: 1,
             max_seq_len: 2048,
         }
     }
@@ -274,13 +272,19 @@ mod tests {
     }
 
     #[test]
-    fn top_k_truncates_and_renormalises() {
-        let d = Distribution::from_weights(vec![(1, 0.5), (2, 0.3), (3, 0.2)]);
-        let t = d.top_k(2);
-        assert_eq!(t.entries().len(), 2);
-        let sum: f64 = t.entries().iter().map(|(_, p)| p).sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        assert_eq!(d.top_k(0).entries().len(), 3, "k = 0 means no truncation");
+    fn vanishing_temperature_falls_back_to_the_argmax() {
+        // At T = 1e-4 both 0.6^10000 and 0.4^10000 underflow to 0, and NaN
+        // reweights to NaN; either used to leave an empty distribution,
+        // which ends generation.
+        let d = Distribution::from_weights(vec![(1, 0.4), (2, 0.6)]);
+        for temperature in [1e-4, 1e-300, f64::NAN] {
+            assert_eq!(d.with_temperature(temperature).entries(), &[(2, 1.0)]);
+        }
+        // Where any weight survives, the reweighting applies.
+        let cold = d.with_temperature(0.2);
+        assert_eq!(cold.entries().len(), 2);
+        assert_eq!(cold.argmax(), Some(2));
+        assert!(Distribution::default().with_temperature(1e-4).is_empty());
     }
 
     #[test]

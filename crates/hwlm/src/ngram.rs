@@ -197,31 +197,24 @@ pub struct NgramModel {
 
 impl NgramModel {
     /// Trains a model on a corpus of documents.
-    pub fn train<S: AsRef<str>>(corpus: &[S], config: &TrainConfig) -> Self {
+    pub fn train<S: AsRef<str> + Sync>(corpus: &[S], config: &TrainConfig) -> Self {
         Self::train_named("ngram-base", corpus, config)
     }
 
     /// Trains a model with an explicit report name.
-    pub fn train_named<S: AsRef<str>>(
+    ///
+    /// The vocabulary fit and the n-gram fold both run sharded on the
+    /// machine's available parallelism ([`crate::parallel`]); the model is
+    /// the same for any worker count.
+    pub fn train_named<S: AsRef<str> + Sync>(
         name: impl Into<String>,
         corpus: &[S],
         config: &TrainConfig,
     ) -> Self {
-        let tokenizer = HdlTokenizer::fit(corpus, config.min_token_count);
-        let mut counts = NgramCounts::new(config.order);
-        for doc in corpus {
-            let mut ids = tokenizer.encode_document(doc.as_ref());
-            ids.truncate(config.max_seq_len.max(2));
-            counts.observe_sequence(&ids);
-        }
-        Self {
-            name: name.into(),
-            tokenizer,
-            counts,
-        }
+        crate::parallel::train(name, corpus, config, crate::parallel::default_workers())
     }
 
-    /// Builds a model from pre-existing parts (used by the adapter machinery).
+    /// Builds a model from a tokeniser and count tables trained with it.
     pub fn from_parts(
         name: impl Into<String>,
         tokenizer: HdlTokenizer,

@@ -1,12 +1,20 @@
 //! Deterministic parallel training and the shared seed-derivation scheme.
 //!
 //! Training is a shard-and-merge map-reduce, the same shape as the curation
-//! side's dedup shards: the corpus is split into contiguous document shards,
-//! each worker folds its shard into a private [`NgramCounts`], and the
-//! per-shard tables are merged in fixed shard order with
-//! [`NgramCounts::merge`]. Because every count is a sum of per-document
-//! contributions, the merged tables equal the serial fold for *any* worker
-//! count or shard split — property-tested in `tests/parallel_training.rs`.
+//! side's dedup shards, and it is the only trainer:
+//! [`crate::NgramModel::train_named`], [`crate::HdlTokenizer::fit`],
+//! [`crate::HdlTokenizer::extended_with`] and
+//! [`crate::AdaptedModel::continual_pretrain`] all run it on the machine's
+//! available parallelism. The corpus is split into size-balanced document
+//! shards; each worker tallies the vocabulary, or folds its documents
+//! (`encode → truncate → observe`) into a private [`NgramCounts`], and the
+//! per-shard tables are summed in fixed shard order. Every count is a sum
+//! of per-document contributions (Brants et al., "Large Language Models in
+//! Machine Translation", EMNLP 2007, build the same stupid-backoff counts as
+//! a MapReduce), so the merged tables equal a serial fold for *any* worker
+//! count or shard split, and a model is the same whichever machine trains
+//! it. The unit properties below check the driver at 1 to 31 workers
+//! against longhand oracles that share no code with it.
 //!
 //! The module also hosts [`derive_seed`], the splitmix64-style mixer that the
 //! evaluation harnesses (`verilogeval`, `copyright-bench`) use to give every
@@ -15,6 +23,8 @@
 //! iteration order, which is what makes parallel evaluation byte-identical
 //! to serial — and fixes the bug where reordering an eval suite silently
 //! changed every later problem's samples.
+
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -55,9 +65,9 @@ pub fn derive_seed(base_seed: u64, lane: u64, slot: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Default worker count for the parallel drivers: the machine's available
+/// The worker count the trainers run on: the machine's available
 /// parallelism (output never depends on this — only wall-clock time does).
-pub fn default_workers() -> usize {
+pub(crate) fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4)
@@ -75,7 +85,7 @@ pub fn default_workers() -> usize {
 /// every count the training fold produces is a sum of per-document
 /// contributions, *any* partition merges to the same result; balance only
 /// changes wall-clock time.
-pub fn partition_by_size<S: AsRef<str>>(corpus: &[S], workers: usize) -> Vec<Vec<usize>> {
+fn partition_by_size<S: AsRef<str>>(corpus: &[S], workers: usize) -> Vec<Vec<usize>> {
     if corpus.is_empty() {
         return Vec::new();
     }
@@ -109,7 +119,7 @@ pub fn partition_by_size<S: AsRef<str>>(corpus: &[S], workers: usize) -> Vec<Vec
 /// Runs `work` once per [`partition_by_size`] shard of `corpus`, one scoped
 /// thread per shard, and returns the results in shard order. A single shard
 /// runs on the calling thread.
-pub(crate) fn map_shards<S, T, F>(corpus: &[S], workers: usize, work: F) -> Vec<T>
+fn map_shards<S, T, F>(corpus: &[S], workers: usize, work: F) -> Vec<T>
 where
     S: AsRef<str>,
     T: Send,
@@ -132,95 +142,293 @@ where
     })
 }
 
-/// Folds `corpus` into [`NgramCounts`] of `order` on scoped threads, one
-/// size-balanced document shard per worker (see [`partition_by_size`]),
-/// merging per-shard counts in fixed shard order.
-///
-/// Equal to the serial fold (`encode → truncate → observe` per document)
-/// for any worker count; `workers` is clamped to `1..=corpus.len()`.
-pub fn sharded_counts<S: AsRef<str> + Sync>(
+/// Occurrence count of every [`HdlTokenizer::split`] token in `corpus`,
+/// tallied on `workers` shards and summed.
+pub(crate) fn sharded_tally<S: AsRef<str> + Sync>(
+    corpus: &[S],
+    workers: usize,
+) -> HashMap<String, usize> {
+    let mut tallies = map_shards(corpus, workers, |indices| {
+        let mut tally: HashMap<String, usize> = HashMap::new();
+        for &i in indices {
+            for token in HdlTokenizer::split(corpus[i].as_ref()) {
+                *tally.entry(token).or_insert(0) += 1;
+            }
+        }
+        tally
+    })
+    .into_iter();
+    let mut merged = tallies.next().unwrap_or_default();
+    for tally in tallies {
+        for (token, count) in tally {
+            *merged.entry(token).or_insert(0) += count;
+        }
+    }
+    merged
+}
+
+/// Folds `corpus` into [`NgramCounts`] of `config.order` on `workers`
+/// shards: each document is encoded, truncated to `config.max_seq_len`
+/// tokens and observed, and the per-shard tables are merged in shard order.
+pub(crate) fn sharded_counts<S: AsRef<str> + Sync>(
     tokenizer: &HdlTokenizer,
     corpus: &[S],
-    order: usize,
-    max_seq_len: usize,
+    config: &TrainConfig,
     workers: usize,
 ) -> NgramCounts {
     let shards = map_shards(corpus, workers, |indices| {
-        let mut counts = NgramCounts::new(order);
+        let mut counts = NgramCounts::new(config.order);
         for &i in indices {
             let mut ids = tokenizer.encode_document(corpus[i].as_ref());
-            ids.truncate(max_seq_len.max(2));
+            ids.truncate(config.max_seq_len.max(2));
             counts.observe_sequence(&ids);
         }
         counts
     });
-    let mut merged = NgramCounts::new(order);
+    let mut merged = NgramCounts::new(config.order);
     for shard in shards {
         merged.merge(shard);
     }
     merged
 }
 
-/// Trains an [`NgramModel`] with the shard-and-merge driver over `workers`
-/// threads. Both stages fan out: the vocabulary fit runs as a sharded tally
-/// ([`HdlTokenizer::fit_sharded`]) and the n-gram counting as a sharded
-/// fold, so the driver has no serial prefix. The result is byte-identical
-/// to [`NgramModel::train_named`] for any worker count.
-pub fn train_model_sharded<S: AsRef<str> + Sync>(
+/// The training driver behind [`NgramModel::train_named`]: a vocabulary fit
+/// and an n-gram fold, both on `workers` shards, so it has no serial prefix.
+pub(crate) fn train<S: AsRef<str> + Sync>(
     name: impl Into<String>,
     corpus: &[S],
     config: &TrainConfig,
     workers: usize,
 ) -> NgramModel {
-    let tokenizer = HdlTokenizer::fit_sharded(corpus, config.min_token_count, workers);
-    let counts = sharded_counts(
-        &tokenizer,
-        corpus,
-        config.order,
-        config.max_seq_len,
-        workers,
-    );
+    let tokenizer = HdlTokenizer::fit_on(corpus, workers);
+    let counts = sharded_counts(&tokenizer, corpus, config, workers);
     NgramModel::from_parts(name, tokenizer, counts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokenizer::{TokenId, Vocabulary};
+    use proptest::prelude::*;
 
-    fn corpus() -> Vec<String> {
-        (0..13)
+    /// A deterministic pseudo-random Verilog-ish corpus: `docs` small
+    /// modules whose shape (port mix, operator, body length) is derived from
+    /// `seed`, so every proptest case explores a different token
+    /// distribution without any ambient randomness.
+    fn corpus(docs: usize, seed: u64) -> Vec<String> {
+        let ops = ["&", "|", "^", "~&", "~|"];
+        (0..docs)
             .map(|i| {
-                format!(
-                    "module m{i}(input a, input b, output y);\n\
-                     assign y = a {} b;\nendmodule",
-                    if i % 2 == 0 { "&" } else { "|" }
-                )
+                let mix = seed
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_add(i as u64);
+                let op = ops[(mix % ops.len() as u64) as usize];
+                let width = 1 + (mix >> 8) % 16;
+                let stmts = 1 + (mix >> 16) % 5;
+                let mut text = format!(
+                    "module gen_{i}(input [{w}:0] a, input [{w}:0] b, output reg [{w}:0] y);\n",
+                    w = width
+                );
+                for s in 0..stmts {
+                    text.push_str(&format!("always @(*) y[{s}] = a[{s}] {op} b[{s}];\n"));
+                }
+                text.push_str("endmodule\n");
+                text
             })
             .collect()
     }
 
+    /// The count oracle: the `encode → truncate → observe` fold written out
+    /// longhand over the whole corpus in order, so the expected value does
+    /// not come from the driver under test.
+    fn serial_fold(
+        tokenizer: &HdlTokenizer,
+        corpus: &[String],
+        order: usize,
+        max_seq_len: usize,
+    ) -> NgramCounts {
+        let mut counts = NgramCounts::new(order);
+        for doc in corpus {
+            let mut ids = tokenizer.encode_document(doc);
+            ids.truncate(max_seq_len.max(2));
+            counts.observe_sequence(&ids);
+        }
+        counts
+    }
+
+    /// The vocabulary oracle: every split token of `corpus`, tallied by hand
+    /// and ordered by descending count, then lexicographically.
+    fn tokens_by_count(corpus: &[String]) -> Vec<String> {
+        let mut tally: Vec<(String, usize)> = Vec::new();
+        for token in corpus.iter().flat_map(|doc| HdlTokenizer::split(doc)) {
+            match tally.iter_mut().find(|(t, _)| *t == token) {
+                Some((_, count)) => *count += 1,
+                None => tally.push((token, 1)),
+            }
+        }
+        tally.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        tally.into_iter().map(|(token, _)| token).collect()
+    }
+
+    /// Asserts that `vocab` holds exactly `base`'s tokens at their ids,
+    /// followed by `appended` at consecutive ids.
+    fn assert_ids(vocab: &Vocabulary, base: &Vocabulary, appended: &[String]) {
+        assert_eq!(vocab.len(), base.len() + appended.len());
+        for id in 0..base.len() as TokenId {
+            assert_eq!(vocab.id(base.token(id)), id);
+        }
+        for (offset, token) in appended.iter().enumerate() {
+            assert_eq!(vocab.id(token), (base.len() + offset) as TokenId, "{token}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+        /// The vocabulary side: the sharded tally interns the longhand
+        /// tally's tokens, after the reserved ones, in its order; extending
+        /// keeps every existing id and appends only the new tokens, in the
+        /// same order.
+        #[test]
+        fn sharded_vocabulary_matches_the_longhand_tally(
+            docs in 0usize..24,
+            seed in any::<u64>(),
+            workers in 1usize..32,
+        ) {
+            let corpus = corpus(docs, seed);
+            let (base_docs, new_docs) = corpus.split_at(docs / 2);
+            let fitted = HdlTokenizer::fit_on(&corpus, workers);
+            assert_ids(fitted.vocab(), &Vocabulary::new(), &tokens_by_count(&corpus));
+            let base = HdlTokenizer::fit_on(base_docs, workers);
+            let extended = base.extended_with(new_docs);
+            let appended: Vec<String> = tokens_by_count(new_docs)
+                .into_iter()
+                .filter(|t| base.vocab().id(t) == crate::tokenizer::UNK)
+                .collect();
+            assert_ids(extended.vocab(), base.vocab(), &appended);
+        }
+
+        /// The map side: fanning the fold out over any number of workers
+        /// leaves the merged count tables byte-identical to the serial fold.
+        #[test]
+        fn sharded_counts_equal_the_serial_fold(
+            docs in 0usize..24,
+            seed in any::<u64>(),
+            workers in 1usize..32,
+            order in 2usize..6,
+            max_seq_len in 8usize..256,
+        ) {
+            let corpus = corpus(docs, seed);
+            let tokenizer = HdlTokenizer::fit(&corpus);
+            let config = TrainConfig { order, max_seq_len };
+            let sharded = sharded_counts(&tokenizer, &corpus, &config, workers);
+            prop_assert_eq!(
+                &sharded,
+                &serial_fold(&tokenizer, &corpus, order, max_seq_len),
+                "sharded counts diverged: {} docs, {} workers, order {}",
+                docs, workers, order
+            );
+        }
+
+        /// The reduce side: merging per-chunk tables in shard order
+        /// reproduces the one-pass table for *any* contiguous split of the
+        /// corpus — the associativity [`NgramCounts::merge`] is built on.
+        #[test]
+        fn merging_arbitrary_contiguous_splits_is_lossless(
+            docs in 1usize..24,
+            seed in any::<u64>(),
+            chunk in 1usize..10,
+            order in 2usize..6,
+        ) {
+            let corpus = corpus(docs, seed);
+            let tokenizer = HdlTokenizer::fit(&corpus);
+            let reference = serial_fold(&tokenizer, &corpus, order, 2048);
+            let mut merged = NgramCounts::new(order);
+            for shard in corpus.chunks(chunk) {
+                merged.merge(serial_fold(&tokenizer, shard, order, 2048));
+            }
+            prop_assert_eq!(
+                &merged, &reference,
+                "merge diverged: {} docs in chunks of {}",
+                docs, chunk
+            );
+        }
+
+        /// End to end: the driver at any worker count, and
+        /// [`NgramModel::train_named`] on the machine's, build the model the
+        /// oracles assemble — same vocabulary, same counts.
+        #[test]
+        fn sharded_training_matches_the_longhand_model(
+            docs in 0usize..16,
+            seed in any::<u64>(),
+            workers in 1usize..32,
+            order in 2usize..6,
+        ) {
+            let corpus = corpus(docs, seed);
+            let config = TrainConfig { order, ..Default::default() };
+            let tokenizer = HdlTokenizer::fit(&corpus);
+            let counts = serial_fold(&tokenizer, &corpus, order, config.max_seq_len);
+            let expected = NgramModel::from_parts("m", tokenizer, counts);
+            prop_assert_eq!(&train("m", &corpus, &config, workers), &expected, "workers={}", workers);
+            prop_assert_eq!(&NgramModel::train_named("m", &corpus, &config), &expected);
+        }
+    }
+
     #[test]
-    fn sharded_training_matches_serial_for_many_worker_counts() {
-        let corpus = corpus();
-        let config = TrainConfig::default();
-        let serial = NgramModel::train_named("m", &corpus, &config);
-        for workers in [1, 2, 3, 5, 8, 13, 64] {
-            let parallel = train_model_sharded("m", &corpus, &config, workers);
-            assert_eq!(parallel, serial, "diverged at workers={workers}");
+    fn continual_pretrain_equals_the_longhand_adapter() {
+        use crate::model::LanguageModel;
+        use crate::AdaptedModel;
+
+        let corpus = corpus(9, 0xADA9);
+        let (base_docs, tune_docs) = corpus.split_at(3);
+        let base = NgramModel::train_named("base", base_docs, &TrainConfig::default());
+        let config = TrainConfig {
+            order: 7,
+            max_seq_len: 40,
+        };
+        let tuned = AdaptedModel::continual_pretrain("tuned", base.clone(), tune_docs, &config);
+        let tokenizer = base.tokenizer().extended_with(tune_docs);
+        let adapter = serial_fold(&tokenizer, tune_docs, 7, 40);
+        assert_eq!(tuned.base(), &base);
+        assert_eq!(tuned.tokenizer(), &tokenizer);
+        assert_eq!(tuned.adapter_counts(), &adapter);
+        // The adapter mixes in at 0.7, to the bit.
+        let weight = f64::from_bits(0x3fe6_6666_6666_6666);
+        for doc in tune_docs {
+            let ids = tokenizer.encode_document(doc);
+            for end in 1..ids.len() {
+                let (context, token) = (&ids[..end], ids[end]);
+                let mixed = (1.0 - weight) * base.counts().score(context, token)
+                    + weight * adapter.score(context, token);
+                assert_eq!(
+                    tuned.log_prob(context, token).to_bits(),
+                    mixed.max(crate::UNSEEN_SCORE_FLOOR).ln().to_bits()
+                );
+                assert_eq!(
+                    tuned.distribution(context),
+                    base.distribution(context)
+                        .mix(&adapter.distribution(context), weight)
+                );
+            }
         }
     }
 
     #[test]
     fn empty_corpus_trains_empty_counts() {
         let empty: Vec<String> = Vec::new();
-        let counts = sharded_counts(&HdlTokenizer::fit(&empty, 1), &empty, 4, 2048, 8);
+        let counts = sharded_counts(
+            &HdlTokenizer::fit(&empty),
+            &empty,
+            &TrainConfig::default(),
+            8,
+        );
         assert_eq!(counts.trained_tokens(), 0);
         assert_eq!(counts.context_count(), 0);
     }
 
     #[test]
     fn partition_covers_every_index_exactly_once() {
-        let corpus = corpus();
+        let corpus = corpus(13, 7);
         for workers in [1, 2, 3, 5, 13, 64] {
             let shards = partition_by_size(&corpus, workers);
             let mut seen: Vec<usize> = shards.iter().flatten().copied().collect();
@@ -266,7 +474,7 @@ mod tests {
 
     #[test]
     fn partition_is_deterministic() {
-        let corpus = corpus();
+        let corpus = corpus(13, 7);
         assert_eq!(partition_by_size(&corpus, 4), partition_by_size(&corpus, 4));
     }
 

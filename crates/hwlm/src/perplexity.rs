@@ -42,7 +42,7 @@ pub fn perplexity<M: LanguageModel, S: AsRef<str>>(model: &M, corpus: &[S]) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapter::{AdaptedModel, ContinualPretrainConfig};
+    use crate::adapter::AdaptedModel;
     use crate::model::TrainConfig;
     use crate::ngram::NgramModel;
 
@@ -86,7 +86,7 @@ mod tests {
             "freev",
             base.clone(),
             &verilog_corpus(),
-            &ContinualPretrainConfig::default(),
+            &TrainConfig::default(),
         );
         let base_ppl = perplexity(&base, &held_out);
         let tuned_ppl = perplexity(&tuned, &held_out);

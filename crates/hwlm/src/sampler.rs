@@ -1,4 +1,4 @@
-//! Sampling configuration (temperature and top-k shaping).
+//! Sampling configuration (temperature shaping).
 
 use serde::{Deserialize, Serialize};
 
@@ -12,44 +12,28 @@ use crate::model::Distribution;
 pub struct SamplerConfig {
     /// Softmax temperature (0 = greedy).
     pub temperature: f64,
-    /// Keep only the `top_k` most probable tokens (0 = no truncation).
-    pub top_k: usize,
 }
 
 impl Default for SamplerConfig {
     fn default() -> Self {
-        Self {
-            temperature: 0.8,
-            top_k: 0,
-        }
+        Self { temperature: 0.8 }
     }
 }
 
 impl SamplerConfig {
-    /// Greedy decoding.
+    /// Greedy decoding: temperature 0 keeps only the argmax.
     pub fn greedy() -> Self {
-        Self {
-            temperature: 0.0,
-            top_k: 1,
-        }
+        Self::with_temperature(0.0)
     }
 
-    /// Sampling at the given temperature with no top-k truncation.
+    /// Sampling at the given temperature.
     pub fn with_temperature(temperature: f64) -> Self {
-        Self {
-            temperature,
-            top_k: 0,
-        }
+        Self { temperature }
     }
 
-    /// Applies top-k truncation and temperature to a distribution.
+    /// Applies the temperature to a distribution.
     pub fn shape(&self, distribution: &Distribution) -> Distribution {
-        let truncated = if self.top_k > 0 {
-            distribution.top_k(self.top_k)
-        } else {
-            distribution.clone()
-        };
-        truncated.with_temperature(self.temperature)
+        distribution.with_temperature(self.temperature)
     }
 }
 
@@ -69,18 +53,5 @@ mod tests {
     fn default_is_temperature_point_eight() {
         let s = SamplerConfig::default();
         assert!((s.temperature - 0.8).abs() < 1e-12);
-        assert_eq!(s.top_k, 0);
-    }
-
-    #[test]
-    fn shaping_composes_top_k_then_temperature() {
-        let d = Distribution::from_weights(vec![(1, 0.5), (2, 0.3), (3, 0.2)]);
-        let s = SamplerConfig {
-            temperature: 1.0,
-            top_k: 2,
-        };
-        let shaped = s.shape(&d);
-        assert_eq!(shaped.entries().len(), 2);
-        assert_eq!(shaped.probability(3), 0.0);
     }
 }

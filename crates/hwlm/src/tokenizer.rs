@@ -4,6 +4,8 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::parallel::{default_workers, sharded_tally};
+
 /// A token id in the model vocabulary.
 pub type TokenId = u32;
 
@@ -85,7 +87,7 @@ const MULTI_CHAR_OPERATORS: &[&str] = &[
 /// use hwlm::HdlTokenizer;
 ///
 /// let corpus = vec!["assign y = a & b;".to_string()];
-/// let tok = HdlTokenizer::fit(&corpus, 1);
+/// let tok = HdlTokenizer::fit(&corpus);
 /// let ids = tok.encode("assign y = a & b;");
 /// let text = tok.decode(&ids);
 /// assert!(text.contains("assign y = a & b"));
@@ -145,64 +147,17 @@ impl HdlTokenizer {
         out
     }
 
-    /// Tallies surface-token occurrence counts over `docs`.
-    fn tally<D: AsRef<str>>(docs: impl IntoIterator<Item = D>) -> HashMap<String, usize> {
-        let mut counts: HashMap<String, usize> = HashMap::new();
-        for doc in docs {
-            for token in Self::split(doc.as_ref()) {
-                *counts.entry(token).or_insert(0) += 1;
-            }
-        }
-        counts
+    /// Builds a tokeniser whose vocabulary holds the reserved tokens and
+    /// every token of `corpus`, most frequent first (ties in lexicographic
+    /// order). The corpus is tallied on the machine's available parallelism;
+    /// the vocabulary is the same for any worker count.
+    pub fn fit<S: AsRef<str> + Sync>(corpus: &[S]) -> Self {
+        Self::fit_on(corpus, default_workers())
     }
 
-    /// Interns every tallied token meeting `min_count` into `vocab`, in the
-    /// deterministic vocabulary order: descending count, then
-    /// lexicographically.
-    fn absorb(vocab: &mut Vocabulary, counts: HashMap<String, usize>, min_count: usize) {
-        let mut tokens: Vec<(String, usize)> = counts.into_iter().collect();
-        tokens.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        for (token, count) in tokens {
-            if count >= min_count.max(1) {
-                vocab.intern(&token);
-            }
-        }
-    }
-
-    /// Builds a tokeniser whose vocabulary contains every token that occurs
-    /// at least `min_count` times in `corpus`.
-    pub fn fit<S: AsRef<str>>(corpus: &[S], min_count: usize) -> Self {
-        let mut vocab = Vocabulary::new();
-        Self::absorb(&mut vocab, Self::tally(corpus), min_count);
-        Self { vocab }
-    }
-
-    /// [`HdlTokenizer::fit`] with the corpus scan fanned out over `workers`
-    /// scoped threads.
-    ///
-    /// Each worker tallies one size-balanced document shard (see
-    /// [`crate::parallel::partition_by_size`]); the per-shard tallies are
-    /// summed into one table before the deterministic sort-and-intern, so
-    /// the resulting vocabulary is byte-identical to the serial fit for any
-    /// worker count.
-    pub fn fit_sharded<S: AsRef<str> + Sync>(
-        corpus: &[S],
-        min_count: usize,
-        workers: usize,
-    ) -> Self {
-        let mut tallies = crate::parallel::map_shards(corpus, workers, |indices| {
-            Self::tally(indices.iter().map(|&i| &corpus[i]))
-        })
-        .into_iter();
-        let mut merged = tallies.next().unwrap_or_default();
-        for tally in tallies {
-            for (token, count) in tally {
-                *merged.entry(token).or_insert(0) += count;
-            }
-        }
-        let mut vocab = Vocabulary::new();
-        Self::absorb(&mut vocab, merged, min_count);
-        Self { vocab }
+    /// [`HdlTokenizer::fit`] tallied on `workers` shards.
+    pub(crate) fn fit_on<S: AsRef<str> + Sync>(corpus: &[S], workers: usize) -> Self {
+        Self::absorb(Vocabulary::new(), sharded_tally(corpus, workers))
     }
 
     /// The vocabulary.
@@ -211,7 +166,8 @@ impl HdlTokenizer {
     }
 
     /// Returns a tokeniser whose vocabulary is this one extended with every
-    /// token that occurs at least `min_count` times in `corpus`.
+    /// token of `corpus`, new tokens appended in [`HdlTokenizer::fit`]'s
+    /// order.
     ///
     /// Existing token ids are preserved, so count tables built against the
     /// original vocabulary remain valid. This mirrors the practical situation
@@ -219,10 +175,19 @@ impl HdlTokenizer {
     /// out-of-vocabulary problem on the new domain. A word-level vocabulary
     /// achieves the same property by absorbing the fine-tuning corpus's
     /// tokens.
-    pub fn extended_with<S: AsRef<str>>(&self, corpus: &[S], min_count: usize) -> HdlTokenizer {
-        let mut vocab = self.vocab.clone();
-        Self::absorb(&mut vocab, Self::tally(corpus), min_count);
-        HdlTokenizer { vocab }
+    pub fn extended_with<S: AsRef<str> + Sync>(&self, corpus: &[S]) -> HdlTokenizer {
+        Self::absorb(self.vocab.clone(), sharded_tally(corpus, default_workers()))
+    }
+
+    /// Interns every tallied token into `vocab` in the deterministic
+    /// vocabulary order: descending count, then lexicographically.
+    fn absorb(mut vocab: Vocabulary, tally: HashMap<String, usize>) -> Self {
+        let mut tokens: Vec<(String, usize)> = tally.into_iter().collect();
+        tokens.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        for (token, _) in tokens {
+            vocab.intern(&token);
+        }
+        Self { vocab }
     }
 
     /// Encodes text into token ids (without BOS/EOS markers).
@@ -296,24 +261,16 @@ mod tests {
 
     #[test]
     fn unknown_tokens_map_to_unk() {
-        let tok = HdlTokenizer::fit(&["module m ; endmodule".to_string()], 1);
+        let tok = HdlTokenizer::fit(&["module m ; endmodule".to_string()]);
         let ids = tok.encode("module zebra_signal ;");
         assert_eq!(ids[1], UNK);
         assert_ne!(ids[0], UNK);
     }
 
     #[test]
-    fn min_count_prunes_rare_tokens() {
-        let corpus = vec!["a a a b".to_string()];
-        let tok = HdlTokenizer::fit(&corpus, 2);
-        assert_ne!(tok.vocab().id("a"), UNK);
-        assert_eq!(tok.vocab().id("b"), UNK);
-    }
-
-    #[test]
     fn encode_decode_round_trips_code_meaning() {
         let corpus = vec!["module m(input a, output y);\nassign y = ~a;\nendmodule\n".to_string()];
-        let tok = HdlTokenizer::fit(&corpus, 1);
+        let tok = HdlTokenizer::fit(&corpus);
         let ids = tok.encode(&corpus[0]);
         let text = tok.decode(&ids);
         assert!(text.contains("module m(input a, output y);"));
@@ -323,7 +280,7 @@ mod tests {
 
     #[test]
     fn document_encoding_adds_bos_eos() {
-        let tok = HdlTokenizer::fit(&["wire x;".to_string()], 1);
+        let tok = HdlTokenizer::fit(&["wire x;".to_string()]);
         let ids = tok.encode_document("wire x;");
         assert_eq!(ids.first(), Some(&BOS));
         assert_eq!(ids.last(), Some(&EOS));
@@ -335,40 +292,17 @@ mod tests {
             "module a; endmodule".to_string(),
             "module b; endmodule".to_string(),
         ];
-        let t1 = HdlTokenizer::fit(&corpus, 1);
-        let t2 = HdlTokenizer::fit(&corpus, 1);
+        let t1 = HdlTokenizer::fit(&corpus);
+        let t2 = HdlTokenizer::fit(&corpus);
         assert_eq!(t1, t2);
     }
 
     #[test]
-    fn sharded_fit_is_byte_identical_to_serial() {
-        let corpus: Vec<String> = (0..17)
-            .map(|i| {
-                format!(
-                    "module m{i}(input [{}:0] a, output y);\nassign y = ^a;\nendmodule\n",
-                    i % 7
-                )
-            })
-            .collect();
-        let serial = HdlTokenizer::fit(&corpus, 2);
-        for workers in [1, 2, 3, 8, 17, 64] {
-            let sharded = HdlTokenizer::fit_sharded(&corpus, 2, workers);
-            assert_eq!(sharded, serial, "diverged at workers={workers}");
-        }
-        // Degenerate corpora take the serial path without panicking.
-        let empty: Vec<String> = Vec::new();
-        assert_eq!(
-            HdlTokenizer::fit_sharded(&empty, 1, 8),
-            HdlTokenizer::fit(&empty, 1)
-        );
-    }
-
-    #[test]
     fn extended_tokenizer_preserves_existing_ids_and_learns_new_tokens() {
-        let base = HdlTokenizer::fit(&["int main ( ) { return 0 ; }".to_string()], 1);
+        let base = HdlTokenizer::fit(&["int main ( ) { return 0 ; }".to_string()]);
         assert_eq!(base.vocab().id("posedge"), UNK);
         let module_id = base.vocab().id("return");
-        let extended = base.extended_with(&["always @(posedge clk) q <= d;".to_string()], 1);
+        let extended = base.extended_with(&["always @(posedge clk) q <= d;".to_string()]);
         assert_eq!(extended.vocab().id("return"), module_id);
         assert_ne!(extended.vocab().id("posedge"), UNK);
         assert!(extended.vocab().len() > base.vocab().len());
@@ -378,7 +312,7 @@ mod tests {
 
     #[test]
     fn decode_handles_newlines_and_unknown_ids() {
-        let tok = HdlTokenizer::fit(&["a\nb".to_string()], 1);
+        let tok = HdlTokenizer::fit(&["a\nb".to_string()]);
         let decoded = tok.decode(&[tok.vocab().id("a"), tok.vocab().id("<nl>"), 9999]);
         assert_eq!(decoded, "a\n<unk>");
     }

@@ -37,16 +37,14 @@ proptest! {
     }
 
     #[test]
-    fn temperature_and_top_k_preserve_normalisation(
+    fn temperature_preserves_normalisation(
         weights in proptest::collection::vec((0u32..100, 0.01f64..10.0), 2..20),
-        temperature in 0.0f64..4.0,
-        k in 1usize..10,
+        temperature in prop_oneof![0.0f64..4.0, 1e-6f64..1e-3],
     ) {
         let d = Distribution::from_weights(weights);
-        let shaped = SamplerConfig { temperature, top_k: k }.shape(&d);
+        let shaped = SamplerConfig::with_temperature(temperature).shape(&d);
         let sum: f64 = shaped.entries().iter().map(|(_, p)| p).sum();
-        prop_assert!((sum - 1.0).abs() < 1e-9);
-        prop_assert!(shaped.entries().len() <= k.max(1));
+        prop_assert!((sum - 1.0).abs() < 1e-9, "T = {}: sum {}", temperature, sum);
     }
 
     #[test]
@@ -69,7 +67,7 @@ proptest! {
         let a = HdlTokenizer::split(&doc);
         let b = HdlTokenizer::split(&doc);
         prop_assert_eq!(&a, &b);
-        let tok = HdlTokenizer::fit(std::slice::from_ref(&doc), 1);
+        let tok = HdlTokenizer::fit(std::slice::from_ref(&doc));
         // Every token of the fitting document is in vocabulary.
         for t in &a {
             prop_assert_ne!(tok.vocab().id(t), 0, "token {} missing", t);
