@@ -84,7 +84,7 @@ impl Fig3Experiment {
         let mut rows = Vec::new();
         for entry in ZooEntry::figure3() {
             let model = zoo.build(&entry);
-            let base_report = benchmark.evaluate(&model.base);
+            let base_report = benchmark.evaluate(model.base());
             let tuned_report = benchmark.evaluate(&model.tuned);
             rows.push(Fig3Row {
                 model: entry.name.clone(),

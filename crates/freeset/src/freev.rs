@@ -48,10 +48,10 @@ impl Default for FreeVBuilder {
     }
 }
 
-/// The trained pair: the frozen base model and the FreeV fine-tune.
+/// The trained pair: the frozen base model and the FreeV fine-tune, which
+/// holds the one copy of the base.
 #[derive(Debug, Clone)]
 pub struct FreeVModel {
-    base: NgramModel,
     tuned: AdaptedModel,
     bits: u32,
 }
@@ -59,7 +59,7 @@ pub struct FreeVModel {
 impl FreeVModel {
     /// The base model (full precision).
     pub fn base(&self) -> &NgramModel {
-        &self.base
+        self.tuned.base()
     }
 
     /// The fine-tuned model (full precision).
@@ -70,7 +70,7 @@ impl FreeVModel {
     /// The base model in its quantised inference form
     /// ("Llama-3.1-Instruct (4-bit)" in Table II).
     pub fn quantized_base(&self) -> QuantizedModel<&NgramModel> {
-        QuantizedModel::new(&self.base, self.bits)
+        QuantizedModel::new(self.base(), self.bits)
     }
 
     /// FreeV in its quantised inference form ("FreeV-Llama3.1 (4-bit)").
@@ -97,12 +97,11 @@ impl FreeVBuilder {
         );
         let tuned = AdaptedModel::continual_pretrain(
             "FreeV-Llama3.1 (sim)",
-            base.clone(),
+            base,
             freeset_corpus,
             &self.pretrain,
         );
         FreeVModel {
-            base,
             tuned,
             bits: self.quantization_bits,
         }

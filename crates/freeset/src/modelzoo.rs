@@ -215,14 +215,20 @@ impl ZooEntry {
 pub struct ZooModel {
     /// The entry this model realises.
     pub entry: ZooEntry,
-    /// The simulated base (foundation) model.
-    pub base: NgramModel,
-    /// The fine-tuned model.
+    /// The fine-tuned model, which holds the simulated base (foundation)
+    /// model; see [`ZooModel::base`].
     pub tuned: AdaptedModel,
     /// Number of files in the fine-tuning dataset.
     pub dataset_rows: usize,
     /// Total characters in the fine-tuning dataset.
     pub dataset_chars: usize,
+}
+
+impl ZooModel {
+    /// The simulated base (foundation) model.
+    pub fn base(&self) -> &NgramModel {
+        self.tuned.base()
+    }
 }
 
 /// Trains zoo models from a single shared scrape.
@@ -289,15 +295,10 @@ impl ModelZoo {
             .take(self.max_finetune_files)
             .map(str::to_string)
             .collect();
-        let tuned = AdaptedModel::continual_pretrain(
-            entry.name.clone(),
-            base.clone(),
-            &corpus,
-            &self.pretrain,
-        );
+        let tuned =
+            AdaptedModel::continual_pretrain(entry.name.clone(), base, &corpus, &self.pretrain);
         ZooModel {
             entry: entry.clone(),
-            base,
             tuned,
             dataset_rows: dataset.len(),
             dataset_chars: dataset.total_chars(),
@@ -345,7 +346,7 @@ mod tests {
         let zoo = ModelZoo::new(scraped).with_max_finetune_files(200);
         let entry = ZooEntry::by_name("FreeV-Llama3.1").unwrap();
         let model = zoo.build(&entry);
-        assert_eq!(LanguageModel::name(&model.base), entry.base_name);
+        assert_eq!(LanguageModel::name(model.base()), entry.base_name);
         assert_eq!(LanguageModel::name(&model.tuned), "FreeV-Llama3.1");
         assert!(model.dataset_rows > 0);
         assert!(model.dataset_chars > 0);

@@ -2,6 +2,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -18,11 +19,47 @@ use crate::tokenizer::{HdlTokenizer, TokenId};
 /// and per-token scores disagree on unseen events.)
 pub const UNSEEN_SCORE_FLOOR: f64 = 1e-9;
 
+/// Hashes integer keys with one folded 64×64→128-bit multiply per integer
+/// written: the low and high halves of the product are XORed, so every key
+/// bit reaches the low bits the table takes its bucket index from.
+///
+/// The count tables' keys are context fingerprints and token ids of the
+/// training corpus, not attacker-chosen strings, and the fingerprints are
+/// unkeyed anyway, so SipHash's resistance to crafted collisions buys
+/// nothing there. Identity hashing would be too weak: bit 0 of an FNV-1a
+/// fingerprint is the XOR of bit 0 of every byte it has absorbed.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash map keyed through [`FoldHasher`].
+type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
+
 /// Counts for one observed context.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 struct ContextEntry {
     total: u64,
-    next: HashMap<TokenId, u64>,
+    next: FoldMap<TokenId, u64>,
 }
 
 /// n-gram count tables for context lengths `0..order`.
@@ -33,28 +70,39 @@ struct ContextEntry {
 /// makes duplicated training spans get reproduced verbatim — the property the
 /// copyright benchmark measures.
 ///
-/// Contexts are stored by 64-bit fingerprint rather than by token sequence,
-/// which keeps high-order tables (the orders that give the model its
-/// long-range coherence) compact; fingerprint collisions are negligible at
-/// the corpus sizes involved.
+/// Contexts are stored by 64-bit FNV-1a fingerprint rather than by token
+/// sequence, which keeps high-order tables (the orders that give the model
+/// its long-range coherence) compact; fingerprint collisions are negligible
+/// at the corpus sizes involved. A context is fingerprinted newest token
+/// first, so extending a suffix by one older token extends its fingerprint
+/// by one token: training keys a position's `order` contexts in O(order),
+/// and a lookup keys every backoff suffix in one pass before probing them
+/// longest first. The tables are keyed through a multiply-fold hasher
+/// rather than SipHash: their keys come from the training corpus, never
+/// from an adversary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NgramCounts {
     order: usize,
-    tables: Vec<HashMap<u64, ContextEntry>>,
+    tables: Vec<FoldMap<u64, ContextEntry>>,
     backoff: f64,
     trained_tokens: u64,
 }
 
-/// FNV-1a fingerprint of a context window.
-fn context_fingerprint(context: &[TokenId]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for token in context {
+/// FNV-1a fingerprint of the empty context (the FNV offset basis).
+const EMPTY_CONTEXT: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fingerprints of the suffixes of `context`, shortest (empty) first: each
+/// extends the previous one by the next older token, with the four FNV-1a
+/// steps of that token's bytes.
+fn suffix_fingerprints(context: &[TokenId]) -> impl Iterator<Item = u64> + '_ {
+    let older = context.iter().rev().scan(EMPTY_CONTEXT, |hash, token| {
         for byte in token.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            *hash ^= u64::from(byte);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
-    }
-    hash
+        Some(*hash)
+    });
+    std::iter::once(EMPTY_CONTEXT).chain(older)
 }
 
 impl NgramCounts {
@@ -67,7 +115,7 @@ impl NgramCounts {
         assert!(order > 0, "n-gram order must be positive");
         Self {
             order,
-            tables: vec![HashMap::new(); order],
+            tables: vec![FoldMap::default(); order],
             backoff: 0.4,
             trained_tokens: 0,
         }
@@ -92,12 +140,8 @@ impl NgramCounts {
     pub fn observe_sequence(&mut self, ids: &[TokenId]) {
         for (pos, &token) in ids.iter().enumerate() {
             self.trained_tokens += 1;
-            for ctx_len in 0..self.order {
-                if pos < ctx_len {
-                    continue;
-                }
-                let fingerprint = context_fingerprint(&ids[pos - ctx_len..pos]);
-                let entry = self.tables[ctx_len].entry(fingerprint).or_default();
+            for (table, key) in self.tables.iter_mut().zip(suffix_fingerprints(&ids[..pos])) {
+                let entry = table.entry(key).or_default();
                 entry.total += 1;
                 *entry.next.entry(token).or_insert(0) += 1;
             }
@@ -138,13 +182,17 @@ impl NgramCounts {
         }
     }
 
+    /// The fingerprints of `context`'s backoff suffixes, by length: one per
+    /// table, or fewer when `context` is shorter than the longest context.
+    fn suffix_keys(&self, context: &[TokenId]) -> Vec<u64> {
+        suffix_fingerprints(context).take(self.order).collect()
+    }
+
     /// Predictive distribution for `context` from the longest matching
     /// context, backing off to shorter ones when nothing was observed.
     pub fn distribution(&self, context: &[TokenId]) -> Distribution {
-        let max_ctx = self.order - 1;
-        for ctx_len in (0..=max_ctx.min(context.len())).rev() {
-            let key = context_fingerprint(&context[context.len() - ctx_len..]);
-            if let Some(entry) = self.tables[ctx_len].get(&key) {
+        for (table, key) in self.tables.iter().zip(&self.suffix_keys(context)).rev() {
+            if let Some(entry) = table.get(key) {
                 let weights = entry
                     .next
                     .iter()
@@ -159,11 +207,9 @@ impl NgramCounts {
     /// Stupid-backoff score of `token` following `context` (a probability-like
     /// quantity in `(0, 1]`, not normalised across backoff levels).
     pub fn score(&self, context: &[TokenId], token: TokenId) -> f64 {
-        let max_ctx = self.order - 1;
         let mut discount = 1.0;
-        for ctx_len in (0..=max_ctx.min(context.len())).rev() {
-            let key = context_fingerprint(&context[context.len() - ctx_len..]);
-            if let Some(entry) = self.tables[ctx_len].get(&key) {
+        for (table, key) in self.tables.iter().zip(&self.suffix_keys(context)).rev() {
+            if let Some(entry) = table.get(key) {
                 if let Some(count) = entry.next.get(&token) {
                     return discount * (*count as f64) / (entry.total as f64);
                 }

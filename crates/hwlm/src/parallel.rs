@@ -8,13 +8,14 @@
 //! available parallelism. The corpus is split into size-balanced document
 //! shards; each worker tallies the vocabulary, or folds its documents
 //! (`encode → truncate → observe`) into a private [`NgramCounts`], and the
-//! per-shard tables are summed in fixed shard order. Every count is a sum
-//! of per-document contributions (Brants et al., "Large Language Models in
-//! Machine Translation", EMNLP 2007, build the same stupid-backoff counts as
-//! a MapReduce), so the merged tables equal a serial fold for *any* worker
-//! count or shard split, and a model is the same whichever machine trains
-//! it. The unit properties below check the driver at 1 to 31 workers
-//! against longhand oracles that share no code with it.
+//! per-shard tables are summed into shard 0's in fixed shard order. Every
+//! count is a sum of per-document contributions (Brants et al., "Large
+//! Language Models in Machine Translation", EMNLP 2007, build the same
+//! stupid-backoff counts as a MapReduce), so the merged tables equal a
+//! serial fold for *any* worker count or shard split, and a model is the
+//! same whichever machine trains it. The unit properties below check the
+//! driver at 1 to 31 workers against longhand oracles that share no code
+//! with it.
 //!
 //! The module also hosts [`derive_seed`], the splitmix64-style mixer that the
 //! evaluation harnesses (`verilogeval`, `copyright-bench`) use to give every
@@ -169,14 +170,15 @@ pub(crate) fn sharded_tally<S: AsRef<str> + Sync>(
 
 /// Folds `corpus` into [`NgramCounts`] of `config.order` on `workers`
 /// shards: each document is encoded, truncated to `config.max_seq_len`
-/// tokens and observed, and the per-shard tables are merged in shard order.
+/// tokens and observed, and the later shards' tables are merged into
+/// shard 0's in shard order, so shard 0's contexts are never re-inserted.
 pub(crate) fn sharded_counts<S: AsRef<str> + Sync>(
     tokenizer: &HdlTokenizer,
     corpus: &[S],
     config: &TrainConfig,
     workers: usize,
 ) -> NgramCounts {
-    let shards = map_shards(corpus, workers, |indices| {
+    let mut shards = map_shards(corpus, workers, |indices| {
         let mut counts = NgramCounts::new(config.order);
         for &i in indices {
             let mut ids = tokenizer.encode_document(corpus[i].as_ref());
@@ -184,8 +186,11 @@ pub(crate) fn sharded_counts<S: AsRef<str> + Sync>(
             counts.observe_sequence(&ids);
         }
         counts
-    });
-    let mut merged = NgramCounts::new(config.order);
+    })
+    .into_iter();
+    let mut merged = shards
+        .next()
+        .unwrap_or_else(|| NgramCounts::new(config.order));
     for shard in shards {
         merged.merge(shard);
     }

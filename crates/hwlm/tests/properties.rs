@@ -1,10 +1,81 @@
 //! Property-based tests for the language-model substrate.
 
+use std::collections::{BTreeMap, HashMap};
+
 use proptest::prelude::*;
 
-use hwlm::{Distribution, HdlTokenizer, LanguageModel, NgramModel, SamplerConfig, TrainConfig};
-use rand::SeedableRng;
+use hwlm::{
+    Distribution, HdlTokenizer, LanguageModel, NgramCounts, NgramModel, SamplerConfig, TokenId,
+    TrainConfig, UNSEEN_SCORE_FLOOR,
+};
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// Stupid backoff written out longhand over tables keyed by the context
+/// tokens themselves (oldest first), so it shares neither fingerprints nor
+/// hashing with [`NgramCounts`].
+struct LonghandBackoff {
+    order: usize,
+    tables: HashMap<Vec<TokenId>, BTreeMap<TokenId, u64>>,
+}
+
+impl LonghandBackoff {
+    fn train(order: usize, sequences: &[Vec<TokenId>]) -> Self {
+        let mut tables: HashMap<Vec<TokenId>, BTreeMap<TokenId, u64>> = HashMap::new();
+        for ids in sequences {
+            for pos in 0..ids.len() {
+                for len in 0..order.min(pos + 1) {
+                    let next = tables.entry(ids[pos - len..pos].to_vec()).or_default();
+                    *next.entry(ids[pos]).or_insert(0) += 1;
+                }
+            }
+        }
+        Self { order, tables }
+    }
+
+    /// The observed continuations of each suffix of `context`, longest
+    /// suffix first.
+    fn suffixes<'a>(
+        &'a self,
+        context: &'a [TokenId],
+    ) -> impl Iterator<Item = Option<&'a BTreeMap<TokenId, u64>>> + 'a {
+        (0..self.order.min(context.len() + 1))
+            .rev()
+            .map(move |len| self.tables.get(&context[context.len() - len..]))
+    }
+
+    fn distribution(&self, context: &[TokenId]) -> Distribution {
+        self.suffixes(context)
+            .flatten()
+            .next()
+            .map(|next| {
+                Distribution::from_weights(next.iter().map(|(&t, &c)| (t, c as f64)).collect())
+            })
+            .unwrap_or_default()
+    }
+
+    fn score(&self, context: &[TokenId], token: TokenId) -> f64 {
+        let mut discount = 1.0;
+        for next in self.suffixes(context) {
+            if let Some(&count) = next.and_then(|next| next.get(&token)) {
+                let total: u64 = next.into_iter().flat_map(BTreeMap::values).sum();
+                return discount * count as f64 / total as f64;
+            }
+            discount *= 0.4;
+        }
+        UNSEEN_SCORE_FLOOR
+    }
+}
+
+/// `count` sequences over a small alphabet, so contexts repeat.
+fn token_sequences(rng: &mut ChaCha8Rng, count: usize, max_len: usize) -> Vec<Vec<TokenId>> {
+    (0..count)
+        .map(|_| {
+            let len = rng.gen_range(0..=max_len);
+            (0..len).map(|_| rng.gen_range(0..6)).collect()
+        })
+        .collect()
+}
 
 fn verilog_ish_doc() -> impl Strategy<Value = String> {
     let stmt = prop_oneof![
@@ -97,6 +168,38 @@ proptest! {
         let text = model.tokenizer().decode(&generated);
         prop_assert!(text.matches("endmodule").count() <= 1);
         prop_assert!(prompt_len > 0);
+    }
+
+    /// Fingerprinted, hashed count tables answer every query the longhand
+    /// tables do: the same distribution entries and the same score bits, at
+    /// every order, for contexts longer and shorter than the order, and for
+    /// tokens never observed.
+    #[test]
+    fn ngram_counts_match_the_longhand_backoff(seed in any::<u64>(), order in 1usize..=20) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let documents = rng.gen_range(1..8);
+        let sequences = token_sequences(&mut rng, documents, 60);
+        let mut counts = NgramCounts::new(order);
+        for ids in &sequences {
+            counts.observe_sequence(ids);
+        }
+        let longhand = LonghandBackoff::train(order, &sequences);
+        let mut contexts = token_sequences(&mut rng, 24, 25);
+        contexts.extend(sequences.iter().map(|ids| ids[..ids.len() / 2].to_vec()));
+        for context in &contexts {
+            prop_assert_eq!(
+                counts.distribution(context),
+                longhand.distribution(context),
+                "order {}, context {:?}", order, context
+            );
+            for token in 0..8 {
+                prop_assert_eq!(
+                    counts.score(context, token).to_bits(),
+                    longhand.score(context, token).to_bits(),
+                    "order {}, context {:?}, token {}", order, context, token
+                );
+            }
+        }
     }
 
     #[test]

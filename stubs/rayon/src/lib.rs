@@ -2,12 +2,16 @@
 //!
 //! Implements the small parallel-iterator subset the workspace uses —
 //! `par_iter()` / `into_par_iter()` followed by `map(...).collect()` — on top
-//! of `std::thread::scope`. Items are split into one contiguous chunk per
-//! worker and results are reassembled in chunk order, so `collect` output is
+//! of `std::thread::scope`. Items are split into about 16 contiguous chunks
+//! per worker, and each worker takes the next chunk from a shared queue when
+//! it finishes its last, so a slow item or a slowed worker holds up only its
+//! own chunk rather than half of the input (real rayon balances load by work
+//! stealing). Results are reassembled in chunk order, so `collect` output is
 //! always in input order regardless of thread scheduling (the property the
 //! curation pipeline's serial/parallel equivalence relies on).
 
 use std::num::NonZeroUsize;
+use std::sync::Mutex;
 
 pub mod prelude {
     //! Traits to bring parallel-iterator methods into scope.
@@ -82,35 +86,51 @@ impl<T: Send, R: Send, F: Fn(T) -> R + Sync> MappedParIter<T, F> {
     }
 }
 
-/// Order-stable parallel map: contiguous chunks, one worker per chunk,
-/// results flattened in chunk order.
+/// Chunks per worker: enough that the workers still finishing their last
+/// chunk leave the others little to wait for, few enough that taking a chunk
+/// costs nothing next to running it.
+const CHUNKS_PER_WORKER: usize = 16;
+
+/// Order-stable parallel map: contiguous chunks handed out on demand from a
+/// shared queue, results put back in chunk order.
 fn parallel_map<T: Send, R: Send>(items: Vec<T>, f: &(impl Fn(T) -> R + Sync)) -> Vec<R> {
     let len = items.len();
-    let workers = current_num_threads().min(len.max(1));
-    if workers <= 1 || len < 2 {
+    let workers = current_num_threads().min(len);
+    if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let chunk_size = len.div_ceil(workers);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
+    let chunk_size = len.div_ceil(workers * CHUNKS_PER_WORKER);
     let mut items = items.into_iter();
-    loop {
+    let chunks = std::iter::from_fn(move || {
         let chunk: Vec<T> = items.by_ref().take(chunk_size).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    let outputs: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
+        (!chunk.is_empty()).then_some(chunk)
+    });
+    let queue = Mutex::new(chunks.enumerate());
+    let next_chunk = || {
+        queue
+            .lock()
+            .expect("rayon stub: a worker panicked while taking a chunk")
+            .next()
+    };
+    let mut done: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mapped = Vec::new();
+                    while let Some((index, chunk)) = next_chunk() {
+                        mapped.push((index, chunk.into_iter().map(f).collect::<Vec<R>>()));
+                    }
+                    mapped
+                })
+            })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("rayon stub: map worker panicked"))
+            .flat_map(|h| h.join().expect("rayon stub: map worker panicked"))
             .collect()
     });
-    outputs.into_iter().flatten().collect()
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().flat_map(|(_, results)| results).collect()
 }
 
 /// Conversion into an owned parallel iterator.
@@ -198,6 +218,40 @@ mod tests {
         assert!(out.is_empty());
         let one: Vec<u32> = vec![7].into_par_iter().map(|x| x + 1).collect();
         assert_eq!(one, vec![8]);
+    }
+
+    /// Spins for a number of rounds that varies wildly by item, so chunks
+    /// finish out of order.
+    fn uneven_work(x: u64) -> u64 {
+        let rounds = (x * 7919) % 5_000;
+        (0..rounds).fold(x, |acc, i| std::hint::black_box(acc.wrapping_mul(31) ^ i)) ^ x
+    }
+
+    #[test]
+    fn collect_keeps_input_order_under_uneven_work() {
+        for len in [0u64, 1, 2, 31, 32, 33, 1_000] {
+            let input: Vec<u64> = (0..len).collect();
+            let expected: Vec<u64> = input.iter().map(|&x| uneven_work(x)).collect();
+            let owned: Vec<u64> = input.clone().into_par_iter().map(uneven_work).collect();
+            assert_eq!(owned, expected, "into_par_iter, len {len}");
+            let borrowed: Vec<u64> = input.par_iter().map(|&x| uneven_work(x)).collect();
+            assert_eq!(borrowed, expected, "par_iter, len {len}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller() {
+        let input: Vec<u64> = (0..100).collect();
+        let outcome = std::panic::catch_unwind(|| {
+            input
+                .par_iter()
+                .map(|&x| {
+                    assert_ne!(x, 57, "item 57 fails");
+                    uneven_work(x)
+                })
+                .collect::<Vec<u64>>()
+        });
+        assert!(outcome.is_err());
     }
 
     #[test]
