@@ -20,7 +20,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::model::{Distribution, LanguageModel, TrainConfig};
-use crate::ngram::{NgramCounts, NgramModel};
+use crate::ngram::{with_suffix_keys, NgramCounts, NgramModel};
 use crate::parallel::{default_workers, sharded_counts};
 use crate::tokenizer::{HdlTokenizer, TokenId};
 
@@ -91,16 +91,40 @@ impl LanguageModel for AdaptedModel {
         &self.tokenizer
     }
 
-    fn distribution(&self, context: &[TokenId]) -> Distribution {
-        let base = self.base.distribution(context);
-        let adapted = self.adapter.distribution(context);
-        if adapted.is_empty() {
-            base
-        } else if base.is_empty() {
-            adapted
-        } else {
-            base.mix(&adapted, ADAPTER_WEIGHT)
-        }
+    /// The base and adapter predictions mixed as
+    /// `(1 - 0.7) * p_base + 0.7 * p_adapter`; where only one of the two
+    /// has seen a suffix of `context`, its prediction alone.
+    ///
+    /// The context is fingerprinted once for both count tables, and the mix
+    /// is written straight from their two entries. Its floats are those of
+    /// the longhand chain: each table's `count / total`, the base term
+    /// first in each sum, the normalising sum added in ascending token order.
+    fn distribution_into(&self, context: &[TokenId], out: &mut Distribution) {
+        let base_counts = self.base.counts();
+        let order = base_counts.order().max(self.adapter.order());
+        with_suffix_keys(context, order, |keys| {
+            match (
+                base_counts.longest_entry(keys),
+                self.adapter.longest_entry(keys),
+            ) {
+                (None, None) => out.set_normalised([]),
+                (Some(only), None) | (None, Some(only)) => out.set_normalised(only.probabilities()),
+                (Some(base), Some(adapted)) => {
+                    let keep = 1.0 - ADAPTER_WEIGHT;
+                    let mixed = base
+                        .probabilities()
+                        .map(|(t, p)| match adapted.probability(t) {
+                            Some(q) => (t, keep * p + ADAPTER_WEIGHT * q),
+                            None => (t, keep * p),
+                        });
+                    let adapter_only = adapted
+                        .probabilities()
+                        .filter(|&(t, _)| base.probability(t).is_none())
+                        .map(|(t, q)| (t, ADAPTER_WEIGHT * q));
+                    out.set_weights_by_token(mixed.chain(adapter_only));
+                }
+            }
+        })
     }
 
     fn name(&self) -> &str {

@@ -11,11 +11,11 @@
 //!
 //! Both behaviours are properties of *how well the model fits its training
 //! distribution*, not of the transformer architecture per se, so this crate
-//! substitutes an interpolated-backoff n-gram language model over code
-//! tokens: it memorises duplicated training spans (driving the copyright
-//! benchmark) and improves its continuations when continually pre-trained on
-//! in-domain Verilog (driving the functional benchmark), while training in
-//! milliseconds on a laptop.
+//! substitutes a stupid-backoff n-gram language model (Brants et al., EMNLP
+//! 2007) over code tokens: it memorises duplicated training spans (driving
+//! the copyright benchmark) and improves its continuations when continually
+//! pre-trained on in-domain Verilog (driving the functional benchmark),
+//! while training in milliseconds on a laptop.
 //!
 //! The fine-tuning mechanics are mirrored structurally: a frozen **base
 //! model** ([`NgramModel`]), an **adapter** holding the delta statistics
@@ -30,6 +30,14 @@
 //! [`TrainConfig`] holds the two settings that change what is learned: the
 //! n-gram order and the maximum sequence length. A [`SamplerConfig`] holds
 //! one: the temperature.
+//!
+//! Generation samples every token of a sequence in one reused
+//! [`Distribution`]: the model writes its prediction straight from its count
+//! tables into it ([`LanguageModel::distribution_into`]), and the
+//! temperature and the draw work in place, with no allocation per token and
+//! no sort where the order provably holds. The tokens drawn are
+//! bit-identical to the allocating chain (predict, temper a copy, sample);
+//! see [`LanguageModel`].
 //!
 //! # Example
 //!

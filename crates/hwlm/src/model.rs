@@ -1,6 +1,8 @@
 //! The [`LanguageModel`] trait, predictive distributions and training
 //! configuration.
 
+use std::cmp::Ordering;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -9,26 +11,44 @@ use crate::tokenizer::{HdlTokenizer, TokenId, EOS};
 
 /// A sparse predictive distribution over next tokens.
 ///
-/// Entries are `(token, probability)` pairs; probabilities sum to 1 (or the
-/// distribution is empty when the model has no information at all).
+/// Entries are `(token, probability)` pairs, most probable first (ties by
+/// ascending token id); probabilities sum to 1 (or the distribution is empty
+/// when the model has no information at all).
+///
+/// Generation samples every token of a sequence in one `Distribution`
+/// buffer: a model writes its prediction into it
+/// ([`LanguageModel::distribution_into`]), [`Distribution::apply_temperature`]
+/// reshapes it in place and [`Distribution::sample`] draws from it, so a
+/// generated token costs no allocation once the buffer has grown to the
+/// largest prediction met. The in-place path keeps the floats of the
+/// allocating one ([`Distribution::from_weights`], then
+/// [`Distribution::with_temperature`]) bit for bit: both normalise through
+/// the same code, and the canonical order is re-established by a sort only
+/// when a linear scan finds it broken, which can change no float.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct Distribution {
     entries: Vec<(TokenId, f64)>,
 }
 
+/// The canonical entry order: descending probability, then ascending token.
+/// Normalised probabilities are never NaN, so the total order agrees with
+/// the numeric one.
+fn canonical_order(a: &(TokenId, f64), b: &(TokenId, f64)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
 impl Distribution {
     /// Builds a distribution from raw non-negative weights, normalising them.
-    pub fn from_weights(mut entries: Vec<(TokenId, f64)>) -> Self {
-        entries.retain(|(_, w)| *w > 0.0);
-        let total: f64 = entries.iter().map(|(_, w)| w).sum();
-        if total > 0.0 {
-            for (_, w) in &mut entries {
-                *w /= total;
-            }
-        }
-        // Deterministic order: by descending probability then token id.
-        entries.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        Self { entries }
+    ///
+    /// Weights that are zero, negative or not finite (NaN or ±∞) carry no
+    /// usable mass and are dropped. The rest are divided by their sum, added
+    /// in the order given; when that sum overflows to ∞ (weights near
+    /// `f64::MAX`), every weight is first divided by the largest one, so a
+    /// non-empty result always sums to 1 (to rounding). No input panics.
+    pub fn from_weights(entries: Vec<(TokenId, f64)>) -> Self {
+        let mut distribution = Self { entries };
+        distribution.normalise();
+        distribution
     }
 
     /// The `(token, probability)` entries, most probable first.
@@ -55,55 +75,37 @@ impl Distribution {
         self.entries.first().map(|(t, _)| *t)
     }
 
-    /// Returns a copy with the given softmax temperature applied
-    /// (`p_i ∝ p_i^(1/T)`). Temperature 0 is greedy: the argmax keeps all
-    /// mass. So is any temperature at which every reweighted entry
-    /// underflows to 0 (a small positive `T`, or `NaN`), instead of leaving
-    /// nothing to sample.
+    /// Returns a copy with the given softmax temperature applied; see
+    /// [`Distribution::apply_temperature`].
     pub fn with_temperature(&self, temperature: f64) -> Distribution {
-        let Some(&(argmax, _)) = self.entries.first() else {
-            return Distribution::default();
-        };
-        let greedy = || Distribution {
-            entries: vec![(argmax, 1.0)],
-        };
-        if temperature <= f64::EPSILON {
-            return greedy();
-        }
-        let reweighted = Distribution::from_weights(
-            self.entries
-                .iter()
-                .map(|&(t, p)| (t, p.powf(1.0 / temperature)))
-                .collect(),
-        );
-        if reweighted.is_empty() {
-            greedy()
-        } else {
-            reweighted
-        }
+        let mut shaped = self.clone();
+        shaped.apply_temperature(temperature);
+        shaped
     }
 
-    /// Mixes two distributions: `(1 - weight) * self + weight * other`.
-    pub fn mix(&self, other: &Distribution, weight: f64) -> Distribution {
-        let weight = weight.clamp(0.0, 1.0);
-        let mut terms: Vec<(TokenId, f64)> = self
-            .entries
-            .iter()
-            .map(|&(t, p)| (t, (1.0 - weight) * p))
-            .chain(other.entries.iter().map(|&(t, p)| (t, weight * p)))
-            .collect();
-        // Token order, self's term before other's (the sort is stable): the
-        // normalising sum in `from_weights` then adds the same floats in the
-        // same order on every call, so the probabilities repeat bit for bit.
-        terms.sort_by_key(|&(t, _)| t);
-        let mut weights: Vec<(TokenId, f64)> = Vec::with_capacity(terms.len());
-        for (t, w) in terms {
-            match weights.last_mut() {
-                Some((last, sum)) if *last == t => *sum += w,
-                _ => weights.push((t, w)),
-            }
+    /// Applies the given softmax temperature in place (`p_i ∝ p_i^(1/T)`).
+    /// Temperature 0 is greedy: the argmax keeps all mass. So is any
+    /// temperature at which every reweighted entry underflows to 0 (a small
+    /// positive `T`, or `NaN`), instead of leaving nothing to sample.
+    ///
+    /// A single entry of probability 1, the common case for a memorised
+    /// context, is left as it is: `1^(1/T)` is 1 for every `T`.
+    pub fn apply_temperature(&mut self, temperature: f64) {
+        let Some(&(argmax, _)) = self.entries.first() else {
+            return;
+        };
+        if matches!(self.entries[..], [(_, p)] if p == 1.0) {
+            return;
         }
-        Distribution::from_weights(weights)
+        if temperature <= f64::EPSILON {
+            self.entries.clear();
+        } else {
+            let exponent = 1.0 / temperature;
+            self.reweight(|p| p.powf(exponent));
+        }
+        if self.entries.is_empty() {
+            self.entries.push((argmax, 1.0));
+        }
     }
 
     /// Samples a token according to the distribution.
@@ -120,6 +122,70 @@ impl Distribution {
             }
         }
         self.entries.last().map(|(t, _)| *t)
+    }
+
+    /// Replaces the entries with probabilities that are already normalised,
+    /// in any order, and puts them in the canonical order.
+    pub(crate) fn set_normalised(&mut self, entries: impl IntoIterator<Item = (TokenId, f64)>) {
+        self.entries.clear();
+        self.entries.extend(entries);
+        self.sort();
+    }
+
+    /// Replaces the entries with raw weights and normalises them as
+    /// [`Distribution::from_weights`] does, summing them in ascending token
+    /// order whatever order they come in. Tokens must be distinct.
+    pub(crate) fn set_weights_by_token(
+        &mut self,
+        weights: impl IntoIterator<Item = (TokenId, f64)>,
+    ) {
+        self.entries.clear();
+        self.entries.extend(weights);
+        self.entries.sort_unstable_by_key(|&(t, _)| t);
+        self.normalise();
+    }
+
+    /// Maps every probability through `f` and normalises the results in the
+    /// current entry order, as [`Distribution::from_weights`] would.
+    pub(crate) fn reweight(&mut self, f: impl Fn(f64) -> f64) {
+        for (_, p) in &mut self.entries {
+            *p = f(*p);
+        }
+        self.normalise();
+    }
+
+    /// The normalisation behind [`Distribution::from_weights`]: drop the
+    /// weights that carry no mass, divide the rest by their sum, then sort.
+    fn normalise(&mut self) {
+        self.entries.retain(|&(_, w)| w > 0.0 && w.is_finite());
+        let mut total: f64 = self.entries.iter().map(|&(_, w)| w).sum();
+        if total.is_infinite() {
+            let largest = self
+                .entries
+                .iter()
+                .fold(0.0, |max: f64, &(_, w)| max.max(w));
+            for (_, w) in &mut self.entries {
+                *w /= largest;
+            }
+            self.entries.retain(|&(_, w)| w > 0.0);
+            total = self.entries.iter().map(|&(_, w)| w).sum();
+        }
+        for (_, w) in &mut self.entries {
+            *w /= total;
+        }
+        self.sort();
+    }
+
+    /// Puts the entries in the canonical order. A linear scan first, since
+    /// a monotone reweighting (a temperature) can break the order only
+    /// where two probabilities become equal, which is rare.
+    fn sort(&mut self) {
+        if !self
+            .entries
+            .is_sorted_by(|a, b| canonical_order(a, b) != Ordering::Greater)
+        {
+            self.entries.sort_unstable_by(canonical_order);
+        }
     }
 }
 
@@ -146,14 +212,35 @@ impl Default for TrainConfig {
 
 /// A language model over HDL token sequences.
 ///
-/// Only [`LanguageModel::distribution`] and the accessors are required;
+/// Only [`LanguageModel::distribution_into`] and the accessors are required;
 /// generation and scoring are provided.
+///
+/// Generation allocates per sequence, not per token:
+/// [`LanguageModel::generate_ids`] keeps one [`Distribution`] for the whole
+/// sequence, and each step refills it with the model's prediction
+/// ([`LanguageModel::distribution_into`]), tempers it in place
+/// ([`Distribution::apply_temperature`]) and draws one uniform `f64` from
+/// it. The tokens, and the RNG state after them, are bit-identical to the
+/// allocating chain [`LanguageModel::distribution`] →
+/// [`Distribution::with_temperature`] → [`Distribution::sample`], since
+/// both normalise through the same code.
 pub trait LanguageModel {
     /// The tokeniser (and vocabulary) the model was trained with.
     fn tokenizer(&self) -> &HdlTokenizer;
 
-    /// Predictive distribution over the next token given `context`.
-    fn distribution(&self, context: &[TokenId]) -> Distribution;
+    /// Writes the predictive distribution over the next token given
+    /// `context` into `out`, replacing what it held and reusing its
+    /// allocation. It must write what [`LanguageModel::distribution`]
+    /// returns, bit for bit.
+    fn distribution_into(&self, context: &[TokenId], out: &mut Distribution);
+
+    /// Predictive distribution over the next token given `context`, in a
+    /// fresh buffer.
+    fn distribution(&self, context: &[TokenId]) -> Distribution {
+        let mut out = Distribution::default();
+        self.distribution_into(context, &mut out);
+        out
+    }
 
     /// A short human-readable name for reports.
     fn name(&self) -> &str {
@@ -182,8 +269,10 @@ pub trait LanguageModel {
     ) -> Vec<TokenId> {
         let mut context: Vec<TokenId> = prompt.to_vec();
         let mut generated = Vec::new();
+        let mut dist = Distribution::default();
         for _ in 0..max_new_tokens {
-            let dist = sampler.shape(&self.distribution(&context));
+            self.distribution_into(&context, &mut dist);
+            dist.apply_temperature(sampler.temperature);
             let Some(next) = dist.sample(rng) else {
                 break;
             };
@@ -214,7 +303,7 @@ pub trait LanguageModel {
             (id != crate::tokenizer::UNK).then_some(id)
         };
         let mut prompt_ids = vec![crate::tokenizer::BOS];
-        prompt_ids.extend(tokenizer.encode(prompt));
+        prompt_ids.extend(tokenizer.ids(prompt));
         let generated = self.generate_ids(&prompt_ids, max_new_tokens, sampler, rng, stop);
         tokenizer.decode(&generated)
     }
@@ -225,8 +314,8 @@ impl<M: LanguageModel + ?Sized> LanguageModel for &M {
         (**self).tokenizer()
     }
 
-    fn distribution(&self, context: &[TokenId]) -> Distribution {
-        (**self).distribution(context)
+    fn distribution_into(&self, context: &[TokenId], out: &mut Distribution) {
+        (**self).distribution_into(context, out)
     }
 
     fn name(&self) -> &str {
@@ -252,6 +341,50 @@ mod tests {
         assert!((d.probability(7) - 0.75).abs() < 1e-12);
         assert!((d.probability(5) - 0.25).abs() < 1e-12);
         assert_eq!(d.probability(9), 0.0);
+    }
+
+    #[test]
+    fn from_weights_is_total() {
+        // ∞ / ∞ used to be NaN, which panicked the sort's comparison.
+        let d = Distribution::from_weights(vec![(1, f64::INFINITY), (2, 1.0)]);
+        assert_eq!(d.entries(), &[(2, 1.0)]);
+        // The sum of two f64::MAX used to overflow, leaving probabilities
+        // of 0 that made `sample` always return the last entry.
+        let d = Distribution::from_weights(vec![(1, f64::MAX), (2, f64::MAX)]);
+        assert_eq!(d.entries(), &[(1, 0.5), (2, 0.5)]);
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let ones = (0..400).filter(|_| d.sample(&mut rng) == Some(1)).count();
+        assert!((120..280).contains(&ones), "{ones}");
+        // NaN and −∞ carry no mass either.
+        let none = vec![(1, f64::NAN), (2, f64::NEG_INFINITY), (3, f64::INFINITY)];
+        assert!(Distribution::from_weights(none).is_empty());
+    }
+
+    #[test]
+    fn a_certain_token_and_an_empty_distribution_are_temperature_fixed_points() {
+        for temperature in [0.0, 1e-4, f64::NAN, 0.2, 1.0, f64::INFINITY] {
+            let mut certain = Distribution::from_weights(vec![(4, 7.0)]);
+            certain.apply_temperature(temperature);
+            assert_eq!(certain.entries(), &[(4, 1.0)]);
+            let mut empty = Distribution::default();
+            empty.apply_temperature(temperature);
+            assert!(empty.is_empty());
+        }
+        // Sampling from nothing leaves the RNG untouched.
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut twin = rng.clone();
+        assert_eq!(Distribution::default().sample(&mut rng), None);
+        assert_eq!(rng.gen::<u64>(), twin.gen::<u64>());
+    }
+
+    #[test]
+    fn an_infinite_temperature_reorders_ties_by_token() {
+        // Every p^0 is 1, so the probabilities tie and the token order
+        // decides: the in-place path must re-sort, as the copy's did.
+        let d = Distribution::from_weights(vec![(9, 3.0), (5, 2.0), (7, 1.0)]);
+        let flat = d.with_temperature(f64::INFINITY);
+        let third = 1.0 / 3.0;
+        assert_eq!(flat.entries(), &[(5, third), (7, third), (9, third)]);
     }
 
     #[test]
@@ -285,37 +418,6 @@ mod tests {
         assert_eq!(cold.entries().len(), 2);
         assert_eq!(cold.argmax(), Some(2));
         assert!(Distribution::default().with_temperature(1e-4).is_empty());
-    }
-
-    #[test]
-    fn mixing_weights_both_components() {
-        let a = Distribution::from_weights(vec![(1, 1.0)]);
-        let b = Distribution::from_weights(vec![(2, 1.0)]);
-        let m = a.mix(&b, 0.25);
-        assert!((m.probability(1) - 0.75).abs() < 1e-12);
-        assert!((m.probability(2) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mix_is_bitwise_repeatable() {
-        // Irregular weights over partly overlapping token sets, so the
-        // normalising sum depends on the order it adds them in.
-        let dist = |offset: TokenId, scale: f64| {
-            Distribution::from_weights(
-                (0..64)
-                    .map(|i: TokenId| (offset + i, scale / f64::from(i + 3) + f64::from(i).sqrt()))
-                    .collect(),
-            )
-        };
-        let (a, b) = (dist(0, 1.7), dist(40, 0.3));
-        let bits = |d: &Distribution| -> Vec<(TokenId, u64)> {
-            d.entries().iter().map(|&(t, p)| (t, p.to_bits())).collect()
-        };
-        let first = bits(&a.mix(&b, 0.37));
-        assert_eq!(first.len(), 104);
-        for _ in 0..50 {
-            assert_eq!(bits(&a.mix(&b, 0.37)), first);
-        }
     }
 
     #[test]

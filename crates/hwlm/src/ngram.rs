@@ -55,11 +55,29 @@ impl Hasher for FoldHasher {
 /// A hash map keyed through [`FoldHasher`].
 type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
 
-/// Counts for one observed context.
+/// Counts for one observed context: `total` is the sum of the `next`
+/// counts.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
-struct ContextEntry {
+pub(crate) struct ContextEntry {
     total: u64,
     next: FoldMap<TokenId, u64>,
+}
+
+impl ContextEntry {
+    /// The probability of each continuation, `count / total`.
+    ///
+    /// That is the float [`Distribution::from_weights`] computes from the
+    /// counts: integer counts below 2^53 sum exactly in any order, so its
+    /// normalising sum is `total`.
+    pub(crate) fn probabilities(&self) -> impl Iterator<Item = (TokenId, f64)> + '_ {
+        let total = self.total as f64;
+        self.next.iter().map(move |(&t, &c)| (t, c as f64 / total))
+    }
+
+    /// The probability of `token`, if this context was seen followed by it.
+    pub(crate) fn probability(&self, token: TokenId) -> Option<f64> {
+        self.next.get(&token).map(|&c| c as f64 / self.total as f64)
+    }
 }
 
 /// n-gram count tables for context lengths `0..order`.
@@ -103,6 +121,34 @@ fn suffix_fingerprints(context: &[TokenId]) -> impl Iterator<Item = u64> + '_ {
         Some(*hash)
     });
     std::iter::once(EMPTY_CONTEXT).chain(older)
+}
+
+/// The most suffix fingerprints [`with_suffix_keys`] keeps on the stack:
+/// enough for every order up to 32. Longer keys go to the heap.
+const STACK_KEYS: usize = 32;
+
+/// Calls `f` with the fingerprints of `context`'s first `count` suffixes,
+/// shortest first (fewer when `context` is shorter). A model that keys
+/// several tables of different orders computes the keys once, for the
+/// largest order, and hands each table its prefix.
+pub(crate) fn with_suffix_keys<T>(
+    context: &[TokenId],
+    count: usize,
+    f: impl FnOnce(&[u64]) -> T,
+) -> T {
+    let count = count.min(context.len() + 1);
+    let mut stack = [0; STACK_KEYS];
+    let mut heap = Vec::new();
+    let keys = if count <= STACK_KEYS {
+        &mut stack[..count]
+    } else {
+        heap.resize(count, 0);
+        &mut heap[..]
+    };
+    for (slot, key) in keys.iter_mut().zip(suffix_fingerprints(context)) {
+        *slot = key;
+    }
+    f(keys)
 }
 
 impl NgramCounts {
@@ -182,41 +228,49 @@ impl NgramCounts {
         }
     }
 
-    /// The fingerprints of `context`'s backoff suffixes, by length: one per
-    /// table, or fewer when `context` is shorter than the longest context.
-    fn suffix_keys(&self, context: &[TokenId]) -> Vec<u64> {
-        suffix_fingerprints(context).take(self.order).collect()
+    /// The entry of the longest context whose fingerprint is among `keys`
+    /// (suffix fingerprints, shortest first; see [`with_suffix_keys`]),
+    /// probing the tables longest first.
+    pub(crate) fn longest_entry(&self, keys: &[u64]) -> Option<&ContextEntry> {
+        self.tables
+            .iter()
+            .zip(keys)
+            .rev()
+            .find_map(|(table, key)| table.get(key))
     }
 
     /// Predictive distribution for `context` from the longest matching
     /// context, backing off to shorter ones when nothing was observed.
     pub fn distribution(&self, context: &[TokenId]) -> Distribution {
-        for (table, key) in self.tables.iter().zip(&self.suffix_keys(context)).rev() {
-            if let Some(entry) = table.get(key) {
-                let weights = entry
-                    .next
-                    .iter()
-                    .map(|(t, c)| (*t, *c as f64))
-                    .collect::<Vec<_>>();
-                return Distribution::from_weights(weights);
-            }
+        let mut out = Distribution::default();
+        self.distribution_into(context, &mut out);
+        out
+    }
+
+    /// [`NgramCounts::distribution`], written into `out`.
+    pub(crate) fn distribution_into(&self, context: &[TokenId], out: &mut Distribution) {
+        let entry = with_suffix_keys(context, self.order, |keys| self.longest_entry(keys));
+        match entry {
+            Some(entry) => out.set_normalised(entry.probabilities()),
+            None => out.set_normalised([]),
         }
-        Distribution::default()
     }
 
     /// Stupid-backoff score of `token` following `context` (a probability-like
     /// quantity in `(0, 1]`, not normalised across backoff levels).
     pub fn score(&self, context: &[TokenId], token: TokenId) -> f64 {
-        let mut discount = 1.0;
-        for (table, key) in self.tables.iter().zip(&self.suffix_keys(context)).rev() {
-            if let Some(entry) = table.get(key) {
-                if let Some(count) = entry.next.get(&token) {
-                    return discount * (*count as f64) / (entry.total as f64);
+        with_suffix_keys(context, self.order, |keys| {
+            let mut discount = 1.0;
+            for (table, key) in self.tables.iter().zip(keys).rev() {
+                if let Some(entry) = table.get(key) {
+                    if let Some(count) = entry.next.get(&token) {
+                        return discount * (*count as f64) / (entry.total as f64);
+                    }
                 }
+                discount *= self.backoff;
             }
-            discount *= self.backoff;
-        }
-        UNSEEN_SCORE_FLOOR
+            UNSEEN_SCORE_FLOOR
+        })
     }
 }
 
@@ -284,8 +338,8 @@ impl LanguageModel for NgramModel {
         &self.tokenizer
     }
 
-    fn distribution(&self, context: &[TokenId]) -> Distribution {
-        self.counts.distribution(context)
+    fn distribution_into(&self, context: &[TokenId], out: &mut Distribution) {
+        self.counts.distribution_into(context, out)
     }
 
     fn name(&self) -> &str {

@@ -152,8 +152,13 @@ pub(crate) fn sharded_tally<S: AsRef<str> + Sync>(
     let mut tallies = map_shards(corpus, workers, |indices| {
         let mut tally: HashMap<String, usize> = HashMap::new();
         for &i in indices {
-            for token in HdlTokenizer::split(corpus[i].as_ref()) {
-                *tally.entry(token).or_insert(0) += 1;
+            for token in HdlTokenizer::tokens(corpus[i].as_ref()) {
+                match tally.get_mut(token) {
+                    Some(count) => *count += 1,
+                    None => {
+                        tally.insert(token.to_owned(), 1);
+                    }
+                }
             }
         }
         tally
@@ -397,7 +402,8 @@ mod tests {
         assert_eq!(tuned.base(), &base);
         assert_eq!(tuned.tokenizer(), &tokenizer);
         assert_eq!(tuned.adapter_counts(), &adapter);
-        // The adapter mixes in at 0.7, to the bit.
+        // The adapter mixes in at 0.7, to the bit. (Its distributions are
+        // checked against a longhand mix in `tests/properties.rs`.)
         let weight = f64::from_bits(0x3fe6_6666_6666_6666);
         for doc in tune_docs {
             let ids = tokenizer.encode_document(doc);
@@ -408,11 +414,6 @@ mod tests {
                 assert_eq!(
                     tuned.log_prob(context, token).to_bits(),
                     mixed.max(crate::UNSEEN_SCORE_FLOOR).ln().to_bits()
-                );
-                assert_eq!(
-                    tuned.distribution(context),
-                    base.distribution(context)
-                        .mix(&adapter.distribution(context), weight)
                 );
             }
         }

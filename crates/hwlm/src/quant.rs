@@ -51,25 +51,6 @@ impl<M: LanguageModel> QuantizedModel<M> {
     pub fn bits(&self) -> u32 {
         self.bits
     }
-
-    fn quantize(&self, distribution: &Distribution) -> Distribution {
-        let levels = (1u32 << self.bits) - 1;
-        let weights: Vec<(TokenId, f64)> = distribution
-            .entries()
-            .iter()
-            .map(|(t, p)| (*t, (p * f64::from(levels)).round() / f64::from(levels)))
-            .collect();
-        let quantized = Distribution::from_weights(weights);
-        if quantized.is_empty() {
-            // Every probability rounded to zero (a very flat distribution):
-            // fall back to the unquantised distribution rather than going
-            // silent, mirroring how real quantised models still produce
-            // *some* logits.
-            distribution.clone()
-        } else {
-            quantized
-        }
-    }
 }
 
 impl<M: LanguageModel> LanguageModel for QuantizedModel<M> {
@@ -77,8 +58,19 @@ impl<M: LanguageModel> LanguageModel for QuantizedModel<M> {
         self.inner.tokenizer()
     }
 
-    fn distribution(&self, context: &[TokenId]) -> Distribution {
-        self.quantize(&self.inner.distribution(context))
+    /// The inner model's prediction with every probability snapped to the
+    /// nearest multiple of `1 / (2^bits - 1)` and renormalised, in place. If every
+    /// probability would round to zero (a very flat distribution), the
+    /// prediction stays unquantised rather than going silent, mirroring how
+    /// real quantised models still produce *some* logits; that is decided
+    /// before any entry is overwritten.
+    fn distribution_into(&self, context: &[TokenId], out: &mut Distribution) {
+        self.inner.distribution_into(context, out);
+        let levels = f64::from((1u32 << self.bits) - 1);
+        let snap = |p: f64| (p * levels).round() / levels;
+        if out.entries().iter().any(|&(_, p)| snap(p) > 0.0) {
+            out.reweight(snap);
+        }
     }
 
     fn name(&self) -> &str {

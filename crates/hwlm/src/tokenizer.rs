@@ -81,6 +81,14 @@ const MULTI_CHAR_OPERATORS: &[&str] = &[
 /// keeps a plausible layout. A vocabulary is built with [`HdlTokenizer::fit`]
 /// from the training corpus; unseen tokens encode to `<unk>`.
 ///
+/// Encoding, training's vocabulary tally and [`HdlTokenizer::split`] share
+/// one scan that yields each token as a slice of the input, so encoding
+/// allocates only the id vector and the tally allocates a `String` only for
+/// a token it has not seen. Its tokens equal the original splitter's, a walk
+/// over the text's `char`s that allocated a `String` per token, on any
+/// Unicode input (`hwlm/tests/properties.rs` keeps that splitter as an
+/// oracle).
+///
 /// # Example
 ///
 /// ```
@@ -100,51 +108,48 @@ pub struct HdlTokenizer {
 impl HdlTokenizer {
     /// Splits raw text into surface token strings (no vocabulary involved).
     pub fn split(text: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let chars: Vec<char> = text.chars().collect();
+        Self::tokens(text).map(str::to_owned).collect()
+    }
+
+    /// The surface tokens of `text` as slices of it (`<nl>` for a line
+    /// break), without allocating: the scan behind [`HdlTokenizer::split`],
+    /// encoding and the vocabulary tally.
+    ///
+    /// It decides each token by its first character, as a walk over `char`s
+    /// does, then extends identifier and number runs byte by byte: they are
+    /// ASCII, and so is every multi-character operator, so a non-ASCII
+    /// character is either Unicode whitespace (skipped) or a token of its
+    /// own.
+    pub(crate) fn tokens(text: &str) -> impl Iterator<Item = &str> {
+        let bytes = text.as_bytes();
+        let run_end = move |from: usize, part: fn(&u8) -> bool| {
+            from + bytes[from..].iter().take_while(|b| part(b)).count()
+        };
         let mut i = 0;
-        while i < chars.len() {
-            let c = chars[i];
+        std::iter::from_fn(move || loop {
+            let start = i;
+            let c = text[start..].chars().next()?;
+            i += c.len_utf8();
             if c == '\n' {
-                out.push("<nl>".to_string());
-                i += 1;
+                return Some("<nl>");
             } else if c.is_whitespace() {
-                i += 1;
-            } else if c.is_ascii_alphabetic() || c == '_' || c == '$' || c == '`' {
-                let start = i;
-                i += 1;
-                while i < chars.len()
-                    && (chars[i].is_ascii_alphanumeric() || chars[i] == '_' || chars[i] == '$')
-                {
-                    i += 1;
-                }
-                out.push(chars[start..i].iter().collect());
+                continue;
+            } else if c.is_ascii_alphabetic() || matches!(c, '_' | '$' | '`') {
+                i = run_end(i, |b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'$'));
             } else if c.is_ascii_digit()
-                || (c == '\'' && i + 1 < chars.len() && chars[i + 1].is_ascii_alphanumeric())
+                || (c == '\'' && bytes.get(i).is_some_and(u8::is_ascii_alphanumeric))
             {
-                let start = i;
-                i += 1;
-                while i < chars.len()
-                    && (chars[i].is_ascii_alphanumeric()
-                        || chars[i] == '\''
-                        || chars[i] == '_'
-                        || chars[i] == '.')
-                {
-                    i += 1;
-                }
-                out.push(chars[start..i].iter().collect());
-            } else {
-                let rest: String = chars[i..chars.len().min(i + 3)].iter().collect();
-                if let Some(op) = MULTI_CHAR_OPERATORS.iter().find(|op| rest.starts_with(*op)) {
-                    out.push((*op).to_string());
-                    i += op.len();
-                } else {
-                    out.push(c.to_string());
-                    i += 1;
-                }
+                i = run_end(i, |b| {
+                    b.is_ascii_alphanumeric() || matches!(b, b'\'' | b'_' | b'.')
+                });
+            } else if let Some(op) = MULTI_CHAR_OPERATORS
+                .iter()
+                .find(|op| text[start..].starts_with(*op))
+            {
+                i = start + op.len();
             }
-        }
-        out
+            return Some(&text[start..i]);
+        })
     }
 
     /// Builds a tokeniser whose vocabulary holds the reserved tokens and
@@ -192,14 +197,19 @@ impl HdlTokenizer {
 
     /// Encodes text into token ids (without BOS/EOS markers).
     pub fn encode(&self, text: &str) -> Vec<TokenId> {
-        Self::split(text).iter().map(|t| self.vocab.id(t)).collect()
+        self.ids(text).collect()
+    }
+
+    /// The token ids of `text`, looked up slice by slice.
+    pub(crate) fn ids<'a>(&'a self, text: &'a str) -> impl Iterator<Item = TokenId> + 'a {
+        Self::tokens(text).map(|t| self.vocab.id(t))
     }
 
     /// Encodes a document wrapped in BOS/EOS markers, as used for training.
     pub fn encode_document(&self, text: &str) -> Vec<TokenId> {
         let mut ids = Vec::with_capacity(text.len() / 4 + 2);
         ids.push(BOS);
-        ids.extend(self.encode(text));
+        ids.extend(self.ids(text));
         ids.push(EOS);
         ids
     }
