@@ -15,16 +15,15 @@ use crate::tokenizer::{HdlTokenizer, TokenId, EOS};
 /// ascending token id); probabilities sum to 1 (or the distribution is empty
 /// when the model has no information at all).
 ///
-/// Generation samples every token of a sequence in one `Distribution`
-/// buffer: a model writes its prediction into it
-/// ([`LanguageModel::distribution_into`]), [`Distribution::apply_temperature`]
-/// reshapes it in place and [`Distribution::sample`] draws from it, so a
-/// generated token costs no allocation once the buffer has grown to the
-/// largest prediction met. The in-place path keeps the floats of the
-/// allocating one ([`Distribution::from_weights`], then
-/// [`Distribution::with_temperature`]) bit for bit: both normalise through
-/// the same code, and the canonical order is re-established by a sort only
-/// when a linear scan finds it broken, which can change no float.
+/// Generation keeps one `Distribution` for a whole sequence (see
+/// [`LanguageModel`]): a model writes each prediction into it,
+/// [`Distribution::apply_temperature`] reshapes it in place and
+/// [`Distribution::sample`] draws from it. The in-place methods and the
+/// allocating ones ([`Distribution::from_weights`],
+/// [`Distribution::with_temperature`]) normalise through the same code, so
+/// their floats agree bit for bit. The canonical order is restored by a
+/// sort only where a linear scan finds it broken; a sort moves entries but
+/// changes no float.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct Distribution {
     entries: Vec<(TokenId, f64)>,

@@ -84,10 +84,9 @@ const MULTI_CHAR_OPERATORS: &[&str] = &[
 /// Encoding, training's vocabulary tally and [`HdlTokenizer::split`] share
 /// one scan that yields each token as a slice of the input, so encoding
 /// allocates only the id vector and the tally allocates a `String` only for
-/// a token it has not seen. Its tokens equal the original splitter's, a walk
-/// over the text's `char`s that allocated a `String` per token, on any
-/// Unicode input (`hwlm/tests/properties.rs` keeps that splitter as an
-/// oracle).
+/// a token it has not seen. Its tokens equal, on any Unicode input, those
+/// of a reference splitter that walks the text's `char`s and allocates a
+/// `String` per token, which `hwlm/tests/properties.rs` keeps as an oracle.
 ///
 /// # Example
 ///

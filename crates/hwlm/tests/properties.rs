@@ -82,11 +82,11 @@ fn token_sequences(rng: &mut ChaCha8Rng, count: usize, max_len: usize) -> Vec<Ve
         .collect()
 }
 
-/// A distribution written out as the seed's entry list, so the sampling
-/// chain below shares no code with [`Distribution`].
+/// A distribution as a plain entry list, so the longhand sampling chain
+/// below shares no code with [`Distribution`].
 type Entries = Vec<(TokenId, f64)>;
 
-/// The seed's `Distribution::from_weights`.
+/// `Distribution::from_weights` written out longhand, as a fresh vector.
 fn longhand_from_weights(mut entries: Entries) -> Entries {
     entries.retain(|(_, w)| *w > 0.0);
     let total: f64 = entries.iter().map(|(_, w)| w).sum();
@@ -99,7 +99,7 @@ fn longhand_from_weights(mut entries: Entries) -> Entries {
     entries
 }
 
-/// The seed's `Distribution::mix`: `(1 - weight) * base + weight * other`,
+/// A longhand mix, `(1 - weight) * base + weight * other`,
 /// summed per token with the base term first and normalised in ascending
 /// token order.
 fn longhand_mix(base: &Entries, other: &Entries, weight: f64) -> Entries {
@@ -120,7 +120,7 @@ fn longhand_mix(base: &Entries, other: &Entries, weight: f64) -> Entries {
     longhand_from_weights(weights)
 }
 
-/// The seed's `Distribution::with_temperature`.
+/// `Distribution::with_temperature` written out longhand.
 fn longhand_temperature(entries: &Entries, temperature: f64) -> Entries {
     let Some(&(argmax, _)) = entries.first() else {
         return Vec::new();
@@ -141,7 +141,7 @@ fn longhand_temperature(entries: &Entries, temperature: f64) -> Entries {
     }
 }
 
-/// The seed's `Distribution::sample`.
+/// `Distribution::sample` written out longhand.
 fn longhand_sample(entries: &Entries, rng: &mut ChaCha8Rng) -> Option<TokenId> {
     if entries.is_empty() {
         return None;
@@ -157,7 +157,8 @@ fn longhand_sample(entries: &Entries, rng: &mut ChaCha8Rng) -> Option<TokenId> {
     entries.last().map(|(t, _)| *t)
 }
 
-/// The seed's `QuantizedModel::quantize`.
+/// `QuantizedModel`'s quantisation written out longhand: snap, then
+/// renormalise, or keep the input if every probability rounds to zero.
 fn longhand_quantize(entries: &Entries, bits: u32) -> Entries {
     let levels = (1u32 << bits) - 1;
     let quantized = longhand_from_weights(
@@ -174,8 +175,8 @@ fn longhand_quantize(entries: &Entries, bits: u32) -> Entries {
 }
 
 /// One of the models under test, written out longhand: stupid-backoff
-/// tables keyed by tokens, the seed's mix at the adapter's 0.7, and
-/// optionally the seed's quantisation.
+/// tables keyed by tokens, the longhand mix at the adapter's 0.7, and
+/// optionally the longhand quantisation.
 struct LonghandModel<'a> {
     base: &'a LonghandBackoff,
     adapter: Option<&'a LonghandBackoff>,
@@ -204,8 +205,8 @@ impl LonghandModel<'_> {
         }
     }
 
-    /// The seed's `generate_ids`: distribution, temperature and draw, each
-    /// in a fresh vector.
+    /// `generate_ids` written out longhand: distribution, temperature and
+    /// draw, each in a fresh vector.
     fn generate_ids(
         &self,
         prompt: &[TokenId],
@@ -234,9 +235,9 @@ impl LonghandModel<'_> {
     }
 }
 
-/// The seed's `HdlTokenizer::split`, verbatim: a walk over a `Vec<char>`
+/// The reference splitter: a walk over the text's `Vec<char>`
 /// that allocates a `String` per token.
-fn seed_split(text: &str) -> Vec<String> {
+fn char_walk_split(text: &str) -> Vec<String> {
     const MULTI_CHAR_OPERATORS: &[&str] = &[
         "<<<", ">>>", "===", "!==", "<=", ">=", "==", "!=", "<<", ">>", "&&", "||", "~^", "^~",
         "~&", "~|", "**", "+:", "-:",
@@ -288,11 +289,11 @@ fn seed_split(text: &str) -> Vec<String> {
     out
 }
 
-/// `doc` as a training sequence: BOS, the seed splitter's tokens looked up
+/// `doc` as a training sequence: BOS, the reference splitter's tokens looked up
 /// in `vocab`, EOS, truncated to `max_seq_len` as training truncates.
 fn longhand_document(vocab: &Vocabulary, doc: &str, max_seq_len: usize) -> Vec<TokenId> {
     let mut ids = vec![BOS];
-    ids.extend(seed_split(doc).iter().map(|t| vocab.id(t)));
+    ids.extend(char_walk_split(doc).iter().map(|t| vocab.id(t)));
     ids.push(EOS);
     ids.truncate(max_seq_len.max(2));
     ids
@@ -438,24 +439,17 @@ fn verilog_ish_doc() -> impl Strategy<Value = String> {
 }
 
 /// Weights from everyday ones to values near `f64::MAX` (whose sum
-/// overflows) and non-finite ones.
+/// overflows) and non-finite or negative ones.
 fn weight() -> impl Strategy<Value = f64> {
     prop_oneof![
         0.0f64..10.0,
         0.0f64..10.0,
-        0.25f64..1.0,
+        (0.25f64..1.0).prop_map(|fraction| fraction * f64::MAX),
         Just(f64::INFINITY),
         Just(f64::NEG_INFINITY),
         Just(f64::NAN),
         Just(-1.0),
     ]
-    .prop_map(|w| {
-        if (0.25..1.0).contains(&w) {
-            w * f64::MAX
-        } else {
-            w
-        }
-    })
 }
 
 proptest! {
@@ -499,18 +493,18 @@ proptest! {
         }
     }
 
-    /// The slice scan splits and encodes exactly as the seed's `char` walk,
+    /// The slice scan splits and encodes exactly as the reference `char` walk,
     /// over Unicode whitespace, non-ASCII letters, emoji, lone quotes and
     /// operators cut off at the end of the input.
     #[test]
-    fn tokenizer_matches_the_seed_splitter(text in unicode_text(), vocab_text in unicode_text()) {
-        let expected = seed_split(&text);
+    fn tokenizer_matches_the_char_walk_splitter(text in unicode_text(), vocab_text in unicode_text()) {
+        let expected = char_walk_split(&text);
         prop_assert_eq!(&HdlTokenizer::split(&text), &expected, "text {:?}", text);
         let tokenizer = HdlTokenizer::fit(&[vocab_text, text.clone()]);
         let ids: Vec<TokenId> = expected.iter().map(|t| tokenizer.vocab().id(t)).collect();
         prop_assert_eq!(tokenizer.encode(&text), ids);
         for cut in (0..=text.len()).filter(|&i| text.is_char_boundary(i)) {
-            prop_assert_eq!(HdlTokenizer::split(&text[..cut]), seed_split(&text[..cut]));
+            prop_assert_eq!(HdlTokenizer::split(&text[..cut]), char_walk_split(&text[..cut]));
         }
     }
 
@@ -594,7 +588,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Sampling in one reused buffer draws what the seed's allocating chain
+    /// Sampling in one reused buffer draws what the allocating chain
     /// draws (`distribution → mix → with_temperature → sample`, written out
     /// longhand above): the same tokens, and the same RNG state afterwards,
     /// for the base model, the adapted model and both quantised, at every
