@@ -28,6 +28,9 @@ fn count_one() {
     let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds `GlobalAlloc`'s contract; counting touches only a thread-local
+// integer and never the memory handed out.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
