@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use bench::{fast_mode, print_artifact, MetricLog};
-use gh_sim::{DesignKind, SynthConfig, Synthesizer};
+use gh_sim::{DesignKind, Synthesizer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -56,7 +56,7 @@ fn assert_operator_dispatch() {
 /// A corpus mixing many small single-module files with a few large
 /// concatenated multi-module files — the shape of scraped traffic.
 fn corpus(small: usize, large: usize) -> Vec<String> {
-    let synth = Synthesizer::new(SynthConfig::default());
+    let synth = Synthesizer::new();
     let mut rng = ChaCha8Rng::seed_from_u64(0xB1A5);
     let mut files = Vec::with_capacity(small + large);
     for i in 0..small {

@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use bench::{fast_mode, print_artifact, MetricLog};
-use gh_sim::{DesignKind, SynthConfig, Synthesizer};
+use gh_sim::{DesignKind, Synthesizer};
 use hwlm::{HdlTokenizer, NgramCounts, NgramModel, TrainConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -29,7 +29,7 @@ const REQUIRED: [&str; 3] = [
 /// A synthesized training corpus: `files` generated designs cycling over
 /// every design kind, the same traffic shape the model zoo trains on.
 fn corpus(files: usize) -> Vec<String> {
-    let synth = Synthesizer::new(SynthConfig::default());
+    let synth = Synthesizer::new();
     let mut rng = ChaCha8Rng::seed_from_u64(0x7A11);
     (0..files)
         .map(|i| {

@@ -43,6 +43,6 @@ pub mod reference;
 pub mod scorer;
 
 pub use benchmark::{BenchmarkConfig, CopyrightBenchmark, InfringementReport, PromptOutcome};
-pub use prompts::{build_prompts, BenchPrompt, PromptConfig};
+pub use prompts::{build_prompts, BenchPrompt};
 pub use reference::{CopyrightedReference, ReferenceFile};
 pub use scorer::SimilarityScorer;

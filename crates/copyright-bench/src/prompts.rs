@@ -2,38 +2,19 @@
 //!
 //! Each prompt is the leading 20 % of a protected file's *code* (comments
 //! already stripped), capped at 64 words; 100 prompts are drawn from the
-//! reference set.
+//! reference set. The count, the fraction and the selection seed are
+//! [`BenchmarkConfig`] fields; the word cap is the paper's constant.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::benchmark::BenchmarkConfig;
 use crate::reference::CopyrightedReference;
 
-/// Prompt-construction parameters, defaulting to the paper's protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PromptConfig {
-    /// Number of prompts to draw (paper: 100).
-    pub prompt_count: usize,
-    /// Fraction of each file used as the prompt prefix (paper: 0.2).
-    pub prefix_fraction: f64,
-    /// Maximum number of words per prompt (paper: 64).
-    pub max_words: usize,
-    /// Seed for the prompt selection.
-    pub seed: u64,
-}
-
-impl Default for PromptConfig {
-    fn default() -> Self {
-        Self {
-            prompt_count: 100,
-            prefix_fraction: 0.2,
-            max_words: 64,
-            seed: 0xC0DE,
-        }
-    }
-}
+/// Maximum number of words per prompt (paper: 64).
+const MAX_WORDS: usize = 64;
 
 /// One benchmark prompt, tied back to the reference file it was cut from.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,7 +25,9 @@ pub struct BenchPrompt {
     pub text: String,
 }
 
-/// Builds the prompt set from a reference set.
+/// Builds the prompt set from a reference set: `config.prompt_count` files
+/// drawn with `config.seed`, each cut to its leading
+/// `config.prefix_fraction` of code words, at most 64.
 ///
 /// Files shorter than ten words of code are skipped (a two-line stub cannot
 /// meaningfully test regurgitation). If fewer eligible files exist than
@@ -53,17 +36,20 @@ pub struct BenchPrompt {
 /// # Example
 ///
 /// ```
-/// use copyright_bench::{build_prompts, CopyrightedReference, PromptConfig};
+/// use copyright_bench::{build_prompts, BenchmarkConfig, CopyrightedReference};
 ///
 /// let reference = CopyrightedReference::from_texts(&[
 ///     "module m(input clk, input rst, input [7:0] d, output reg [7:0] q);\n\
 ///      always @(posedge clk) begin if (rst) q <= 0; else q <= d; end endmodule",
 /// ]);
-/// let prompts = build_prompts(&reference, &PromptConfig::default());
+/// let prompts = build_prompts(&reference, &BenchmarkConfig::default());
 /// assert_eq!(prompts.len(), 1);
 /// assert!(prompts[0].text.split_whitespace().count() <= 64);
 /// ```
-pub fn build_prompts(reference: &CopyrightedReference, config: &PromptConfig) -> Vec<BenchPrompt> {
+pub fn build_prompts(
+    reference: &CopyrightedReference,
+    config: &BenchmarkConfig,
+) -> Vec<BenchPrompt> {
     let mut eligible: Vec<usize> = reference
         .files()
         .iter()
@@ -82,7 +68,7 @@ pub fn build_prompts(reference: &CopyrightedReference, config: &PromptConfig) ->
             let file = &reference.files()[index];
             let words: Vec<&str> = file.code.split_whitespace().collect();
             let prefix_len = ((words.len() as f64 * config.prefix_fraction).ceil() as usize)
-                .clamp(1, config.max_words.max(1))
+                .clamp(1, MAX_WORDS)
                 .min(words.len());
             BenchPrompt {
                 reference_index: index,
@@ -118,7 +104,7 @@ mod tests {
     #[test]
     fn prompts_respect_word_cap_and_prefix_fraction() {
         let r = reference(5);
-        let prompts = build_prompts(&r, &PromptConfig::default());
+        let prompts = build_prompts(&r, &BenchmarkConfig::default());
         assert_eq!(prompts.len(), 5);
         for p in &prompts {
             let words = p.text.split_whitespace().count();
@@ -135,7 +121,7 @@ mod tests {
         let r = reference(30);
         let prompts = build_prompts(
             &r,
-            &PromptConfig {
+            &BenchmarkConfig {
                 prompt_count: 10,
                 ..Default::default()
             },
@@ -150,7 +136,7 @@ mod tests {
     #[test]
     fn tiny_files_are_skipped() {
         let r = CopyrightedReference::from_texts(&["module m; endmodule", &long_file(0)]);
-        let prompts = build_prompts(&r, &PromptConfig::default());
+        let prompts = build_prompts(&r, &BenchmarkConfig::default());
         assert_eq!(prompts.len(), 1);
         assert_eq!(prompts[0].reference_index, 1);
     }
@@ -158,12 +144,12 @@ mod tests {
     #[test]
     fn selection_is_deterministic_in_the_seed() {
         let r = reference(20);
-        let c = PromptConfig {
+        let c = BenchmarkConfig {
             prompt_count: 5,
             ..Default::default()
         };
         assert_eq!(build_prompts(&r, &c), build_prompts(&r, &c));
-        let other = build_prompts(&r, &PromptConfig { seed: 999, ..c });
+        let other = build_prompts(&r, &BenchmarkConfig { seed: 999, ..c });
         assert_ne!(build_prompts(&r, &c), other);
     }
 
@@ -172,12 +158,12 @@ mod tests {
         let r = reference(3);
         let short = build_prompts(
             &r,
-            &PromptConfig {
+            &BenchmarkConfig {
                 prefix_fraction: 0.05,
                 ..Default::default()
             },
         );
-        let long = build_prompts(&r, &PromptConfig::default());
+        let long = build_prompts(&r, &BenchmarkConfig::default());
         assert!(short[0].text.split_whitespace().count() < long[0].text.split_whitespace().count());
     }
 }

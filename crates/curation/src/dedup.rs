@@ -57,17 +57,12 @@ use textsim::{
 
 use crate::stage::ExecutionMode;
 
-/// Configuration of the de-duplicator.
+/// Configuration of the de-duplicator. The shingle size and the MinHash
+/// permutation family are constants of this module.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DedupConfig {
     /// Jaccard similarity at or above which a file counts as a duplicate.
     pub similarity_threshold: f64,
-    /// Character shingle size.
-    pub shingle_size: usize,
-    /// Number of MinHash permutations.
-    pub permutations: usize,
-    /// Seed for the MinHash permutation family.
-    pub seed: u64,
     /// Short-circuit repeats of already-seen (comment-stripped) content to
     /// the first occurrence's resolution before building shingles or MinHash
     /// signatures. Output-invariant; disable only to benchmark the full
@@ -79,13 +74,19 @@ impl Default for DedupConfig {
     fn default() -> Self {
         Self {
             similarity_threshold: 0.85,
-            shingle_size: 8,
-            permutations: 128,
-            seed: 0x5EED,
             exact_prededup: true,
         }
     }
 }
+
+/// Character shingle size.
+const SHINGLE_SIZE: usize = 8;
+
+/// Number of MinHash permutations.
+const PERMUTATIONS: usize = 128;
+
+/// Seed for the MinHash permutation family.
+const MINHASH_SEED: u64 = 0x5EED;
 
 /// A spill-to-disk policy for the de-duplicator's kept state. The type has
 /// no values.
@@ -164,11 +165,10 @@ impl Deduplicator {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration requests zero permutations or a threshold
-    /// outside `(0, 1)`.
+    /// Panics if the similarity threshold lies outside `(0, 1)`.
     pub fn new(config: DedupConfig) -> Self {
-        let hasher = MinHasher::new(config.permutations, config.seed);
-        let lsh_params = LshParams::for_threshold(config.permutations, config.similarity_threshold);
+        let hasher = MinHasher::new(PERMUTATIONS, MINHASH_SEED);
+        let lsh_params = LshParams::for_threshold(PERMUTATIONS, config.similarity_threshold);
         Self {
             config,
             hasher,
@@ -373,8 +373,7 @@ impl StreamingDeduplicator {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration requests zero permutations or a threshold
-    /// outside `(0, 1)`.
+    /// Panics if the similarity threshold lies outside `(0, 1)`.
     pub fn new(config: DedupConfig) -> Self {
         Deduplicator::new(config).streaming()
     }
@@ -500,7 +499,7 @@ impl StreamingDeduplicator {
 
     /// Builds one comment-stripped document's shingle set and signature.
     fn shingle_and_sign(&self, code: &str) -> (ShingleSet, Signature) {
-        let shingles = char_shingles(code, self.config.shingle_size);
+        let shingles = char_shingles(code, SHINGLE_SIZE);
         let signature = self.hasher.signature(&shingles);
         (shingles, signature)
     }

@@ -46,11 +46,11 @@
 //!
 //! ```
 //! use curation::{CurationConfig, CurationPipeline};
-//! use gh_sim::{GithubApi, Scraper, ScraperConfig, Universe, UniverseConfig};
+//! use gh_sim::{GithubApi, Scraper, Universe, UniverseConfig};
 //!
 //! let universe = Universe::generate(&UniverseConfig { repo_count: 30, seed: 9, ..Default::default() });
 //! let api = GithubApi::new(&universe);
-//! let scraped = Scraper::new(ScraperConfig::default()).run(&api)?;
+//! let scraped = Scraper::new().run(&api)?;
 //! let dataset = CurationPipeline::new(CurationConfig::freeset()).run(scraped.files);
 //! assert!(dataset.len() > 0);
 //! assert!(dataset.funnel().initial() >= dataset.len());

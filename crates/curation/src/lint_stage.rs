@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use verilog::{LintConfig, LintDiagnostic, Linter, Severity};
+use verilog::{LintDiagnostic, Linter, Severity};
 
 use crate::parse_cache::ParseCache;
 use crate::stage::{stage_names, CurationStage, FileBatch, RejectReason, StageOutcome};
@@ -30,15 +30,12 @@ use crate::stage::{stage_names, CurationStage, FileBatch, RejectReason, StageOut
 pub struct LintRejectPolicy {
     /// Findings at or above this severity reject the file.
     pub min_severity: Severity,
-    /// Kebab-case rule ids (see [`verilog::RuleId::id`]) that never fire.
-    pub disabled_rules: Vec<String>,
 }
 
 impl Default for LintRejectPolicy {
     fn default() -> Self {
         Self {
             min_severity: Severity::Error,
-            disabled_rules: Vec::new(),
         }
     }
 }
@@ -48,7 +45,6 @@ impl LintRejectPolicy {
     pub fn strict() -> Self {
         Self {
             min_severity: Severity::Warning,
-            disabled_rules: Vec::new(),
         }
     }
 }
@@ -63,19 +59,14 @@ impl LintRejectPolicy {
 #[derive(Debug, Clone)]
 pub struct LintStage {
     policy: LintRejectPolicy,
-    linter: Linter,
     cache: Option<Arc<ParseCache>>,
 }
 
 impl LintStage {
     /// Stage enforcing the given policy.
     pub fn new(policy: LintRejectPolicy) -> Self {
-        let linter = Linter::with_config(LintConfig {
-            disabled_rules: policy.disabled_rules.clone(),
-        });
         Self {
             policy,
-            linter,
             cache: None,
         }
     }
@@ -101,8 +92,8 @@ impl LintStage {
     fn verdict(&self, content: &str) -> Option<(String, String)> {
         let cached = self.cache.as_ref().and_then(|cache| cache.take(content));
         let diagnostics = match cached {
-            Some(parsed) => self.linter.lint_parsed(&parsed),
-            None => match self.linter.lint_source(content) {
+            Some(parsed) => Linter::new().lint_parsed(&parsed),
+            None => match Linter::new().lint_source(content) {
                 Ok(diagnostics) => diagnostics,
                 Err(error) => {
                     return Some(("parse-error".into(), format!("does not parse: {error}")))
@@ -235,17 +226,6 @@ mod tests {
         let (category, detail) = stage.verdict("module broken(").expect("must reject");
         assert_eq!(category, "parse-error");
         assert!(detail.contains("does not parse"));
-    }
-
-    #[test]
-    fn disabled_rules_keep_their_files() {
-        let stage = LintStage::new(LintRejectPolicy {
-            min_severity: Severity::Error,
-            disabled_rules: vec!["comb-loop".into()],
-        });
-        assert!(stage
-            .verdict(&DefectKind::CombLoop.source("muted"))
-            .is_none());
     }
 
     #[test]

@@ -379,7 +379,7 @@ impl CurationPipeline {
 mod tests {
     use super::*;
     use crate::stage::{FileBatch, StageOutcome};
-    use gh_sim::{GithubApi, License, Scraper, ScraperConfig, Universe, UniverseConfig};
+    use gh_sim::{GithubApi, License, Scraper, Universe, UniverseConfig};
 
     fn scraped_corpus(repos: usize, seed: u64) -> Vec<ExtractedFile> {
         let universe = Universe::generate(&UniverseConfig {
@@ -388,10 +388,7 @@ mod tests {
             ..Default::default()
         });
         let api = GithubApi::new(&universe);
-        Scraper::new(ScraperConfig::default())
-            .run(&api)
-            .expect("scrape")
-            .files
+        Scraper::new().run(&api).expect("scrape").files
     }
 
     #[test]

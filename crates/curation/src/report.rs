@@ -111,7 +111,7 @@ impl DatasetSummary {
 mod tests {
     use super::*;
     use crate::pipeline::{CurationConfig, CurationPipeline};
-    use gh_sim::{GithubApi, Scraper, ScraperConfig, Universe, UniverseConfig};
+    use gh_sim::{GithubApi, Scraper, Universe, UniverseConfig};
 
     #[test]
     fn histogram_bins_by_decade() {
@@ -147,10 +147,7 @@ mod tests {
             ..Default::default()
         });
         let api = GithubApi::new(&universe);
-        let files = Scraper::new(ScraperConfig::default())
-            .run(&api)
-            .unwrap()
-            .files;
+        let files = Scraper::new().run(&api).unwrap().files;
         let dataset = CurationPipeline::new(CurationConfig::freeset()).run(files);
         let summary = DatasetSummary::from_dataset(&dataset, true, true);
         assert_eq!(summary.rows, dataset.len());

@@ -3,7 +3,7 @@
 //! fast path must never change the kept set.
 
 use curation::{DedupConfig, DedupOutcome, Deduplicator, ExecutionMode};
-use gh_sim::{GithubApi, Scraper, ScraperConfig, Universe, UniverseConfig};
+use gh_sim::{GithubApi, Scraper, Universe, UniverseConfig};
 use proptest::prelude::*;
 
 /// A scraped bank's contents: realistic Verilog with the universe's planted
@@ -15,7 +15,7 @@ fn corpus_texts(repos: usize, seed: u64) -> Vec<String> {
         ..Default::default()
     });
     let api = GithubApi::new(&universe);
-    Scraper::new(ScraperConfig::default())
+    Scraper::new()
         .run(&api)
         .expect("scrape")
         .files

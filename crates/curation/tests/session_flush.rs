@@ -15,7 +15,7 @@ use curation::{
     CurationConfig, CurationPipeline, CurationStage, FileBatch, StageOutcome, StageStream,
     StageStreaming,
 };
-use gh_sim::{ExtractedFile, GithubApi, License, Scraper, ScraperConfig, Universe, UniverseConfig};
+use gh_sim::{ExtractedFile, GithubApi, License, Scraper, Universe, UniverseConfig};
 
 /// The session's flush budget, as its docs state it.
 const FLUSH_BYTES: usize = 256 * 1024;
@@ -27,10 +27,7 @@ fn corpus(repos: usize, seed: u64) -> Vec<ExtractedFile> {
         ..Default::default()
     });
     let api = GithubApi::new(&universe);
-    Scraper::new(ScraperConfig::default())
-        .run(&api)
-        .expect("scrape")
-        .files
+    Scraper::new().run(&api).expect("scrape").files
 }
 
 fn content_bytes(files: &[ExtractedFile]) -> usize {

@@ -8,7 +8,7 @@ use curation::{
     CurationConfig, CurationPipeline, CurationStage, ExecutionMode, FileBatch, RejectReason,
     StageOutcome,
 };
-use gh_sim::{ExtractedFile, GithubApi, Scraper, ScraperConfig, Universe, UniverseConfig};
+use gh_sim::{ExtractedFile, GithubApi, Scraper, Universe, UniverseConfig};
 use proptest::prelude::*;
 
 fn corpus(repos: usize, seed: u64) -> Vec<ExtractedFile> {
@@ -18,10 +18,7 @@ fn corpus(repos: usize, seed: u64) -> Vec<ExtractedFile> {
         ..Default::default()
     });
     let api = GithubApi::new(&universe);
-    Scraper::new(ScraperConfig::default())
-        .run(&api)
-        .expect("scrape")
-        .files
+    Scraper::new().run(&api).expect("scrape").files
 }
 
 /// An arbitrary stage-subset policy: every toggle combination plus an

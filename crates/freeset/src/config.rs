@@ -62,7 +62,7 @@ impl Default for ExperimentScale {
 pub struct FreeSetConfig {
     /// Synthetic-universe parameters.
     pub universe: UniverseConfig,
-    /// Scraper parameters.
+    /// Scraper settings; there are none.
     pub scraper: ScraperConfig,
     /// Curation policy (defaults to the paper's FreeSet policy).
     pub curation: CurationConfig,

@@ -39,7 +39,7 @@ impl ScrapedCorpus {
     pub fn build(config: &FreeSetConfig) -> Self {
         let universe = Universe::generate(&config.universe);
         let api = GithubApi::with_rate_limit(&universe, SCRAPE_API_BUDGET);
-        let output = Scraper::new(config.scraper)
+        let output = Scraper::new()
             .run(&api)
             .expect("simulated scrape cannot fail at supported scales");
         Self {

@@ -6,54 +6,41 @@ use serde::{Deserialize, Serialize};
 
 use crate::corpus::{general_code_corpus, ScrapedCorpus};
 
-/// Hyper-parameters of the FreeV build.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FreeVBuilder {
-    /// Number of general-purpose documents in the base model's pre-training
-    /// mix (the software-heavy corpus of a foundation model).
-    pub base_general_documents: usize,
-    /// Fraction of the raw scrape mixed into the base model's pre-training —
-    /// foundation models have seen *some* public Verilog, which is why their
-    /// violation rates are non-zero even before fine-tuning.
-    pub base_verilog_fraction: f64,
-    /// Base-model training settings (order 8).
-    pub base_train: TrainConfig,
-    /// Continual pre-training settings: the adapter's n-gram order (20) and
-    /// the paper's 2 048-token maximum sequence length. The paper's other
-    /// QLoRA settings (one epoch, LoRA rank = alpha = 8) are what fix the
-    /// adapter's mixing weight; see [`hwlm::adapter`].
-    pub pretrain: TrainConfig,
-    /// Quantisation width used at inference time (paper: 4 bits).
-    pub quantization_bits: u32,
-    /// Seed for the base-corpus mixing.
-    pub seed: u64,
-}
+/// The FreeV build. It has no settings: the recipe is this module's
+/// constants, which the model zoo shares.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct FreeVBuilder {}
 
-impl Default for FreeVBuilder {
-    fn default() -> Self {
-        Self {
-            base_general_documents: 400,
-            base_verilog_fraction: 0.10,
-            base_train: TrainConfig {
-                order: 8,
-                ..Default::default()
-            },
-            pretrain: TrainConfig {
-                order: 20,
-                ..Default::default()
-            },
-            quantization_bits: 4,
-            seed: 0x11A3A,
-        }
-    }
-}
+/// Number of general-purpose documents in a base model's pre-training mix
+/// (the software-heavy corpus of a foundation model).
+pub(crate) const BASE_GENERAL_DOCUMENTS: usize = 400;
+
+/// Fraction of the raw scrape mixed into FreeV's base-model pre-training —
+/// foundation models have seen *some* public Verilog, which is why their
+/// violation rates are non-zero even before fine-tuning.
+const BASE_VERILOG_FRACTION: f64 = 0.10;
+
+/// A base model's n-gram order. Its maximum sequence length is
+/// [`TrainConfig`]'s default, the paper's 2 048 tokens.
+pub(crate) const BASE_ORDER: usize = 8;
+
+/// The continual pre-training adapter's n-gram order, at the same 2 048-token
+/// maximum sequence length. The paper's other QLoRA settings (one epoch,
+/// LoRA rank = alpha = 8) are what fix the adapter's mixing weight; see
+/// [`hwlm::adapter`].
+pub(crate) const PRETRAIN_ORDER: usize = 20;
+
+/// Quantisation width used at inference time (paper: 4 bits).
+const QUANTIZATION_BITS: u32 = 4;
+
+/// Seed for the base-corpus mixing.
+const SEED: u64 = 0x11A3A;
 
 /// The trained pair: the frozen base model and the FreeV fine-tune, which
 /// holds the one copy of the base.
 #[derive(Debug, Clone)]
 pub struct FreeVModel {
     tuned: AdaptedModel,
-    bits: u32,
 }
 
 impl FreeVModel {
@@ -70,17 +57,17 @@ impl FreeVModel {
     /// The base model in its quantised inference form
     /// ("Llama-3.1-Instruct (4-bit)" in Table II).
     pub fn quantized_base(&self) -> QuantizedModel<&NgramModel> {
-        QuantizedModel::new(self.base(), self.bits)
+        QuantizedModel::new(self.base(), QUANTIZATION_BITS)
     }
 
     /// FreeV in its quantised inference form ("FreeV-Llama3.1 (4-bit)").
     pub fn quantized_tuned(&self) -> QuantizedModel<&AdaptedModel> {
-        QuantizedModel::new(&self.tuned, self.bits)
+        QuantizedModel::new(&self.tuned, QUANTIZATION_BITS)
     }
 
     /// The quantisation width.
     pub fn quantization_bits(&self) -> u32 {
-        self.bits
+        QUANTIZATION_BITS
     }
 }
 
@@ -88,24 +75,37 @@ impl FreeVBuilder {
     /// Builds the base model and continually pre-trains FreeV on the given
     /// FreeSet training corpus.
     pub fn build(&self, scraped: &ScrapedCorpus, freeset_corpus: &[String]) -> FreeVModel {
-        let mut base_corpus = general_code_corpus(self.base_general_documents, self.seed);
-        base_corpus.extend(scraped.sample_fraction(self.base_verilog_fraction, self.seed ^ 0x5A5A));
-        let base = NgramModel::train_named(
-            "Llama-3.1-8B-Instruct (sim)",
-            &base_corpus,
-            &self.base_train,
-        );
-        let tuned = AdaptedModel::continual_pretrain(
-            "FreeV-Llama3.1 (sim)",
-            base,
-            freeset_corpus,
-            &self.pretrain,
-        );
-        FreeVModel {
-            tuned,
-            bits: self.quantization_bits,
-        }
+        build_with_base_verilog_fraction(scraped, freeset_corpus, BASE_VERILOG_FRACTION)
     }
+}
+
+/// [`FreeVBuilder::build`] with the share of the raw scrape in the base
+/// model's pre-training mix as a parameter.
+fn build_with_base_verilog_fraction(
+    scraped: &ScrapedCorpus,
+    freeset_corpus: &[String],
+    base_verilog_fraction: f64,
+) -> FreeVModel {
+    let mut base_corpus = general_code_corpus(BASE_GENERAL_DOCUMENTS, SEED);
+    base_corpus.extend(scraped.sample_fraction(base_verilog_fraction, SEED ^ 0x5A5A));
+    let base = NgramModel::train_named(
+        "Llama-3.1-8B-Instruct (sim)",
+        &base_corpus,
+        &TrainConfig {
+            order: BASE_ORDER,
+            ..Default::default()
+        },
+    );
+    let tuned = AdaptedModel::continual_pretrain(
+        "FreeV-Llama3.1 (sim)",
+        base,
+        freeset_corpus,
+        &TrainConfig {
+            order: PRETRAIN_ORDER,
+            ..Default::default()
+        },
+    );
+    FreeVModel { tuned }
 }
 
 #[cfg(test)]
@@ -124,11 +124,7 @@ mod tests {
         // not confounded by the two models' different vocabularies (the base
         // collapses most held-out identifiers to `<unk>`, which flatters its
         // perplexity).
-        let builder = FreeVBuilder {
-            base_verilog_fraction: 0.01,
-            ..Default::default()
-        };
-        let model = builder.build(&build.scraped, train);
+        let model = build_with_base_verilog_fraction(&build.scraped, train, 0.01);
         let base_ppl = perplexity(model.base(), held_out);
         let tuned_ppl = perplexity(model.tuned(), held_out);
         assert!(

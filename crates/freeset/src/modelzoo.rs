@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::corpus::{general_code_corpus, ScrapedCorpus};
 use crate::dataset::curate_with_policy;
+use crate::freev::{BASE_GENERAL_DOCUMENTS, BASE_ORDER, PRETRAIN_ORDER};
 
 /// Reference numbers reported by the paper for one model (used to print
 /// "paper vs measured" tables; absolute values are not expected to match,
@@ -231,30 +232,20 @@ impl ZooModel {
     }
 }
 
-/// Trains zoo models from a single shared scrape.
+/// Trains zoo models from a single shared scrape, with FreeV's training
+/// recipe (see [`crate::freev`]).
 #[derive(Debug, Clone)]
 pub struct ModelZoo {
     scraped: ScrapedCorpus,
-    base_train: TrainConfig,
-    pretrain: TrainConfig,
-    base_general_documents: usize,
     max_finetune_files: usize,
 }
 
 impl ModelZoo {
-    /// Creates a zoo over a scraped corpus with default training settings.
+    /// Creates a zoo over a scraped corpus, fine-tuning on at most 1 500
+    /// files per entry.
     pub fn new(scraped: ScrapedCorpus) -> Self {
         Self {
             scraped,
-            base_train: TrainConfig {
-                order: 8,
-                ..Default::default()
-            },
-            pretrain: TrainConfig {
-                order: 20,
-                ..Default::default()
-            },
-            base_general_documents: 400,
             max_finetune_files: 1_500,
         }
     }
@@ -273,12 +264,16 @@ impl ModelZoo {
     /// Builds the base model for an entry.
     pub fn build_base(&self, entry: &ZooEntry) -> NgramModel {
         let seed = stable_seed(&entry.base_name);
-        let mut corpus = general_code_corpus(self.base_general_documents, seed);
+        let mut corpus = general_code_corpus(BASE_GENERAL_DOCUMENTS, seed);
         corpus.extend(
             self.scraped
                 .sample_fraction(entry.base_verilog_fraction, seed ^ 0xB45E),
         );
-        NgramModel::train_named(entry.base_name.clone(), &corpus, &self.base_train)
+        let train = TrainConfig {
+            order: BASE_ORDER,
+            ..Default::default()
+        };
+        NgramModel::train_named(entry.base_name.clone(), &corpus, &train)
     }
 
     /// Builds the base + fine-tuned pair for an entry.
@@ -295,8 +290,11 @@ impl ModelZoo {
             .take(self.max_finetune_files)
             .map(str::to_string)
             .collect();
-        let tuned =
-            AdaptedModel::continual_pretrain(entry.name.clone(), base, &corpus, &self.pretrain);
+        let pretrain = TrainConfig {
+            order: PRETRAIN_ORDER,
+            ..Default::default()
+        };
+        let tuned = AdaptedModel::continual_pretrain(entry.name.clone(), base, &corpus, &pretrain);
         ZooModel {
             entry: entry.clone(),
             tuned,

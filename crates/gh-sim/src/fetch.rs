@@ -80,7 +80,7 @@ impl Iterator for FetchBatches<'_> {
 /// use gh_sim::{GithubApi, Scraper, ScraperConfig, Universe, UniverseConfig};
 ///
 /// let universe = Universe::generate(&UniverseConfig { repo_count: 40, seed: 9, ..Default::default() });
-/// let collected = Scraper::new(ScraperConfig::default()).run(&GithubApi::new(&universe))?;
+/// let collected = Scraper::new().run(&GithubApi::new(&universe))?;
 /// let (files, report) = FetchEngine::new(FetchConfig::default()).run_streaming(
 ///     &GithubApi::new(&universe),
 ///     ScraperConfig::default(),
@@ -99,8 +99,8 @@ impl FetchEngine {
         Self
     }
 
-    /// Runs the scrape `scraper` describes on the calling thread, one
-    /// blocking request at a time. Discovery comes first: whole-range
+    /// Runs the scrape on the calling thread, one blocking request at a
+    /// time; `_scraper` has no settings. Discovery comes first: whole-range
     /// queries, granularised by year and then by license wherever the result
     /// cap is hit. The clone phase is then handed to `consume` as a lazy
     /// [`FetchBatches`] stream, so the consumer's pace is the scrape's pace.
@@ -115,10 +115,10 @@ impl FetchEngine {
     pub fn run_streaming<T>(
         &self,
         api: &GithubApi<'_>,
-        scraper: ScraperConfig,
+        _scraper: ScraperConfig,
         consume: impl FnOnce(FetchBatches<'_>) -> T,
     ) -> Result<(T, ScrapeReport), ApiError> {
-        Scraper::new(scraper).stream(api, consume)
+        Scraper::new().stream(api, consume)
     }
 }
 

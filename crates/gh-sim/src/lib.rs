@@ -25,11 +25,11 @@
 //! # Example
 //!
 //! ```
-//! use gh_sim::{Universe, UniverseConfig, GithubApi, Scraper, ScraperConfig};
+//! use gh_sim::{Universe, UniverseConfig, GithubApi, Scraper};
 //!
 //! let universe = Universe::generate(&UniverseConfig { repo_count: 40, seed: 7, ..Default::default() });
 //! let api = GithubApi::new(&universe);
-//! let scrape = Scraper::new(ScraperConfig::default()).run(&api)?;
+//! let scrape = Scraper::new().run(&api)?;
 //! assert!(scrape.files.len() > 100);
 //! # Ok::<(), gh_sim::ApiError>(())
 //! ```
@@ -51,5 +51,5 @@ pub use fetch::{FetchBatch, FetchConfig, FetchEngine};
 pub use license::License;
 pub use repo::{ExtractedFile, FileKind, Repository, SourceFile};
 pub use scraper::{ScrapeOutput, ScrapeReport, Scraper, ScraperConfig};
-pub use synth::{DefectKind, DesignKind, GeneratedDesign, SynthConfig, Synthesizer};
+pub use synth::{DefectKind, DesignKind, GeneratedDesign, Synthesizer};
 pub use universe::{Universe, UniverseConfig, UniverseStats};

@@ -25,28 +25,16 @@ use crate::fetch::FetchBatches;
 use crate::license::License;
 use crate::repo::ExtractedFile;
 
-/// Configuration of a scraping run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScraperConfig {
-    /// First creation year to query (GitHub was established in 2008).
-    pub from_year: u32,
-    /// Last creation year to query.
-    pub to_year: u32,
-    /// Restrict scraping to accepted open-source licenses only. The paper's
-    /// framework queries per license anyway; turning this off scrapes the
-    /// whole universe (useful for building the *copyrighted* reference set).
-    pub accepted_licenses_only: bool,
-}
+/// Settings of a scraping run. There are none: every scrape queries the
+/// whole 2008–2024 creation range under every license.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct ScraperConfig {}
 
-impl Default for ScraperConfig {
-    fn default() -> Self {
-        Self {
-            from_year: 2008,
-            to_year: 2024,
-            accepted_licenses_only: false,
-        }
-    }
-}
+/// First creation year to query (GitHub was established in 2008).
+const FROM_YEAR: u32 = 2008;
+
+/// Last creation year to query.
+const TO_YEAR: u32 = 2024;
 
 /// Statistics describing a scraping run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -115,47 +103,21 @@ pub struct ScrapeOutput {
 /// # Example
 ///
 /// ```
-/// use gh_sim::{GithubApi, Scraper, ScraperConfig, Universe, UniverseConfig};
+/// use gh_sim::{GithubApi, Scraper, Universe, UniverseConfig};
 ///
 /// let universe = Universe::generate(&UniverseConfig { repo_count: 50, seed: 2, ..Default::default() });
 /// let api = GithubApi::new(&universe);
-/// let output = Scraper::new(ScraperConfig::default()).run(&api)?;
+/// let output = Scraper::new().run(&api)?;
 /// assert_eq!(output.report.repositories_cloned, 50);
 /// # Ok::<(), gh_sim::ApiError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scraper {
-    config: ScraperConfig,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Scraper;
 
 impl Scraper {
     /// Creates a scraper.
-    pub fn new(config: ScraperConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> ScraperConfig {
-        self.config
-    }
-
-    /// The top-level discovery queries the configuration describes: one
-    /// whole-date-range query per license bucket (or a single unrestricted
-    /// query when every license is scraped).
-    fn root_queries(&self) -> Vec<RepoQuery> {
-        let licenses: Vec<Option<License>> = if self.config.accepted_licenses_only {
-            License::ACCEPTED.iter().copied().map(Some).collect()
-        } else {
-            vec![None]
-        };
-        licenses
-            .into_iter()
-            .map(|license| RepoQuery {
-                created_between: Some((self.config.from_year, self.config.to_year)),
-                license,
-                page: 0,
-            })
-            .collect()
+    pub fn new() -> Self {
+        Self
     }
 
     /// Runs the scrape and collects every extracted file, draining the clone
@@ -183,9 +145,12 @@ impl Scraper {
     ) -> Result<(T, ScrapeReport), ApiError> {
         let mut report = ScrapeReport::default();
         let mut repo_ids: Vec<u64> = Vec::new();
-        for base in self.root_queries() {
-            self.discover(api, base, &mut report, &mut repo_ids)?;
-        }
+        let root = RepoQuery {
+            created_between: Some((FROM_YEAR, TO_YEAR)),
+            license: None,
+            page: 0,
+        };
+        self.discover(api, root, &mut report, &mut repo_ids)?;
         repo_ids.sort_unstable();
         repo_ids.dedup();
         report.repositories_found = repo_ids.len();
@@ -231,8 +196,7 @@ impl Scraper {
                 Err(ApiError::RateLimited) => report.wait_for_reset(api),
                 Err(ApiError::TooManyResults { matched }) => {
                     report.queries_over_cap += 1;
-                    let default_range = (self.config.from_year, self.config.to_year);
-                    let Some(splits) = granularise(&query, default_range) else {
+                    let Some(splits) = granularise(&query) else {
                         // A single year × single license bucket over the cap
                         // cannot be narrowed further; surface the real match
                         // count so callers can size their universes.
@@ -253,8 +217,8 @@ impl Scraper {
 /// halves of its creation-date range; a single-year query is split into one
 /// query per license; a single year × single license bucket cannot be
 /// narrowed further (`None`).
-fn granularise(query: &RepoQuery, default_range: (u32, u32)) -> Option<Vec<RepoQuery>> {
-    let (from, to) = query.created_between.unwrap_or(default_range);
+fn granularise(query: &RepoQuery) -> Option<Vec<RepoQuery>> {
+    let (from, to) = query.created_between.unwrap_or((FROM_YEAR, TO_YEAR));
     if from < to {
         let mid = (from + to) / 2;
         Some(vec![
@@ -302,7 +266,7 @@ mod tests {
     fn scrapes_every_repository_and_only_verilog_files() {
         let u = universe(80, 11);
         let api = GithubApi::new(&u);
-        let output = Scraper::new(ScraperConfig::default()).run(&api).unwrap();
+        let output = Scraper::new().run(&api).unwrap();
         assert_eq!(output.report.repositories_cloned, 80);
         assert_eq!(
             output.report.verilog_files_extracted,
@@ -319,7 +283,7 @@ mod tests {
     fn rate_limits_are_waited_out_not_fatal() {
         let u = universe(120, 13);
         let api = GithubApi::with_rate_limit(&u, 5);
-        let output = Scraper::new(ScraperConfig::default()).run(&api).unwrap();
+        let output = Scraper::new().run(&api).unwrap();
         assert_eq!(output.report.repositories_cloned, 120);
         assert!(output.report.rate_limit_waits > 0);
         assert!(api.usage().rate_limit_resets > 0);
@@ -329,7 +293,7 @@ mod tests {
     fn oversized_universes_force_query_granularisation() {
         let u = universe(1500, 17);
         let api = GithubApi::with_rate_limit(&u, 100_000);
-        let output = Scraper::new(ScraperConfig::default()).run(&api).unwrap();
+        let output = Scraper::new().run(&api).unwrap();
         assert_eq!(output.report.repositories_cloned, 1500);
         assert!(
             output.report.queries_over_cap > 0,
@@ -339,26 +303,10 @@ mod tests {
     }
 
     #[test]
-    fn accepted_license_only_scrape_excludes_unlicensed_repos() {
-        let u = universe(200, 19);
-        let api = GithubApi::with_rate_limit(&u, 100_000);
-        let output = Scraper::new(ScraperConfig {
-            accepted_licenses_only: true,
-            ..Default::default()
-        })
-        .run(&api)
-        .unwrap();
-        assert!(output.report.repositories_cloned < 200);
-        for file in &output.files {
-            assert!(file.repo_license.is_accepted_open_source());
-        }
-    }
-
-    #[test]
     fn provenance_is_preserved() {
         let u = universe(30, 23);
         let api = GithubApi::new(&u);
-        let output = Scraper::new(ScraperConfig::default()).run(&api).unwrap();
+        let output = Scraper::new().run(&api).unwrap();
         for file in &output.files {
             let repo = u.repository(file.repo_id).unwrap();
             assert_eq!(repo.full_name, file.repo_full_name);

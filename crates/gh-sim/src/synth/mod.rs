@@ -116,26 +116,15 @@ impl DesignKind {
     }
 }
 
-/// Configuration for the synthesiser.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SynthConfig {
-    /// Minimum data-path width.
-    pub min_width: u32,
-    /// Maximum data-path width (inclusive, capped at 64).
-    pub max_width: u32,
-    /// Maximum FIFO/register-file depth.
-    pub max_depth: u32,
-}
+/// Minimum data-path width.
+const MIN_WIDTH: u32 = 2;
 
-impl Default for SynthConfig {
-    fn default() -> Self {
-        Self {
-            min_width: 2,
-            max_width: 32,
-            max_depth: 32,
-        }
-    }
-}
+/// Maximum data-path width (inclusive).
+const MAX_WIDTH: u32 = 32;
+
+/// Maximum FIFO/register-file depth; drawn depths round up to a power of
+/// two, so they never exceed it.
+const MAX_DEPTH: u32 = 32;
 
 /// A generated design: one or more modules of Verilog source.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -153,33 +142,26 @@ pub struct GeneratedDesign {
 /// # Example
 ///
 /// ```
-/// use gh_sim::{Synthesizer, SynthConfig, DesignKind};
+/// use gh_sim::{Synthesizer, DesignKind};
 /// use rand::SeedableRng;
 /// use verilog::SyntaxChecker;
 ///
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-/// let synth = Synthesizer::new(SynthConfig::default());
+/// let synth = Synthesizer::new();
 /// let design = synth.generate(DesignKind::Fifo, "my_fifo", &mut rng);
 /// assert!(SyntaxChecker::new().is_valid(&design.source));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Synthesizer {
-    config: SynthConfig,
-}
+pub struct Synthesizer;
 
 impl Synthesizer {
-    /// Creates a synthesiser with the given configuration.
-    pub fn new(config: SynthConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> SynthConfig {
-        self.config
+    /// Creates a synthesiser.
+    pub fn new() -> Self {
+        Self
     }
 
     fn width<R: Rng>(&self, rng: &mut R) -> u32 {
-        rng.gen_range(self.config.min_width..=self.config.max_width.min(64))
+        rng.gen_range(MIN_WIDTH..=MAX_WIDTH)
     }
 
     /// Picks a random design kind, weighted toward the small combinational
@@ -215,9 +197,7 @@ impl Synthesizer {
     /// Generates a design of the given kind with the given module name.
     pub fn generate<R: Rng>(&self, kind: DesignKind, name: &str, rng: &mut R) -> GeneratedDesign {
         let width = self.width(rng);
-        let depth = rng
-            .gen_range(4..=self.config.max_depth.max(4))
-            .next_power_of_two();
+        let depth = rng.gen_range(4..=MAX_DEPTH).next_power_of_two();
         let source = match kind {
             DesignKind::Adder => combinational::adder(name, width, rng),
             DesignKind::Alu => combinational::alu(name, width, rng),
@@ -232,7 +212,7 @@ impl Synthesizer {
             DesignKind::Debouncer => sequential::debouncer(name, rng),
             DesignKind::Pwm => sequential::pwm(name, width.max(4)),
             DesignKind::Fifo => sequential::fifo(name, width, depth),
-            DesignKind::RegisterFile => sequential::register_file(name, width, depth.min(32)),
+            DesignKind::RegisterFile => sequential::register_file(name, width, depth),
             DesignKind::Lfsr => sequential::lfsr(name, width.clamp(4, 32)),
             DesignKind::TrafficLightFsm => protocol::traffic_light_fsm(name, rng),
             DesignKind::HandshakeFsm => protocol::handshake_fsm(name),
@@ -414,7 +394,7 @@ mod tests {
 
     #[test]
     fn restyle_preserves_parsability_and_varies_names() {
-        let synth = Synthesizer::new(SynthConfig::default());
+        let synth = Synthesizer::new();
         let checker = SyntaxChecker::new();
         let mut rng = ChaCha8Rng::seed_from_u64(123);
         let mut distinct = std::collections::HashSet::new();
@@ -431,7 +411,7 @@ mod tests {
 
     #[test]
     fn every_design_kind_produces_parsable_verilog() {
-        let synth = Synthesizer::new(SynthConfig::default());
+        let synth = Synthesizer::new();
         let checker = SyntaxChecker::new();
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         for kind in DesignKind::ALL {
@@ -448,7 +428,7 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_for_a_seed() {
-        let synth = Synthesizer::new(SynthConfig::default());
+        let synth = Synthesizer::new();
         let a = synth.generate_random(&mut ChaCha8Rng::seed_from_u64(5));
         let b = synth.generate_random(&mut ChaCha8Rng::seed_from_u64(5));
         assert_eq!(a, b);
@@ -456,7 +436,7 @@ mod tests {
 
     #[test]
     fn different_seeds_vary_the_output() {
-        let synth = Synthesizer::new(SynthConfig::default());
+        let synth = Synthesizer::new();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let designs: Vec<_> = (0..20).map(|_| synth.generate_random(&mut rng)).collect();
         let distinct: std::collections::HashSet<_> =
@@ -470,7 +450,7 @@ mod tests {
 
     #[test]
     fn random_kind_covers_many_families() {
-        let synth = Synthesizer::new(SynthConfig::default());
+        let synth = Synthesizer::new();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let kinds: std::collections::HashSet<_> =
             (0..500).map(|_| synth.random_kind(&mut rng)).collect();
@@ -486,7 +466,7 @@ mod tests {
 
     #[test]
     fn module_name_appears_in_source() {
-        let synth = Synthesizer::new(SynthConfig::default());
+        let synth = Synthesizer::new();
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let d = synth.generate(DesignKind::Alu, "my_special_alu", &mut rng);
         assert!(d.source.contains("module my_special_alu"));

@@ -24,33 +24,19 @@ use serde::{Deserialize, Serialize};
 use crate::corruption::corrupt;
 use crate::license::License;
 use crate::repo::{FileKind, Repository, SourceFile};
-use crate::synth::{SynthConfig, Synthesizer};
+use crate::synth::Synthesizer;
 
-/// Configuration of the synthetic universe.
+/// Configuration of the synthetic universe. The population's other
+/// proportions are calibrated constants of this module.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UniverseConfig {
     /// Number of repositories to generate.
     pub repo_count: usize,
     /// RNG seed — the same seed always produces the identical universe.
     pub seed: u64,
-    /// Fraction of repositories with no license at all.
-    pub unlicensed_repo_fraction: f64,
-    /// Fraction of repositories with an explicitly proprietary license.
-    pub proprietary_repo_fraction: f64,
-    /// Probability that a Verilog file inside an *open-source* repository
-    /// nevertheless carries a proprietary vendor copyright header.
-    pub embedded_copyright_fraction: f64,
     /// Probability that a Verilog file is a copy of a popular shared module
     /// rather than an original design.
     pub duplicate_fraction: f64,
-    /// Probability that a Verilog file is syntactically broken.
-    pub broken_fraction: f64,
-    /// Size of the shared pool of popular modules that get copied around.
-    pub shared_pool_size: usize,
-    /// Number of extremely large outlier files across the whole universe
-    /// (Figure 2 notes a >90M character outlier; ours are smaller but still
-    /// orders of magnitude above the median).
-    pub huge_file_count: usize,
 }
 
 impl Default for UniverseConfig {
@@ -58,16 +44,31 @@ impl Default for UniverseConfig {
         Self {
             repo_count: 150,
             seed: 0xF5EE,
-            unlicensed_repo_fraction: 0.46,
-            proprietary_repo_fraction: 0.04,
-            embedded_copyright_fraction: 0.012,
             duplicate_fraction: 0.58,
-            broken_fraction: 0.03,
-            shared_pool_size: 48,
-            huge_file_count: 2,
         }
     }
 }
+
+/// Fraction of repositories with no license at all.
+const UNLICENSED_REPO_FRACTION: f64 = 0.46;
+
+/// Fraction of repositories with an explicitly proprietary license.
+const PROPRIETARY_REPO_FRACTION: f64 = 0.04;
+
+/// Probability that a Verilog file inside an *open-source* repository
+/// nevertheless carries a proprietary vendor copyright header.
+const EMBEDDED_COPYRIGHT_FRACTION: f64 = 0.012;
+
+/// Probability that a Verilog file is syntactically broken.
+const BROKEN_FRACTION: f64 = 0.03;
+
+/// Size of the shared pool of popular modules that get copied around.
+const SHARED_POOL_SIZE: usize = 48;
+
+/// Number of extremely large outlier files across the whole universe
+/// (Figure 2 notes a >90M character outlier; ours are smaller but still
+/// orders of magnitude above the median).
+const HUGE_FILE_COUNT: usize = 2;
 
 /// Summary statistics of a generated universe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -141,11 +142,11 @@ impl Universe {
     /// seed.
     pub fn generate(config: &UniverseConfig) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let synth = Synthesizer::new(SynthConfig::default());
+        let synth = Synthesizer::new();
 
         // Shared pool of popular modules that will be copied into many
         // repositories (the raw material for the dedup stage).
-        let pool: Vec<String> = (0..config.shared_pool_size.max(1))
+        let pool: Vec<String> = (0..SHARED_POOL_SIZE)
             .map(|i| {
                 let kind = synth.random_kind(&mut rng);
                 synth
@@ -156,14 +157,14 @@ impl Universe {
 
         let mut stats = UniverseStats::default();
         let mut repositories = Vec::with_capacity(config.repo_count);
-        let mut huge_remaining = config.huge_file_count;
+        let mut huge_remaining = HUGE_FILE_COUNT;
 
         for id in 0..config.repo_count as u64 {
             let owner = OWNERS[rng.gen_range(0..OWNERS.len())].to_string();
             let project = format!("{}-{}", pick_project_word(&mut rng), id);
             let full_name = format!("{owner}/{project}");
             let created_year = sample_year(&mut rng);
-            let license = sample_license(config, &mut rng);
+            let license = sample_license(&mut rng);
             let stars = (rng.gen_range(0.0f64..4.0).exp() as u32).min(5000);
 
             let mut files = Vec::new();
@@ -204,8 +205,8 @@ impl Universe {
                 // calibration ROM), never copies of the community pool, and
                 // never corrupted — they are the reference set of the
                 // copyright benchmark.
-                let is_embedded_copyright = license.is_accepted_open_source()
-                    && rng.gen_bool(config.embedded_copyright_fraction);
+                let is_embedded_copyright =
+                    license.is_accepted_open_source() && rng.gen_bool(EMBEDDED_COPYRIGHT_FRACTION);
 
                 let (header, body, may_corrupt) = if is_embedded_copyright {
                     stats.planted_copyright_files += 1;
@@ -245,7 +246,7 @@ impl Universe {
                 };
 
                 let mut content = format!("{header}{body}");
-                if may_corrupt && rng.gen_bool(config.broken_fraction) {
+                if may_corrupt && rng.gen_bool(BROKEN_FRACTION) {
                     stats.planted_broken_files += 1;
                     content = corrupt(&content, &mut rng);
                 }
@@ -373,12 +374,12 @@ fn sample_year<R: Rng>(rng: &mut R) -> u32 {
     2008 + (r * 16.99) as u32
 }
 
-fn sample_license<R: Rng>(config: &UniverseConfig, rng: &mut R) -> License {
+fn sample_license<R: Rng>(rng: &mut R) -> License {
     let roll: f64 = rng.gen();
-    if roll < config.unlicensed_repo_fraction {
+    if roll < UNLICENSED_REPO_FRACTION {
         return License::None;
     }
-    if roll < config.unlicensed_repo_fraction + config.proprietary_repo_fraction {
+    if roll < UNLICENSED_REPO_FRACTION + PROPRIETARY_REPO_FRACTION {
         return License::Proprietary;
     }
     // Weighted toward MIT/Apache/GPL like real GitHub.

@@ -21,7 +21,7 @@ proptest! {
             seed: universe_seed,
             ..Default::default()
         });
-        let collected = Scraper::new(ScraperConfig::default())
+        let collected = Scraper::new()
             .run(&GithubApi::with_rate_limit(&u, budget))
             .expect("the scraper waits out any finite rate limit");
         let (streamed, report) = FetchEngine::new(FetchConfig::default())

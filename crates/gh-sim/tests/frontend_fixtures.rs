@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use gh_sim::{DefectKind, DesignKind, SynthConfig, Synthesizer};
+use gh_sim::{DefectKind, DesignKind, Synthesizer};
 use verilog::{Linter, Parser};
 
 /// Renders one generated source's parse verdict and lint diagnostics.
@@ -69,7 +69,7 @@ fn every_defect_kind_matches_pinned_oracle() {
 
 #[test]
 fn every_design_family_matches_pinned_oracle() {
-    let synth = Synthesizer::new(SynthConfig::default());
+    let synth = Synthesizer::new();
     let mut out = String::new();
     for kind in DesignKind::ALL {
         // Several seeds per family: the generators vary widths, coding
@@ -90,7 +90,7 @@ fn every_design_family_matches_pinned_oracle() {
 
 #[test]
 fn random_design_stream_matches_pinned_oracle() {
-    let synth = Synthesizer::new(SynthConfig::default());
+    let synth = Synthesizer::new();
     let mut rng = ChaCha8Rng::seed_from_u64(0xF00D);
     let mut out = String::new();
     for i in 0..40 {

@@ -37,7 +37,7 @@ fn single_year_single_license_over_cap_is_a_terminal_error() {
     );
     let expected = ApiError::TooManyResults { matched: count };
 
-    let collected = Scraper::new(ScraperConfig::default())
+    let collected = Scraper::new()
         .run(&GithubApi::with_rate_limit(&u, 1_000_000))
         .unwrap_err();
     assert_eq!(collected, expected);
@@ -67,7 +67,7 @@ fn single_year_over_cap_is_rescued_by_license_splitting() {
             .collect(),
     );
 
-    let serial = Scraper::new(ScraperConfig::default())
+    let serial = Scraper::new()
         .run(&GithubApi::with_rate_limit(&u, 1_000_000))
         .unwrap();
     assert_eq!(serial.report.repositories_found, count);
@@ -88,7 +88,7 @@ fn result_sets_on_exact_page_boundaries_are_paged_without_errors() {
             .collect(),
     );
     let api = GithubApi::with_rate_limit(&u, 1_000_000);
-    let serial = Scraper::new(ScraperConfig::default()).run(&api).unwrap();
+    let serial = Scraper::new().run(&api).unwrap();
     assert_eq!(serial.report.repositories_found, 2 * PAGE_SIZE);
     assert_eq!(serial.report.repositories_cloned, 2 * PAGE_SIZE);
 }
@@ -113,7 +113,7 @@ fn last_partial_page_is_fetched_and_the_page_after_it_is_an_error() {
         ApiError::PageOutOfRange { page: 3, pages: 3 }
     );
 
-    let serial = Scraper::new(ScraperConfig::default()).run(&api).unwrap();
+    let serial = Scraper::new().run(&api).unwrap();
     assert_eq!(serial.report.repositories_found, count);
 }
 
@@ -123,7 +123,7 @@ fn serial_scraper_counts_retries_alongside_waits() {
     let u =
         Universe::from_repositories((0..40u64).map(|id| repo(id, 2016, License::Mit)).collect());
     let api = GithubApi::with_rate_limit(&u, 4);
-    let output = Scraper::new(ScraperConfig::default()).run(&api).unwrap();
+    let output = Scraper::new().run(&api).unwrap();
     assert!(output.report.rate_limit_waits > 0);
     assert_eq!(
         output.report.rate_limit_retries,

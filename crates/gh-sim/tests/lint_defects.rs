@@ -7,7 +7,7 @@
 //! * every clean generated design, across all families and many seeds, lints
 //!   with zero findings (no false positives).
 
-use gh_sim::{DefectKind, DesignKind, SynthConfig, Synthesizer};
+use gh_sim::{DefectKind, DesignKind, Synthesizer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use verilog::{Linter, RuleId, SyntaxChecker};
@@ -86,7 +86,7 @@ fn clean_designs_never_trigger_generation_2_rules() {
         RuleId::CaseArmOverlap,
         RuleId::PortWidthMismatch,
     ];
-    let synth = Synthesizer::new(SynthConfig::default());
+    let synth = Synthesizer::new();
     let linter = Linter::new();
     for kind in DesignKind::ALL {
         let mut rng = ChaCha8Rng::seed_from_u64(0xD0_5EED ^ kind as u64);
@@ -115,7 +115,7 @@ fn clean_designs_never_trigger_generation_2_rules() {
 
 #[test]
 fn clean_designs_have_zero_findings() {
-    let synth = Synthesizer::new(SynthConfig::default());
+    let synth = Synthesizer::new();
     let linter = Linter::new();
     for kind in DesignKind::ALL {
         let mut rng = ChaCha8Rng::seed_from_u64(0xC0FFEE);

@@ -1,8 +1,6 @@
 //! Property-based tests for the synthetic GitHub substrate.
 
-use gh_sim::{
-    DesignKind, GithubApi, RepoQuery, SynthConfig, Synthesizer, Universe, UniverseConfig,
-};
+use gh_sim::{DesignKind, GithubApi, RepoQuery, Synthesizer, Universe, UniverseConfig};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -13,7 +11,7 @@ proptest! {
 
     #[test]
     fn every_generated_design_parses(seed in any::<u64>(), kind_index in 0usize..DesignKind::ALL.len()) {
-        let synth = Synthesizer::new(SynthConfig::default());
+        let synth = Synthesizer::new();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let kind = DesignKind::ALL[kind_index];
         let design = synth.generate(kind, &format!("{}_prop", kind.tag()), &mut rng);

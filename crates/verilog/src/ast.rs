@@ -132,6 +132,33 @@ impl ExprArena {
         }
     }
 
+    /// Appends the symbols an assignment target *reads*: the identifiers in
+    /// its index and part-select bounds (`mem[wptr]`, `bus[HI:LO]`), at
+    /// every level and in every part of a concatenation, but not the
+    /// selected base nets, which the assignment writes. Anything else in
+    /// target position is not a well-formed lvalue, and all its identifiers
+    /// count as reads, so the analyses stay conservative.
+    pub(crate) fn collect_selector_reads(&self, target: ExprId, out: &mut Vec<Symbol>) {
+        match &self[target] {
+            Expr::Ident(_) => {}
+            Expr::Index { base, index } => {
+                self.collect_idents(*index, out);
+                self.collect_selector_reads(*base, out);
+            }
+            Expr::Slice { base, msb, lsb } => {
+                self.collect_idents(*msb, out);
+                self.collect_idents(*lsb, out);
+                self.collect_selector_reads(*base, out);
+            }
+            Expr::Concat(parts) => {
+                for p in parts {
+                    self.collect_selector_reads(*p, out);
+                }
+            }
+            _ => self.collect_idents(target, out),
+        }
+    }
+
     /// A [`std::fmt::Debug`] view of the expression behind `id` that renders
     /// the *tree* (identifiers resolved through `symbols`), byte-identical
     /// to the `Debug` output of the pre-arena boxed AST. Used by the

@@ -1,15 +1,12 @@
 //! Parse-once shared AST: [`ParsedFile`].
 //!
-//! Every consumer that needs both the token stream and the module list of a
-//! Verilog file — the syntax filter, the lint engine, the VerilogEval judge,
-//! netlist tests — used to lex and parse the text independently. A
-//! [`ParsedFile`] performs that work exactly once and owns the result:
-//! source text, zero-copy token stream (with its identifier interner) and
-//! parsed modules. Consumers borrow whichever view they need.
-//!
-//! Token spans index into [`ParsedFile::source`], so the struct is
-//! self-contained without self-references: spans are `(offset, len)` pairs,
-//! not borrowed slices.
+//! Every consumer that needs the module list of a Verilog file — the syntax
+//! filter, the lint engine, the VerilogEval judge, netlist tests — used to
+//! lex and parse the text independently. A [`ParsedFile`] performs that
+//! work exactly once and owns the result: the source text and the parsed
+//! modules, each of which shares the file's identifier interner. The token
+//! stream is dropped once the parse is done, so a cache of parses holds no
+//! tokens.
 //!
 //! # Example
 //!
@@ -23,7 +20,7 @@
 //! ```
 
 use crate::ast::Module;
-use crate::lexer::{LexedSource, Lexer};
+use crate::lexer::Lexer;
 use crate::parser::{ParseError, Parser};
 
 /// The result of lexing and parsing one Verilog file, produced once and
@@ -31,7 +28,6 @@ use crate::parser::{ParseError, Parser};
 #[derive(Debug, Clone)]
 pub struct ParsedFile {
     source: String,
-    lexed: LexedSource,
     modules: Vec<Module>,
 }
 
@@ -45,21 +41,12 @@ impl ParsedFile {
         let source = source.into();
         let lexed = Lexer::new(&source).tokenize()?;
         let modules = Parser::new(&source, &lexed).parse_modules()?;
-        Ok(Self {
-            source,
-            lexed,
-            modules,
-        })
+        Ok(Self { source, modules })
     }
 
     /// The original source text.
     pub fn source(&self) -> &str {
         &self.source
-    }
-
-    /// The token stream and identifier interner.
-    pub fn lexed(&self) -> &LexedSource {
-        &self.lexed
     }
 
     /// The parsed modules, in source order.
@@ -78,10 +65,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_produces_tokens_and_modules() {
+    fn parse_produces_modules() {
         let parsed =
             ParsedFile::parse("module inv(input a, output y); assign y = ~a; endmodule").unwrap();
-        assert!(!parsed.lexed().tokens.is_empty());
         assert_eq!(parsed.modules().len(), 1);
         assert_eq!(parsed.first_module().unwrap().name, "inv");
         assert!(parsed.source().starts_with("module"));

@@ -55,7 +55,7 @@ pub use comments::{extract_header_comment, strip_comments};
 pub use frontend::ParsedFile;
 pub use intern::{Interner, Name, Symbol};
 pub use lexer::{lex_passes, LexError, LexedSource, Lexer};
-pub use lint::{LintConfig, LintDiagnostic, Linter, RuleId, Severity};
+pub use lint::{LintDiagnostic, Linter, RuleId, Severity};
 pub use parser::{ParseError, Parser};
 pub use sim::{Simulator, TestVector, Testbench, VectorOutcome};
 pub use syntax::{SyntaxChecker, SyntaxError, SyntaxReport};

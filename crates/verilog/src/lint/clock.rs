@@ -406,7 +406,7 @@ fn collect_statement_reads(
             arena.collect_idents(*value, &mut sink);
             // Bit/part-select indices of the target are reads too; the
             // selected net itself is a write, not a read.
-            collect_target_index_reads(arena, *target, &mut sink);
+            arena.collect_selector_reads(*target, &mut sink);
         }
         Statement::If { condition, .. } => arena.collect_idents(*condition, &mut sink),
         Statement::Case { subject, arms, .. } => {
@@ -426,33 +426,6 @@ fn collect_statement_reads(
         Statement::Block(_) | Statement::Empty => {}
     }
     out.extend(sink);
-}
-
-/// Collects the idents read by the *index* parts of an assignment target
-/// (`mem[wptr]`, `bus[HI:LO]`), skipping the written base symbols.
-fn collect_target_index_reads(
-    arena: &crate::ast::ExprArena,
-    target: crate::ast::ExprId,
-    out: &mut Vec<Symbol>,
-) {
-    match &arena[target] {
-        Expr::Ident(_) => {}
-        Expr::Index { base, index } => {
-            arena.collect_idents(*index, out);
-            collect_target_index_reads(arena, *base, out);
-        }
-        Expr::Slice { base, msb, lsb } => {
-            arena.collect_idents(*msb, out);
-            arena.collect_idents(*lsb, out);
-            collect_target_index_reads(arena, *base, out);
-        }
-        Expr::Concat(parts) => {
-            for &p in parts {
-                collect_target_index_reads(arena, p, out);
-            }
-        }
-        _ => arena.collect_idents(target, out),
-    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{Expr, ExprArena, ExprId, Statement};
+use crate::ast::{ExprArena, ExprId, Statement};
 use crate::intern::Symbol;
 
 use super::model::{lvalue_targets, AssignTarget, SymbolKind};
@@ -32,10 +32,10 @@ pub(crate) fn check(model: &ModuleModel<'_>, out: &mut Vec<LintDiagnostic>) {
     // Continuous assignments: target depends on every RHS read and every
     // selector read of the target itself.
     for &(target, value) in &model.continuous_assigns {
-        let mut deps: BTreeSet<Symbol> = arena.referenced_idents(value).into_iter().collect();
+        let mut deps = arena.referenced_idents(value);
         let targets = match target {
             AssignTarget::Expr(id) => {
-                collect_selector_reads(arena, id, &mut deps);
+                arena.collect_selector_reads(id, &mut deps);
                 lvalue_targets(arena, id)
             }
             AssignTarget::Net(sym) => vec![(sym, true)],
@@ -96,27 +96,6 @@ pub(crate) fn check(model: &ModuleModel<'_>, out: &mut Vec<LintDiagnostic>) {
     }
 }
 
-fn collect_selector_reads(arena: &ExprArena, target: ExprId, out: &mut BTreeSet<Symbol>) {
-    match arena[target] {
-        Expr::Ident(_) => {}
-        Expr::Index { base, index } => {
-            out.extend(arena.referenced_idents(index));
-            collect_selector_reads(arena, base, out);
-        }
-        Expr::Slice { base, msb, lsb } => {
-            out.extend(arena.referenced_idents(msb));
-            out.extend(arena.referenced_idents(lsb));
-            collect_selector_reads(arena, base, out);
-        }
-        Expr::Concat(ref parts) => {
-            for &p in parts {
-                collect_selector_reads(arena, p, out);
-            }
-        }
-        _ => out.extend(arena.referenced_idents(target)),
-    }
-}
-
 /// Walks one combinational block, tracking blocking-assigned symbols so
 /// that accumulator reads (`count = count + x` after `count = 0`) are not
 /// counted as external dependencies.
@@ -140,9 +119,9 @@ impl CombWalker {
                 }
             }
             Statement::Blocking { target, value } | Statement::NonBlocking { target, value } => {
-                let mut deps: BTreeSet<Symbol> =
-                    arena.referenced_idents(*value).into_iter().collect();
-                collect_selector_reads(arena, *target, &mut deps);
+                let mut reads = arena.referenced_idents(*value);
+                arena.collect_selector_reads(*target, &mut reads);
+                let mut deps: BTreeSet<Symbol> = reads.into_iter().collect();
                 for ctx in &self.context {
                     deps.extend(ctx.iter().copied());
                 }

@@ -69,16 +69,15 @@ use crate::parser::{ParseError, Parser};
 
 pub(crate) use model::ModuleModel;
 
-/// How serious a diagnostic is.
+/// How serious a diagnostic is: every rule fires at its
+/// [`RuleId::default_severity`].
 ///
-/// Ordered: `Info < Warning < Error`, so severity thresholds can be
-/// expressed with comparisons.
+/// Ordered: `Warning < Error`, so severity thresholds can be expressed with
+/// comparisons.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
 pub enum Severity {
-    /// Informational note; never worth rejecting a file over.
-    Info,
     /// Suspicious but simulatable construct.
     #[default]
     Warning,
@@ -90,7 +89,6 @@ pub enum Severity {
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Severity::Info => write!(f, "info"),
             Severity::Warning => write!(f, "warning"),
             Severity::Error => write!(f, "error"),
         }
@@ -188,8 +186,8 @@ impl RuleId {
         RuleId::PortWidthMismatch,
     ];
 
-    /// The stable kebab-case rule id (used in configs, provenance
-    /// categories and metric names).
+    /// The stable kebab-case rule id (used in provenance categories and
+    /// metric names).
     pub fn id(&self) -> &'static str {
         match self {
             RuleId::UndeclaredIdent => "undeclared-ident",
@@ -217,20 +215,13 @@ impl RuleId {
         }
     }
 
-    /// The inverse of [`RuleId::id`]: resolves a kebab-case rule name back
-    /// to its [`RuleId`], so configs (e.g. `LintConfig::disabled_rules`)
-    /// can be validated against the catalogue.
-    pub fn parse(id: &str) -> Option<RuleId> {
-        RuleId::ALL.into_iter().find(|r| r.id() == id)
-    }
-
     /// The rule id with `-` replaced by `_` — a metric-safe key for
     /// FFH-METRIC lines.
     pub fn metric_key(&self) -> String {
         self.id().replace('-', "_")
     }
 
-    /// The severity the rule fires at unless a policy overrides it.
+    /// The severity the rule fires at.
     pub fn default_severity(&self) -> Severity {
         match self {
             RuleId::UndeclaredIdent
@@ -298,7 +289,7 @@ impl fmt::Display for RuleId {
 pub struct LintDiagnostic {
     /// The rule that fired.
     pub rule: RuleId,
-    /// Severity after any config overrides.
+    /// Severity, the rule's [`RuleId::default_severity`].
     pub severity: Severity,
     /// Name of the module the finding is in.
     pub module: String,
@@ -319,43 +310,17 @@ impl fmt::Display for LintDiagnostic {
     }
 }
 
-/// Configuration of a [`Linter`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct LintConfig {
-    /// Rule ids (kebab-case, see [`RuleId::id`]) that never fire.
-    pub disabled_rules: Vec<String>,
-}
-
-impl LintConfig {
-    /// Whether a rule is enabled under this config.
-    pub fn is_enabled(&self, rule: RuleId) -> bool {
-        !self.disabled_rules.iter().any(|r| r == rule.id())
-    }
-}
-
 /// The rule-based semantic analysis engine.
 ///
-/// Cheap to construct and reusable across files; all analysis state is
+/// Every rule runs, at its default severity; all analysis state is
 /// per-call.
 #[derive(Debug, Clone, Default)]
-pub struct Linter {
-    config: LintConfig,
-}
+pub struct Linter;
 
 impl Linter {
     /// A linter with every rule enabled at its default severity.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A linter with the given configuration.
-    pub fn with_config(config: LintConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &LintConfig {
-        &self.config
+        Self
     }
 
     /// Parses `source` and lints every module in it.
@@ -392,7 +357,6 @@ impl Linter {
             clock::check(&model, &mut module_diags);
             case_analysis::check(&model, &mut module_diags);
             xmodule::check(&model, &mut module_diags);
-            module_diags.retain(|d| self.config.is_enabled(d.rule));
             // Deterministic order: rule, then locus, then message — the
             // passes already run in a fixed order, this pins ties.
             module_diags.sort_by(|a, b| {
@@ -427,8 +391,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn severity_orders_info_warning_error() {
-        assert!(Severity::Info < Severity::Warning);
+    fn severity_orders_warning_below_error() {
         assert!(Severity::Warning < Severity::Error);
     }
 
@@ -447,17 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn rule_ids_round_trip_through_parse() {
-        for rule in RuleId::ALL {
-            assert_eq!(RuleId::parse(rule.id()), Some(rule));
-        }
-        assert_eq!(RuleId::parse("no-such-rule"), None);
-        assert_eq!(RuleId::parse(""), None);
-        // Underscore spellings are metric keys, not rule ids.
-        assert_eq!(RuleId::parse("comb_loop"), None);
-    }
-
-    #[test]
     fn catalogue_has_twenty_two_rules() {
         assert_eq!(RuleId::ALL.len(), 22);
     }
@@ -466,19 +418,6 @@ mod tests {
     fn metric_keys_use_underscores() {
         assert_eq!(RuleId::CombLoop.metric_key(), "comb_loop");
         assert_eq!(RuleId::WidthMismatch.metric_key(), "width_mismatch");
-    }
-
-    #[test]
-    fn disabled_rules_never_fire() {
-        let source = "module m(input a, output y);\nassign y = a;\nassign y = ~a;\nendmodule";
-        let all = Linter::new().lint_source(source).unwrap();
-        assert!(all.iter().any(|d| d.rule == RuleId::MultiplyDriven));
-        let muted = Linter::with_config(LintConfig {
-            disabled_rules: vec!["multiply-driven".into()],
-        })
-        .lint_source(source)
-        .unwrap();
-        assert!(muted.iter().all(|d| d.rule != RuleId::MultiplyDriven));
     }
 
     #[test]

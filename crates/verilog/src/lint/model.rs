@@ -530,26 +530,13 @@ impl<'a> ModuleModel<'a> {
     /// Records the reads hidden inside an assignment target: index and
     /// part-select bound expressions.
     fn record_selector_reads(&mut self, target: ExprId) {
-        let module = self.module;
-        match module.arena[target] {
-            Expr::Ident(_) => {}
-            Expr::Index { base, index } => {
-                self.record_reads(index, true);
-                self.record_selector_reads(base);
-            }
-            Expr::Slice { base, msb, lsb } => {
-                self.record_reads(msb, true);
-                self.record_reads(lsb, true);
-                self.record_selector_reads(base);
-            }
-            Expr::Concat(ref parts) => {
-                for &p in parts.clone().iter() {
-                    self.record_selector_reads(p);
-                }
-            }
-            // Anything else in target position is not a well-formed lvalue;
-            // treat it as a read so analysis stays conservative.
-            _ => self.record_reads(target, true),
+        let mut idents = Vec::new();
+        self.module
+            .arena
+            .collect_selector_reads(target, &mut idents);
+        for ident in idents {
+            self.reads[ident.index()] = true;
+            self.strict_refs.push(ident);
         }
     }
 

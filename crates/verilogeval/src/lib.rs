@@ -43,6 +43,6 @@ pub mod runner;
 pub mod suite;
 
 pub use passk::{mean_pass_at_k, pass_at_k};
-pub use problem::{CandidateVerdict, PreparedProblem, Problem, ProblemFamily};
+pub use problem::{CandidateVerdict, Problem, ProblemFamily};
 pub use runner::{EvalConfig, EvalReport, ProblemResult, Runner};
 pub use suite::ProblemSuite;

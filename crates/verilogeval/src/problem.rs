@@ -58,12 +58,15 @@ impl Problem {
         format!("{}\n{}\n", self.module_header, completion)
     }
 
-    /// Parses the golden solution once, producing a [`PreparedProblem`]
-    /// whose judging methods never re-lex or re-parse it. The evaluation
-    /// runner prepares each problem a single time and reuses the result
-    /// across every sampled completion.
-    pub fn prepare(&self) -> PreparedProblem<'_> {
-        let golden = match ParsedFile::parse(self.golden_solution.as_str()) {
+    /// Parses the golden solution, which [`Problem::golden_passes`]
+    /// simulates. Judging a candidate never needs it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvalError::Elaboration`] if the golden solution does not
+    /// parse or holds no module.
+    pub fn prepare(&self) -> Result<ParsedFile, EvalError> {
+        match ParsedFile::parse(self.golden_solution.as_str()) {
             Ok(parsed) if parsed.first_module().is_none() => Err(EvalError::Elaboration(
                 "golden solution has no module".into(),
             )),
@@ -71,11 +74,14 @@ impl Problem {
             Err(e) => Err(EvalError::Elaboration(format!(
                 "golden solution parse error: {e}"
             ))),
-        };
-        PreparedProblem {
-            problem: self,
-            golden,
         }
+    }
+
+    /// Judges a model completion (text after the prompt): the assembled
+    /// module is lexed and parsed once, for both verdicts (see
+    /// [`Problem::judge_source`]).
+    pub fn judge_completion(&self, completion: &str, lint_gate: bool) -> CandidateVerdict {
+        self.judge_source(&self.assemble(completion), lint_gate)
     }
 
     /// Judges one candidate source with a single lex + parse: functional
@@ -127,7 +133,11 @@ impl Problem {
     /// Returns the underlying simulation error if the golden solution cannot
     /// be parsed or simulated (a bug in the suite, caught by tests).
     pub fn golden_passes(&self) -> Result<bool, EvalError> {
-        self.prepare().golden_passes()
+        let golden = self.prepare()?;
+        let module = golden
+            .first_module()
+            .expect("prepare() rejects module-free goldens");
+        self.testbench.passes(module)
     }
 }
 
@@ -139,52 +149,6 @@ pub struct CandidateVerdict {
     /// Whether the candidate is lint-clean (always `false` when judging
     /// with the lint gate disabled — the lint engine is not consulted).
     pub lint_clean: bool,
-}
-
-/// A [`Problem`] whose golden solution has been parsed exactly once.
-///
-/// Produced by [`Problem::prepare`]; the runner keeps one per problem and
-/// judges all `k` sampled completions against it, so the golden text is
-/// never re-lexed and each candidate is lexed and parsed a single time for
-/// both the functional and the lint verdict.
-#[derive(Debug, Clone)]
-pub struct PreparedProblem<'a> {
-    problem: &'a Problem,
-    golden: Result<ParsedFile, EvalError>,
-}
-
-impl PreparedProblem<'_> {
-    /// The underlying problem.
-    pub fn problem(&self) -> &Problem {
-        self.problem
-    }
-
-    /// Judges one candidate source with a single lex + parse — see
-    /// [`Problem::judge_source`].
-    pub fn judge_source(&self, source: &str, lint_gate: bool) -> CandidateVerdict {
-        self.problem.judge_source(source, lint_gate)
-    }
-
-    /// Judges a model completion (text after the prompt).
-    pub fn judge_completion(&self, completion: &str, lint_gate: bool) -> CandidateVerdict {
-        self.judge_source(&self.problem.assemble(completion), lint_gate)
-    }
-
-    /// Verifies that the (already parsed) golden solution passes its own
-    /// testbench.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying simulation error if the golden solution could
-    /// not be parsed or cannot be simulated (a bug in the suite, caught by
-    /// tests).
-    pub fn golden_passes(&self) -> Result<bool, EvalError> {
-        let golden = self.golden.as_ref().map_err(Clone::clone)?;
-        let module = golden
-            .first_module()
-            .expect("prepare() rejects module-free goldens");
-        self.problem.testbench.passes(module)
-    }
 }
 
 #[cfg(test)]
@@ -230,15 +194,12 @@ mod tests {
     #[test]
     fn correct_completion_is_accepted() {
         let p = and_problem();
-        let prepared = p.prepare();
         assert!(
-            prepared
-                .judge_completion("assign y = a & b;\nendmodule", false)
+            p.judge_completion("assign y = a & b;\nendmodule", false)
                 .functional
         );
         assert!(
-            prepared
-                .judge_completion("assign y = b & a; endmodule", false)
+            p.judge_completion("assign y = b & a; endmodule", false)
                 .functional
         );
     }
@@ -246,7 +207,6 @@ mod tests {
     #[test]
     fn wrong_or_broken_completions_are_rejected() {
         let p = and_problem();
-        let prepared = p.prepare();
         for completion in [
             "assign y = a | b;\nendmodule",
             "assign y = a & b;", // missing endmodule
@@ -254,7 +214,7 @@ mod tests {
             "",
         ] {
             assert!(
-                !prepared.judge_completion(completion, false).functional,
+                !p.judge_completion(completion, false).functional,
                 "{completion}"
             );
         }
@@ -281,7 +241,6 @@ mod tests {
     #[test]
     fn judge_source_matches_the_lint_path_and_the_testbench() {
         let p = and_problem();
-        let prepared = p.prepare();
         let candidates = [
             (p.golden_solution.clone(), true),
             (p.assemble("assign y = a & b;\nendmodule"), true),
@@ -297,30 +256,28 @@ mod tests {
             ("// comment only\n".to_string(), false), // parses, no modules
         ];
         for (source, functional) in &candidates {
-            let verdict = prepared.judge_source(source, true);
+            let verdict = p.judge_source(source, true);
             assert_eq!(verdict.functional, *functional, "for:\n{source}");
             assert_eq!(verdict.lint_clean, p.lint_clean(source), "for:\n{source}");
             // With the gate off the lint engine is never consulted.
-            let ungated = prepared.judge_source(source, false);
+            let ungated = p.judge_source(source, false);
             assert_eq!(ungated.functional, verdict.functional);
             assert!(!ungated.lint_clean);
         }
         // Pinned edge case: a module-free source parses, so it is
         // lint-clean (no findings) but can never be functional.
-        let empty = prepared.judge_source("// comment only\n", true);
+        let empty = p.judge_source("// comment only\n", true);
         assert!(!empty.functional);
         assert!(empty.lint_clean);
         // And an unparsable source is neither.
-        let broken = prepared.judge_source("module broken(", true);
+        let broken = p.judge_source("module broken(", true);
         assert!(!broken.functional);
         assert!(!broken.lint_clean);
     }
 
     #[test]
-    fn prepared_golden_passes_matches_the_unprepared_path() {
+    fn broken_goldens_keep_their_exact_error_strings() {
         let p = and_problem();
-        assert_eq!(p.golden_passes(), p.prepare().golden_passes());
-        // Broken goldens keep their exact error strings.
         let mut broken = p.clone();
         broken.golden_solution = "module broken(".into();
         let err = broken.golden_passes().unwrap_err();

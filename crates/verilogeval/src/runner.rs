@@ -189,17 +189,15 @@ impl Runner {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let sampler = SamplerConfig::with_temperature(temperature);
         let prompt = problem.prompt();
-        // Parse-once contract: the golden solution is parsed a single time
-        // here and shared across all k samples, and each sampled candidate
-        // is lexed and parsed once for both verdicts.
-        let prepared = problem.prepare();
+        // Parse-once contract: each sampled candidate is lexed and parsed
+        // once for both verdicts, and the golden solution is not parsed.
         let mut correct = 0;
         let mut lint_clean = 0;
         let mut correct_lint_clean = 0;
         for _ in 0..self.config.samples_per_problem {
             let completion =
                 model.generate_text(&prompt, self.config.max_new_tokens, &sampler, &mut rng);
-            let verdict = prepared.judge_completion(&completion, self.config.lint_gate);
+            let verdict = problem.judge_completion(&completion, self.config.lint_gate);
             if verdict.functional {
                 correct += 1;
             }

@@ -663,6 +663,6 @@ mod tests {
         let p = suite.by_id("counter8").unwrap();
         // A counter that ignores the enable.
         let wrong = "always @(posedge clk) begin\nif (rst) count <= 0;\nelse count <= count + 1;\nend\nendmodule";
-        assert!(!p.prepare().judge_completion(wrong, false).functional);
+        assert!(!p.judge_completion(wrong, false).functional);
     }
 }

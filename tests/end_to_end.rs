@@ -7,9 +7,7 @@ use free_fair_hw::freeset::build_freeset;
 use free_fair_hw::freeset::config::{ExperimentScale, FreeSetConfig};
 use free_fair_hw::freeset::corpus::ScrapedCorpus;
 use free_fair_hw::freeset::freev::FreeVBuilder;
-use free_fair_hw::gh_sim::{
-    GithubApi, RepoQuery, Scraper, ScraperConfig, Universe, UniverseConfig,
-};
+use free_fair_hw::gh_sim::{GithubApi, RepoQuery, Scraper, Universe, UniverseConfig};
 use free_fair_hw::hwlm::{LanguageModel, SamplerConfig};
 use free_fair_hw::verilog::{Parser, SyntaxChecker};
 use free_fair_hw::verilogeval::{pass_at_k, EvalConfig, ProblemSuite, Runner};
@@ -72,7 +70,7 @@ fn github_api_and_scraper_respect_limits_end_to_end() {
     let api = GithubApi::with_rate_limit(&universe, 7);
     // Direct query under the cap works after granularisation by the scraper,
     // even with a very tight rate limit.
-    let output = Scraper::new(ScraperConfig::default()).run(&api).unwrap();
+    let output = Scraper::new().run(&api).unwrap();
     assert_eq!(output.report.repositories_cloned, 90);
     assert!(output.report.rate_limit_waits > 0);
     assert_eq!(output.files.len(), universe.stats().verilog_files);
