@@ -122,8 +122,8 @@ const MIN_WIDTH: u32 = 2;
 /// Maximum data-path width (inclusive).
 const MAX_WIDTH: u32 = 32;
 
-/// Maximum FIFO/register-file depth; drawn depths round up to a power of
-/// two, so they never exceed it.
+/// Maximum FIFO/register-file depth. It is a power of two, so the drawn
+/// depths, rounded up to powers of two, never exceed it.
 const MAX_DEPTH: u32 = 32;
 
 /// A generated design: one or more modules of Verilog source.
