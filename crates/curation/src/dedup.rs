@@ -118,9 +118,11 @@ impl Serialize for DedupSpillConfig {
 /// from an earlier batch).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct DedupOutcome {
-    /// Indices (into the input order) of the files that were kept.
+    /// Indices (into the input order) of the files that were kept, in
+    /// ascending order.
     pub kept: Vec<usize>,
-    /// `(dropped_index, kept_index_it_duplicates, similarity)` for removals.
+    /// `(dropped_index, kept_index_it_duplicates, similarity)` for removals,
+    /// in ascending `dropped_index` order.
     pub removed: Vec<(usize, usize, f64)>,
 }
 

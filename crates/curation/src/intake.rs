@@ -2,17 +2,22 @@
 //!
 //! A [`CurationSession`] accepts the corpus incrementally — e.g. one
 //! repository at a time, straight off the scraper's clone stream — instead
-//! of requiring the whole file bank up front. Pushed files gather in a
-//! pending buffer. Once it holds at least `FLUSH_BYTES` (256 KiB) of file
+//! of requiring the whole file bank up front. It borrows its pipeline's one
+//! stage list and owns only what one run carries: a stream per streaming
+//! stage, per-stage tallies and the files in flight. Pushed files gather in
+//! a pending buffer. Once it holds at least `FLUSH_BYTES` (256 KiB) of file
 //! content, the session flushes it as one batch through the leading
 //! *streamable* prefix of the stage list: batch-invariant stages (license,
-//! length, syntax, copyright) apply statelessly, and stateful streaming
-//! stages (de-duplication, which resolves each batch against its persistent
-//! kept-index — see [`CurationStage::open_stream`]) carry their state across
-//! flushes. [`CurationSession::finish`] flushes the remainder, then runs the
-//! deferred suffix — a custom stage without a streaming form and the stages
-//! after it — over the prefix's survivors in arrival order. Under the
-//! paper's FreeSet policy every stage streams, so nothing is deferred.
+//! length, syntax, lint, copyright) apply statelessly, and stateful
+//! streaming stages (de-duplication, which resolves each batch against its
+//! persistent kept-index — see [`CurationStage::open_stream`]) carry their
+//! state across flushes. The syntax and lint stages run back to back on
+//! every flush, so the [`crate::ParseCache`] they share is drained again by
+//! the end of each one. [`CurationSession::finish`] flushes the remainder,
+//! then runs the deferred suffix — a custom stage without a streaming form
+//! and the stages after it — over the prefix's survivors in arrival order.
+//! Under the paper's FreeSet policy every stage streams, so nothing is
+//! deferred.
 //!
 //! Flushing at batch grain is what lets the per-stage fan-outs pay off: a
 //! scraped repository holds about a dozen files, too few to amortise
@@ -58,22 +63,6 @@ struct StageTally {
     rejects: Vec<RejectedFile>,
 }
 
-/// Looks up a stage across the configured and custom stage lists.
-///
-/// A free function (not a method) so `flush` can borrow the stage while the
-/// per-stage streams are borrowed mutably — the borrows are disjoint fields.
-fn stage_at<'a>(
-    configured: &'a [Box<dyn CurationStage>],
-    custom: &'a [Box<dyn CurationStage>],
-    index: usize,
-) -> &'a dyn CurationStage {
-    if index < configured.len() {
-        configured[index].as_ref()
-    } else {
-        custom[index - configured.len()].as_ref()
-    }
-}
-
 /// An in-progress curation run accepting the corpus batch by batch.
 ///
 /// Created by [`CurationPipeline::session`]; see the module docs for the
@@ -92,12 +81,11 @@ fn stage_at<'a>(
 /// # Ok::<(), std::io::Error>(())
 /// ```
 pub struct CurationSession<'p> {
+    /// The pipeline whose stage list, configuration and mode the session
+    /// runs.
     pipeline: &'p CurationPipeline,
-    /// The stages built from the pipeline's configuration (custom stages are
-    /// borrowed from the pipeline and run after these).
-    configured: Vec<Box<dyn CurationStage>>,
-    /// Index (into the configured ⧺ custom stage list) of the first stage
-    /// with no streaming form; stages before it run once per flushed batch.
+    /// Index (into the pipeline's stage list) of the first stage with no
+    /// streaming form; stages before it run once per flushed batch.
     split: usize,
     /// One streaming form per stage in the prefix (`Stateless` entries apply
     /// the stage directly; `Stateful` entries carry cross-batch state).
@@ -117,13 +105,10 @@ pub struct CurationSession<'p> {
 
 impl<'p> CurationSession<'p> {
     pub(crate) fn new(pipeline: &'p CurationPipeline) -> io::Result<Self> {
-        let configured = pipeline.configured_stages();
-        let custom = pipeline.custom_stage_list();
-        let total = configured.len() + custom.len();
         let mut streams = Vec::new();
-        let mut split = total;
-        for index in 0..total {
-            match stage_at(&configured, custom, index).open_stream()? {
+        let mut split = pipeline.stages.len();
+        for (index, stage) in pipeline.stages.iter().enumerate() {
+            match stage.open_stream()? {
                 StageStreaming::Deferred => {
                     split = index;
                     break;
@@ -133,7 +118,6 @@ impl<'p> CurationSession<'p> {
         }
         Ok(Self {
             pipeline,
-            configured,
             split,
             streams,
             tallies: (0..split).map(|_| StageTally::default()).collect(),
@@ -142,14 +126,6 @@ impl<'p> CurationSession<'p> {
             survivors: Vec::new(),
             pushed: 0,
         })
-    }
-
-    fn stage_at(&self, index: usize) -> &dyn CurationStage {
-        stage_at(&self.configured, self.pipeline.custom_stage_list(), index)
-    }
-
-    fn stage_count(&self) -> usize {
-        self.configured.len() + self.pipeline.custom_stage_list().len()
     }
 
     /// Number of leading stages applied incrementally, once per flushed
@@ -193,20 +169,17 @@ impl<'p> CurationSession<'p> {
         let mut files = std::mem::take(&mut self.pending);
         self.pending_bytes = 0;
         let mode = self.pipeline.mode();
-        for index in 0..self.split {
-            let mut outcome = match &mut self.streams[index] {
+        let stages = &self.pipeline.stages[..self.split];
+        for ((stage, stream), tally) in stages.iter().zip(&mut self.streams).zip(&mut self.tallies)
+        {
+            let mut outcome = match stream {
                 StageStreaming::Stateful(stream) => stream.push(FileBatch::new(files, mode))?,
-                StageStreaming::Stateless => {
-                    stage_at(&self.configured, self.pipeline.custom_stage_list(), index)
-                        .apply(FileBatch::new(files, mode))
-                }
+                StageStreaming::Stateless => stage.apply(FileBatch::new(files, mode)),
                 StageStreaming::Deferred => {
                     unreachable!("deferred stages are never part of the streaming prefix")
                 }
             };
-            let stage = self.stage_at(index);
-            restamp(stage, &mut outcome);
-            let tally = &mut self.tallies[index];
+            restamp(stage.as_ref(), &mut outcome);
             tally.entering += outcome.total();
             tally.surviving += outcome.kept.len();
             tally.rejects.append(&mut outcome.rejected);
@@ -232,10 +205,10 @@ impl<'p> CurationSession<'p> {
         let mut funnel = FunnelStats::new(self.pushed);
         let mut rejects: Vec<RejectedFile> = Vec::new();
         // The streaming prefix: fold the per-batch tallies into the funnel.
-        let tallies = std::mem::take(&mut self.tallies);
-        for (index, mut tally) in tallies.into_iter().enumerate() {
+        let (streamed, deferred) = self.pipeline.stages.split_at(self.split);
+        for (stage, mut tally) in streamed.iter().zip(self.tallies) {
             funnel.record_with_categories(
-                self.stage_at(index).name(),
+                stage.name(),
                 tally.surviving,
                 reject_categories(&tally.rejects),
             );
@@ -247,11 +220,10 @@ impl<'p> CurationSession<'p> {
             rejects.append(&mut tally.rejects);
         }
         // The deferred suffix: ordinary stage-at-a-time execution.
-        let mut files = std::mem::take(&mut self.survivors);
-        for index in self.split..self.stage_count() {
-            let stage = self.stage_at(index);
+        let mut files = self.survivors;
+        for stage in deferred {
             let mut outcome = stage.apply(FileBatch::new(files, self.pipeline.mode()));
-            restamp(stage, &mut outcome);
+            restamp(stage.as_ref(), &mut outcome);
             funnel.record_with_categories(
                 stage.name(),
                 outcome.kept.len(),

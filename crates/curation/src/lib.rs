@@ -82,9 +82,7 @@ pub use intake::CurationSession;
 pub use license_filter::LicenseFilter;
 pub use lint_stage::{LintRejectPolicy, LintStage};
 pub use parse_cache::ParseCache;
-pub use pipeline::{
-    CuratedDataset, CuratedFile, CurationConfig, CurationPipeline, DatasetStructure,
-};
+pub use pipeline::{CuratedDataset, CurationConfig, CurationPipeline, DatasetStructure};
 pub use report::{DatasetSummary, LengthHistogram};
 pub use stage::{
     stage_names, CurationStage, ExecutionMode, FileBatch, RejectReason, RejectedFile, StageOutcome,

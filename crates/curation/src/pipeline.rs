@@ -1,18 +1,20 @@
-//! The end-to-end curation pipeline: an executor over a [`CurationStage`]
+//! The end-to-end curation pipeline: an executor over one [`CurationStage`]
 //! list.
 //!
-//! [`CurationPipeline::new`] assembles the stage list a [`CurationConfig`]'s
-//! toggles describe (the compatibility path every Table I policy uses);
-//! [`CurationPipeline::with_stage`] appends arbitrary custom stages, so
-//! experiments can curate with policies the paper never shipped. The
-//! pipeline runs each stage in order, records a stage-keyed [`FunnelStats`],
-//! and retains every rejection with provenance in the produced
-//! [`CuratedDataset`]. [`CurationPipeline::try_run`] and
-//! [`CurationPipeline::try_session`] return the error of a custom stage's
-//! stream; [`CurationPipeline::run`] and [`CurationPipeline::session`]
-//! panic on it, and the built-in stages never produce one.
+//! [`CurationPipeline::new`] builds, once, the stage list a
+//! [`CurationConfig`]'s toggles describe (every Table I policy is one);
+//! [`CurationPipeline::with_stage`] appends arbitrary custom stages to that
+//! list, so experiments can curate with policies the paper never shipped.
+//! Every session and run borrows the one list. The pipeline runs each stage
+//! in order, records a stage-keyed [`FunnelStats`], and retains every
+//! rejection with provenance in the produced [`CuratedDataset`].
+//! [`CurationPipeline::try_run`] and [`CurationPipeline::try_session`]
+//! return the error of a custom stage's stream; [`CurationPipeline::run`]
+//! and [`CurationPipeline::session`] panic on it, and the built-in stages
+//! never produce one.
 
 use std::io;
+use std::sync::Arc;
 
 use gh_sim::ExtractedFile;
 use serde::{Deserialize, Serialize};
@@ -108,32 +110,13 @@ impl CurationConfig {
     }
 }
 
-/// One file of a curated dataset.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CuratedFile {
-    /// The extracted file, with provenance.
-    pub file: ExtractedFile,
-}
-
-impl CuratedFile {
-    /// File length in characters.
-    pub fn char_len(&self) -> usize {
-        self.file.char_len()
-    }
-
-    /// The file contents.
-    pub fn content(&self) -> &str {
-        &self.file.content
-    }
-}
-
 /// The output of a curation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CuratedDataset {
     name: String,
     structure: DatasetStructure,
     augmented: bool,
-    files: Vec<CuratedFile>,
+    files: Vec<ExtractedFile>,
     funnel: FunnelStats,
     rejects: Vec<RejectedFile>,
 }
@@ -154,8 +137,8 @@ impl CuratedDataset {
         self.augmented
     }
 
-    /// The curated files.
-    pub fn files(&self) -> &[CuratedFile] {
+    /// The curated files, with provenance.
+    pub fn files(&self) -> &[ExtractedFile] {
         &self.files
     }
 
@@ -171,7 +154,7 @@ impl CuratedDataset {
 
     /// Total size in characters (the proxy for Table I's on-disk size).
     pub fn total_chars(&self) -> usize {
-        self.files.iter().map(CuratedFile::char_len).sum()
+        self.files.iter().map(ExtractedFile::char_len).sum()
     }
 
     /// The stage-by-stage funnel.
@@ -200,7 +183,7 @@ impl CuratedDataset {
 
     /// Iterates over file contents (training corpus view).
     pub fn contents(&self) -> impl Iterator<Item = &str> {
-        self.files.iter().map(|f| f.file.content.as_str())
+        self.files.iter().map(|f| f.content.as_str())
     }
 }
 
@@ -220,27 +203,64 @@ impl CuratedDataset {
 /// ```
 pub struct CurationPipeline {
     config: CurationConfig,
-    custom_stages: Vec<Box<dyn CurationStage>>,
+    /// The configured stages, then the custom ones in registration order.
+    /// Every session borrows this list.
+    pub(crate) stages: Vec<Box<dyn CurationStage>>,
     mode: ExecutionMode,
 }
 
 impl CurationPipeline {
-    /// Creates a pipeline whose stage list mirrors the policy's toggles, in
-    /// the paper's order: license filter → (length filter) → de-duplication →
-    /// syntax check → (semantic lint) → per-file copyright check.
+    /// Creates a pipeline and builds, once, the stage list the policy's
+    /// toggles describe, in the paper's order: license filter → (length
+    /// filter) → de-duplication → syntax check → (semantic lint) → per-file
+    /// copyright check.
+    ///
+    /// When both the syntax and the lint stage run, they share one
+    /// [`ParseCache`] for the pipeline's lifetime: syntax deposits the parse
+    /// of every file it keeps, and lint, the next stage, withdraws each one
+    /// on the same flush, so the cache is empty again after every flush of
+    /// every session.
     pub fn new(config: CurationConfig) -> Self {
+        let mut stages: Vec<Box<dyn CurationStage>> = Vec::new();
+        if config.check_repository_license {
+            stages.push(Box::new(LicenseStage::new(LicenseFilter::paper_default())));
+        }
+        if let Some(cap) = config.max_file_chars {
+            stages.push(Box::new(LengthCapStage::new(cap)));
+        }
+        if config.deduplicate {
+            stages.push(Box::new(DedupStage::new(config.dedup)));
+        }
+        let parse_cache =
+            (config.check_syntax && config.lint.is_some()).then(|| Arc::new(ParseCache::new()));
+        if config.check_syntax {
+            stages.push(Box::new(match &parse_cache {
+                Some(cache) => SyntaxStage::with_cache(Arc::clone(cache)),
+                None => SyntaxStage::new(),
+            }));
+        }
+        if let Some(policy) = &config.lint {
+            stages.push(Box::new(match parse_cache {
+                Some(cache) => LintStage::with_cache(policy.clone(), cache),
+                None => LintStage::new(policy.clone()),
+            }));
+        }
+        if config.check_file_copyright {
+            stages.push(Box::new(CopyrightStage::new(CopyrightDetector::new())));
+        }
         Self {
             config,
-            custom_stages: Vec::new(),
+            stages,
             mode: ExecutionMode::default(),
         }
     }
 
-    /// Appends a custom stage, run after the policy's configured stages (in
-    /// registration order). This is how experiments express curation steps
-    /// the paper's toggle set cannot.
+    /// Appends a custom stage to the pipeline's stage list, after the
+    /// policy's configured stages and any custom stage appended before it.
+    /// This is how experiments express curation steps the paper's toggle set
+    /// cannot.
     pub fn with_stage(mut self, stage: Box<dyn CurationStage>) -> Self {
-        self.custom_stages.push(stage);
+        self.stages.push(stage);
         self
     }
 
@@ -266,60 +286,20 @@ impl CurationPipeline {
         self.mode
     }
 
-    /// Builds the stage list the configuration's toggles describe (without
-    /// the appended custom stages).
-    pub(crate) fn configured_stages(&self) -> Vec<Box<dyn CurationStage>> {
-        let mut stages: Vec<Box<dyn CurationStage>> = Vec::new();
-        if self.config.check_repository_license {
-            stages.push(Box::new(LicenseStage::new(LicenseFilter::paper_default())));
-        }
-        if let Some(cap) = self.config.max_file_chars {
-            stages.push(Box::new(LengthCapStage::new(cap)));
-        }
-        if self.config.deduplicate {
-            stages.push(Box::new(DedupStage::new(self.config.dedup)));
-        }
-        // When the syntax filter feeds straight into the lint stage, the
-        // pair shares a ParseCache: syntax parses each file exactly once
-        // and lint reuses that parse instead of re-parsing.
-        let parse_cache = (self.config.check_syntax && self.config.lint.is_some())
-            .then(|| std::sync::Arc::new(ParseCache::new()));
-        if self.config.check_syntax {
-            stages.push(Box::new(match &parse_cache {
-                Some(cache) => SyntaxStage::with_cache(std::sync::Arc::clone(cache)),
-                None => SyntaxStage::new(),
-            }));
-        }
-        if let Some(policy) = &self.config.lint {
-            stages.push(Box::new(match parse_cache {
-                Some(cache) => LintStage::with_cache(policy.clone(), cache),
-                None => LintStage::new(policy.clone()),
-            }));
-        }
-        if self.config.check_file_copyright {
-            stages.push(Box::new(CopyrightStage::new(CopyrightDetector::new())));
-        }
-        stages
-    }
-
-    /// The appended custom stages, in registration order.
-    pub(crate) fn custom_stage_list(&self) -> &[Box<dyn CurationStage>] {
-        &self.custom_stages
-    }
-
     /// The names of the stages this pipeline will run, in order.
     pub fn stage_names(&self) -> Vec<String> {
-        self.configured_stages()
-            .iter()
-            .map(|s| s.name().to_string())
-            .chain(self.custom_stages.iter().map(|s| s.name().to_string()))
-            .collect()
+        self.stages.iter().map(|s| s.name().to_string()).collect()
     }
 
     /// Opens a streaming intake session: the corpus can be pushed batch by
     /// batch (e.g. straight off the scraper's clone stream) and the result
     /// is identical to a one-shot [`CurationPipeline::run`] over the
     /// concatenated batches. See [`CurationSession`].
+    ///
+    /// The session borrows the pipeline's stage list and opens a fresh
+    /// stream of every stage that carries state (de-duplication's kept
+    /// index), so each session, and each run, starts from an empty corpus:
+    /// one pipeline curates any number of times with the same result.
     ///
     /// # Panics
     ///
@@ -368,7 +348,7 @@ impl CurationPipeline {
             name: self.config.name.clone(),
             structure: self.config.structure,
             augmented: self.config.augmented,
-            files: files.into_iter().map(|file| CuratedFile { file }).collect(),
+            files,
             funnel,
             rejects,
         }
@@ -485,7 +465,7 @@ mod tests {
         }
         // And none of the kept files are protected.
         for f in dataset.files() {
-            assert!(!detector.is_protected(f.content()));
+            assert!(!detector.is_protected(&f.content));
         }
     }
 
@@ -518,8 +498,8 @@ mod tests {
         let files = scraped_corpus(100, 21);
         let dataset = CurationPipeline::new(CurationConfig::freeset()).run(files);
         for f in dataset.files() {
-            assert!(f.file.repo_license.is_accepted_open_source());
-            assert_ne!(f.file.repo_license, License::Proprietary);
+            assert!(f.repo_license.is_accepted_open_source());
+            assert_ne!(f.repo_license, License::Proprietary);
         }
     }
 

@@ -180,17 +180,14 @@ impl DedupStream {
         let base = self.inner.seen();
         let contents: Vec<&str> = files.iter().map(|f| f.content.as_str()).collect();
         let result = self.inner.push_texts_with_mode(&contents, mode);
-        // Map the engine's global indices back onto this batch's files.
-        let removed_info: std::collections::HashMap<usize, (usize, f64)> = result
-            .removed
-            .iter()
-            .map(|&(dropped, kept, similarity)| (dropped - base, (kept, similarity)))
-            .collect();
+        // Map the engine's global indices back onto this batch's files: the
+        // engine records removals in input order, so one pass pairs them up.
+        let mut removed = result.removed.into_iter().peekable();
         let mut outcome = StageOutcome::with_capacity(files.len());
-        for (offset, file) in files.into_iter().enumerate() {
-            match removed_info.get(&offset) {
+        for (index, file) in (base..).zip(files) {
+            match removed.next_if(|&(dropped, _, _)| dropped == index) {
                 None => outcome.kept.push(file),
-                Some(&(kept_index, similarity)) => outcome.reject(
+                Some((_, kept_index, similarity)) => outcome.reject(
                     file,
                     stage_names::DEDUP,
                     RejectReason::Duplicate,

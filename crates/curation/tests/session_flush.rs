@@ -2,7 +2,8 @@
 //! pushed files are coalesced into 256 KiB batches before the streaming
 //! stage prefix runs, so a corpus several times that size, pushed one
 //! repository at a time, must run the prefix a few times before `finish`,
-//! once more inside it, and still equal the one-shot run byte for byte. A
+//! once more inside it, and still equal the one-shot run byte for byte. One
+//! pipeline must curate alike on every run and session it opens. A
 //! custom stage whose stream fails must surface the error from the push that
 //! runs the failing flush, from `finish` when only the final flush fails,
 //! and from `try_session` and `try_run` when the stream cannot open.
@@ -112,6 +113,33 @@ fn per_repository_pushes_flush_several_times_and_equal_one_shot() {
     let one_shot = pipeline.run(files);
     assert_eq!(streamed, one_shot);
     assert_eq!(format!("{streamed:?}"), format!("{one_shot:?}"));
+}
+
+#[test]
+fn a_reused_pipeline_curates_like_a_fresh_one() {
+    // Sessions borrow the pipeline's one stage list, and with it the parse
+    // cache the syntax and lint stages share: what one run leaves behind
+    // must not change the next run or a later session.
+    let files = corpus(150, 29);
+    let fresh = CurationPipeline::new(CurationConfig::freeset()).run(files.clone());
+    let pipeline = CurationPipeline::new(CurationConfig::freeset());
+    let first = pipeline.run(files.clone());
+    let second = pipeline.run(files.clone());
+    let mut session = pipeline.session();
+    for batch in per_repository(&files) {
+        session.push(batch).expect("push succeeds");
+    }
+    let streamed = session.finish().expect("finish succeeds");
+    for (reuse, dataset) in [
+        ("the first run", first),
+        ("a second run", second),
+        ("a session after two runs", streamed),
+    ] {
+        assert!(
+            dataset == fresh && format!("{dataset:?}") == format!("{fresh:?}"),
+            "{reuse} differs from a fresh pipeline's run"
+        );
+    }
 }
 
 /// A pass-through stage whose stream fails on its `fail_on`-th batch

@@ -180,7 +180,7 @@ mod tests {
         assert!(shaped
             .files()
             .iter()
-            .all(|f| f.content().matches("endmodule").count() <= 1));
+            .all(|f| f.content.matches("endmodule").count() <= 1));
         // The funnel keys the custom stage by name and stays monotone.
         assert!(shaped.funnel().stage("max-modules").is_some());
         assert!(shaped.funnel().is_monotone());

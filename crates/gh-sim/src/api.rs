@@ -5,8 +5,8 @@
 //! non-enterprise accounts, and request rate limits. This module models both
 //! so that the scraper's query-granularisation logic is exercised for real.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -137,11 +137,9 @@ pub struct ApiUsage {
 
 /// The simulated GitHub API over a [`Universe`].
 ///
-/// Interior mutability (a [`Mutex`] around the rate-limit window and the
-/// usage counters) is used for the request accounting so that read-only API
-/// handles can be shared freely: the [`crate::Scraper`] and its consumer
-/// both hold `&GithubApi`, the type is `Sync`, and each request's admission
-/// decision is atomic with respect to concurrent requests.
+/// The rate-limit window and the usage counters are [`Cell`]s, so requests
+/// go through a shared `&GithubApi`: the [`crate::Scraper`] and the
+/// consumer of its clone stream both hold one, on the calling thread.
 ///
 /// # Example
 ///
@@ -158,8 +156,8 @@ pub struct ApiUsage {
 pub struct GithubApi<'a> {
     universe: &'a Universe,
     window_budget: usize,
-    window_remaining: Mutex<usize>,
-    usage: Mutex<ApiUsage>,
+    window_remaining: Cell<usize>,
+    usage: Cell<ApiUsage>,
 }
 
 impl<'a> GithubApi<'a> {
@@ -186,43 +184,41 @@ impl<'a> GithubApi<'a> {
         Self {
             universe,
             window_budget,
-            window_remaining: Mutex::new(window_budget),
-            usage: Mutex::new(ApiUsage::default()),
+            window_remaining: Cell::new(window_budget),
+            usage: Cell::new(ApiUsage::default()),
         }
     }
 
     /// Usage statistics so far.
     pub fn usage(&self) -> ApiUsage {
-        *self.usage.lock().expect("api usage lock poisoned")
+        self.usage.get()
+    }
+
+    /// Applies `count` to the usage counters.
+    fn record(&self, count: impl FnOnce(&mut ApiUsage)) {
+        let mut usage = self.usage.get();
+        count(&mut usage);
+        self.usage.set(usage);
     }
 
     /// Resets the rate-limit window (the simulated equivalent of waiting for
     /// the window to roll over).
     pub fn wait_for_rate_limit_reset(&self) {
-        *self
-            .window_remaining
-            .lock()
-            .expect("api window lock poisoned") = self.window_budget;
-        self.usage
-            .lock()
-            .expect("api usage lock poisoned")
-            .rate_limit_resets += 1;
+        self.window_remaining.set(self.window_budget);
+        self.record(|usage| usage.rate_limit_resets += 1);
     }
 
     fn consume_request(&self) -> Result<(), ApiError> {
-        let mut remaining = self
-            .window_remaining
-            .lock()
-            .expect("api window lock poisoned");
-        if *remaining == 0 {
-            self.usage
-                .lock()
-                .expect("api usage lock poisoned")
-                .rate_limit_rejections += 1;
-            return Err(ApiError::RateLimited);
+        match self.window_remaining.get() {
+            0 => {
+                self.record(|usage| usage.rate_limit_rejections += 1);
+                Err(ApiError::RateLimited)
+            }
+            remaining => {
+                self.window_remaining.set(remaining - 1);
+                Ok(())
+            }
         }
-        *remaining -= 1;
-        Ok(())
     }
 
     /// Searches repositories.
@@ -234,10 +230,7 @@ impl<'a> GithubApi<'a> {
     /// * [`ApiError::RateLimited`] when the request budget is exhausted.
     /// * [`ApiError::PageOutOfRange`] for pages past the end.
     pub fn search(&self, query: &RepoQuery) -> Result<SearchPage, ApiError> {
-        self.usage
-            .lock()
-            .expect("api usage lock poisoned")
-            .search_requests += 1;
+        self.record(|usage| usage.search_requests += 1);
         self.consume_request()?;
         let mut matches: Vec<&Repository> = self
             .universe
@@ -273,10 +266,7 @@ impl<'a> GithubApi<'a> {
     /// * [`ApiError::UnknownRepository`] when the id does not exist.
     /// * [`ApiError::RateLimited`] when the request budget is exhausted.
     pub fn clone_repository(&self, id: u64) -> Result<&'a Repository, ApiError> {
-        self.usage
-            .lock()
-            .expect("api usage lock poisoned")
-            .clone_requests += 1;
+        self.record(|usage| usage.clone_requests += 1);
         self.consume_request()?;
         self.universe
             .repository(id)
@@ -380,32 +370,6 @@ mod tests {
         let mut sorted = stars.clone();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(stars, sorted);
-    }
-
-    #[test]
-    fn api_handles_are_shareable_across_threads() {
-        fn assert_sync_send<T: Sync + Send>() {}
-        assert_sync_send::<GithubApi<'static>>();
-        // Concurrent requests against one handle never over-admit: with a
-        // budget of 10, exactly 10 of the 40 racing requests may succeed.
-        let u = universe(20);
-        let api = GithubApi::with_rate_limit(&u, 10);
-        let successes: usize = std::thread::scope(|scope| {
-            (0..4)
-                .map(|_| {
-                    scope.spawn(|| {
-                        (0..10)
-                            .filter(|_| api.search(&RepoQuery::all()).is_ok())
-                            .count()
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("search worker panicked"))
-                .sum()
-        });
-        assert_eq!(successes, 10);
-        assert_eq!(api.usage().rate_limit_rejections, 30);
     }
 
     #[test]

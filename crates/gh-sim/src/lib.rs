@@ -15,9 +15,9 @@
 //!   copyright headers hidden inside "open-source" repositories, heavy
 //!   file duplication and syntactically broken files — each of which one of
 //!   the curation stages must catch.
-//! * [`GithubApi`] exposes that universe behind a thread-safe search/clone
-//!   API that enforces the same pagination cap and rate-limiting behaviour
-//!   the real API does; [`Scraper`] is the paper's query-granularisation
+//! * [`GithubApi`] exposes that universe behind a search/clone API that
+//!   enforces the same pagination cap and rate-limiting behaviour the real
+//!   API does; [`Scraper`] is the paper's query-granularisation
 //!   client. It runs serially on the calling thread, and
 //!   [`fetch::FetchEngine::run_streaming`] streams its clone phase, one
 //!   repository per pull, into a consumer such as a curation session.

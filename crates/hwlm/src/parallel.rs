@@ -1,7 +1,6 @@
 //! Deterministic parallel training and the shared seed-derivation scheme.
 //!
-//! Training is a shard-and-merge map-reduce, the same shape as the curation
-//! side's dedup shards, and it is the only trainer:
+//! Training is a shard-and-merge map-reduce, and it is the only trainer:
 //! [`crate::NgramModel::train_named`], [`crate::HdlTokenizer::fit`],
 //! [`crate::HdlTokenizer::extended_with`] and
 //! [`crate::AdaptedModel::continual_pretrain`] all run it on the machine's

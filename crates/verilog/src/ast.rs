@@ -158,18 +158,6 @@ impl ExprArena {
             _ => self.collect_idents(target, out),
         }
     }
-
-    /// A [`std::fmt::Debug`] view of the expression behind `id` that renders
-    /// the *tree* (identifiers resolved through `symbols`), byte-identical
-    /// to the `Debug` output of the pre-arena boxed AST. Used by the
-    /// interpreter's error messages, which are pinned by snapshot fixtures.
-    pub fn expr_debug<'a>(&'a self, symbols: &'a Interner, id: ExprId) -> ExprDebug<'a> {
-        ExprDebug {
-            arena: self,
-            symbols,
-            id,
-        }
-    }
 }
 
 impl Index<ExprId> for ExprArena {
@@ -177,118 +165,6 @@ impl Index<ExprId> for ExprArena {
 
     fn index(&self, id: ExprId) -> &Expr {
         &self.nodes[id.index()]
-    }
-}
-
-/// See [`ExprArena::expr_debug`].
-#[derive(Clone, Copy)]
-pub struct ExprDebug<'a> {
-    arena: &'a ExprArena,
-    symbols: &'a Interner,
-    id: ExprId,
-}
-
-impl<'a> ExprDebug<'a> {
-    fn at(&self, id: ExprId) -> Self {
-        Self { id, ..*self }
-    }
-
-    fn list(&self, ids: &'a [ExprId]) -> ExprListDebug<'a> {
-        ExprListDebug {
-            arena: self.arena,
-            symbols: self.symbols,
-            ids,
-        }
-    }
-}
-
-impl std::fmt::Debug for ExprDebug<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.arena[self.id] {
-            Expr::Number { value, width } => f
-                .debug_struct("Number")
-                .field("value", value)
-                .field("width", width)
-                .finish(),
-            Expr::Pattern {
-                value,
-                x_mask,
-                z_mask,
-                width,
-            } => f
-                .debug_struct("Pattern")
-                .field("value", value)
-                .field("x_mask", x_mask)
-                .field("z_mask", z_mask)
-                .field("width", width)
-                .finish(),
-            Expr::Ident(sym) => f
-                .debug_tuple("Ident")
-                .field(&self.symbols.resolve(*sym))
-                .finish(),
-            Expr::Unary { op, operand } => f
-                .debug_struct("Unary")
-                .field("op", op)
-                .field("operand", &self.at(*operand))
-                .finish(),
-            Expr::Binary { op, lhs, rhs } => f
-                .debug_struct("Binary")
-                .field("op", op)
-                .field("lhs", &self.at(*lhs))
-                .field("rhs", &self.at(*rhs))
-                .finish(),
-            Expr::Ternary {
-                condition,
-                then_expr,
-                else_expr,
-            } => f
-                .debug_struct("Ternary")
-                .field("condition", &self.at(*condition))
-                .field("then_expr", &self.at(*then_expr))
-                .field("else_expr", &self.at(*else_expr))
-                .finish(),
-            Expr::Index { base, index } => f
-                .debug_struct("Index")
-                .field("base", &self.at(*base))
-                .field("index", &self.at(*index))
-                .finish(),
-            Expr::Slice { base, msb, lsb } => f
-                .debug_struct("Slice")
-                .field("base", &self.at(*base))
-                .field("msb", &self.at(*msb))
-                .field("lsb", &self.at(*lsb))
-                .finish(),
-            Expr::Concat(parts) => f.debug_tuple("Concat").field(&self.list(parts)).finish(),
-            Expr::Repeat { count, value } => f
-                .debug_struct("Repeat")
-                .field("count", &self.at(*count))
-                .field("value", &self.at(*value))
-                .finish(),
-            Expr::Call { name, args } => f
-                .debug_struct("Call")
-                .field("name", &self.symbols.resolve(*name))
-                .field("args", &self.list(args))
-                .finish(),
-            Expr::StringLit(s) => f.debug_tuple("StringLit").field(s).finish(),
-        }
-    }
-}
-
-struct ExprListDebug<'a> {
-    arena: &'a ExprArena,
-    symbols: &'a Interner,
-    ids: &'a [ExprId],
-}
-
-impl std::fmt::Debug for ExprListDebug<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list()
-            .entries(self.ids.iter().map(|&id| ExprDebug {
-                arena: self.arena,
-                symbols: self.symbols,
-                id,
-            }))
-            .finish()
     }
 }
 
@@ -838,20 +714,6 @@ mod tests {
         assert_eq!(arena.referenced_idents(root), vec![a, sel, b]);
         assert_eq!(arena.len(), 6);
         assert!(arena.get(root).is_some());
-    }
-
-    #[test]
-    fn expr_debug_renders_the_tree() {
-        let mut interner = Interner::new();
-        let mut arena = ExprArena::new();
-        let mem = interner.intern("mem");
-        let base = arena.alloc(Expr::ident(mem));
-        let index = arena.alloc(Expr::number(0));
-        let root = arena.alloc(Expr::Index { base, index });
-        assert_eq!(
-            format!("{:?}", arena.expr_debug(&interner, root)),
-            "Index { base: Ident(\"mem\"), index: Number { value: 0, width: None } }"
-        );
     }
 
     #[test]

@@ -280,11 +280,6 @@ impl CompiledModule {
         self.parameters.get(name).copied()
     }
 
-    /// A debug rendering of an expression tree, for error messages.
-    fn debug(&self, id: ExprId) -> crate::ast::ExprDebug<'_> {
-        self.arena.expr_debug(&self.symbols, id)
-    }
-
     /// Creates the power-on state: every signal zero, then `initial` blocks
     /// executed and combinational logic settled.
     ///
@@ -484,7 +479,7 @@ impl CompiledModule {
                 if info.depth.is_some() {
                     Ok(ResolvedTarget::MemoryWord(name, idx as usize))
                 } else {
-                    Ok(ResolvedTarget::Bit(name, idx as u32))
+                    Ok(ResolvedTarget::Bit(name, saturating_bit_index(idx)))
                 }
             }
             Expr::Slice { base, msb, lsb } => {
@@ -500,10 +495,7 @@ impl CompiledModule {
                 }
                 Ok(ResolvedTarget::Concat(resolved))
             }
-            _ => Err(EvalError::Unsupported(format!(
-                "assignment target {:?}",
-                self.debug(target)
-            ))),
+            _ => Err(EvalError::Unsupported(NOT_A_TARGET.into())),
         }
     }
 
@@ -527,20 +519,12 @@ impl CompiledModule {
                     total = total
                         .checked_add(self.target_width(p, state)?)
                         .ok_or_else(|| {
-                            EvalError::Unsupported(format!(
-                                "concatenation target {:?} is too wide",
-                                self.debug(target)
-                            ))
+                            EvalError::Unsupported("concatenation target is too wide".into())
                         })?;
                 }
                 total
             }
-            _ => {
-                return Err(EvalError::Unsupported(format!(
-                    "assignment target {:?}",
-                    self.debug(target)
-                )))
-            }
+            _ => return Err(EvalError::Unsupported(NOT_A_TARGET.into())),
         })
     }
 
@@ -579,10 +563,9 @@ impl CompiledModule {
     fn ident_name(&self, expr: ExprId) -> Result<String, EvalError> {
         match self.arena[expr] {
             Expr::Ident(sym) => Ok(self.symbols.resolve(sym).to_string()),
-            _ => Err(EvalError::Unsupported(format!(
-                "expected identifier, found {:?}",
-                self.debug(expr)
-            ))),
+            _ => Err(EvalError::Unsupported(
+                "assignment target selects from an expression, not a signal".into(),
+            )),
         }
     }
 
@@ -598,7 +581,10 @@ impl CompiledModule {
     pub fn eval_expr_id(&self, expr: ExprId, state: &EvalState) -> Result<Value, EvalError> {
         match self.arena[expr] {
             Expr::Number { value, width } | Expr::Pattern { value, width, .. } => {
-                Ok(Value::new(value, width.unwrap_or(32).min(64)))
+                match width.unwrap_or(32).min(Value::MAX_WIDTH) {
+                    0 => Err(EvalError::Unsupported("zero-width literal".into())),
+                    width => Ok(Value::new(value, width)),
+                }
             }
             Expr::StringLit(_) => Ok(Value::zero(1)),
             Expr::Ident(sym) => {
@@ -643,7 +629,7 @@ impl CompiledModule {
                     }
                 }
                 let base_value = self.eval_expr_id(base, state)?;
-                Ok(base_value.select_bit(idx as u32))
+                Ok(base_value.select_bit(saturating_bit_index(idx)))
             }
             Expr::Slice { base, msb, lsb } => {
                 let base_value = self.eval_expr_id(base, state)?;
@@ -675,7 +661,9 @@ impl CompiledModule {
                 if n == 0 {
                     return Ok(Value::zero(1));
                 }
-                if n * u64::from(v.width()) > u64::from(Value::MAX_WIDTH) {
+                if n.checked_mul(u64::from(v.width()))
+                    .is_none_or(|width| width > u64::from(Value::MAX_WIDTH))
+                {
                     return Err(EvalError::WidthTooLarge(format!(
                         "replication in `{}`",
                         self.name
@@ -689,20 +677,30 @@ impl CompiledModule {
             }
             Expr::Call { name, ref args } => {
                 // A handful of system functions appear in real code; $clog2
-                // and $signed/$unsigned are worth supporting, everything else
-                // evaluates its arguments and returns zero.
+                // and $signed/$unsigned of their first argument are worth
+                // supporting. Every other call, and these without an
+                // argument, is unsupported.
                 let fn_name = self.symbols.resolve(name);
-                match fn_name {
-                    "$clog2" => {
-                        let v = self.eval_expr_id(args[0], state)?.bits();
+                match (fn_name, args.first()) {
+                    ("$clog2", Some(&arg)) => {
+                        let v = self.eval_expr_id(arg, state)?.bits();
                         Ok(Value::new(clog2(v), 32))
                     }
-                    "$signed" | "$unsigned" => self.eval_expr_id(args[0], state),
+                    ("$signed" | "$unsigned", Some(&arg)) => self.eval_expr_id(arg, state),
                     _ => Err(EvalError::Unsupported(format!("function call `{fn_name}`"))),
                 }
             }
         }
     }
+}
+
+/// The error message of an assignment to something that is not an lvalue.
+const NOT_A_TARGET: &str = "assignment target is not a signal, a select or a concatenation";
+
+/// A bit-select index as a bit position: an index past `u32::MAX` saturates,
+/// so it still lies past every value's width, reads as zero and drops writes.
+fn saturating_bit_index(index: u64) -> u32 {
+    u32::try_from(index).unwrap_or(u32::MAX)
 }
 
 /// An assignment destination resolved to concrete bit positions.
@@ -932,10 +930,7 @@ pub(crate) fn const_eval(
         Expr::Call { name, ref args } if symbols.resolve(name) == "$clog2" && args.len() == 1 => {
             Ok(clog2(const_eval(arena, symbols, args[0], parameters)?.max(0) as u64) as i64)
         }
-        _ => Err(EvalError::Elaboration(format!(
-            "expression {:?} is not constant",
-            arena.expr_debug(symbols, expr)
-        ))),
+        _ => Err(EvalError::Elaboration("expression is not constant".into())),
     }
 }
 

@@ -424,6 +424,55 @@ mod tests {
         }
     }
 
+    /// Whether a module with the given body fails to simulate with the
+    /// given error variant, instead of panicking.
+    fn rejects(body: &str, expected: fn(&EvalError) -> bool) -> bool {
+        let m = module(&format!(
+            "module m(input [3:0] a, output [7:0] y); {body} endmodule"
+        ));
+        let bench = Testbench::combinational(vec![TestVector::combinational(
+            vec![("a".into(), 0xF)],
+            vec![("y".into(), 0)],
+        )]);
+        bench.passes(&m).as_ref().is_err_and(expected)
+    }
+
+    #[test]
+    fn zero_width_literals_are_unsupported() {
+        for body in ["assign y = 0'd1;", "assign y = a + 0'b1;"] {
+            assert!(
+                rejects(body, |e| matches!(e, EvalError::Unsupported(_))),
+                "{body}"
+            );
+        }
+    }
+
+    #[test]
+    fn overflowing_replications_are_too_wide() {
+        for count in [
+            "64'h4000000000000000",
+            "64'h8000000000000000",
+            "64'hffffffffffffffff",
+        ] {
+            let body = format!("assign y = {{{count}{{4'b1010}}}};");
+            assert!(
+                rejects(&body, |e| matches!(e, EvalError::WidthTooLarge(_))),
+                "{body}"
+            );
+        }
+    }
+
+    #[test]
+    fn system_calls_without_an_argument_are_unsupported() {
+        for call in ["$clog2", "$signed", "$unsigned"] {
+            let body = format!("assign y = {call}();");
+            assert!(
+                rejects(&body, |e| matches!(e, EvalError::Unsupported(_))),
+                "{body}"
+            );
+        }
+    }
+
     #[test]
     fn oversized_memory_is_rejected_before_allocation() {
         let m = module(

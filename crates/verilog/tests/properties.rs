@@ -128,6 +128,30 @@ fn part_select_module(msb: u64, lsb: u64, form: usize) -> String {
     )
 }
 
+/// The system functions the interpreter evaluates.
+const SYSTEM_CALLS: [&str; 3] = ["$clog2", "$signed", "$unsigned"];
+
+/// An expression at an edge of the interpreter's value model: a sized
+/// literal 0 to 65 bits wide, a replication whose count sits at a 32-bit or
+/// 64-bit edge, or a system call with zero to two arguments.
+fn edge_expression() -> impl Strategy<Value = String> {
+    let literal = (0u32..=65, any::<u64>()).prop_map(|(width, v)| format!("{width}'h{v:x}"));
+    let count = prop_oneof![
+        0u64..3,
+        Just(u64::from(u32::MAX)),
+        Just(1 << 32),
+        Just(1 << 62),
+        Just(1 << 63),
+        Just(u64::MAX),
+        any::<u64>(),
+    ];
+    let replication =
+        (count, 1u32..=64).prop_map(|(n, width)| format!("{{64'h{n:x}{{{width}'h1}}}}"));
+    let call = (0..SYSTEM_CALLS.len(), 0usize..=2)
+        .prop_map(|(f, args)| format!("{}({})", SYSTEM_CALLS[f], vec!["a"; args].join(", ")));
+    prop_oneof![literal, replication, call]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
@@ -164,6 +188,50 @@ proptest! {
         // Simulation may reject the select; it must not panic.
         let outcome = catch_unwind(AssertUnwindSafe(|| bench.passes(module)));
         prop_assert!(outcome.is_ok(), "panicked on:\n{}", src);
+    }
+
+    #[test]
+    fn simulating_edge_expressions_never_panics(expr in edge_expression()) {
+        let src = format!(
+            "module m(input [63:0] a, output [63:0] y);\nassign y = {expr};\nendmodule\n"
+        );
+        let modules = Parser::parse_source(&src);
+        prop_assert!(modules.is_ok(), "did not parse:\n{}", src);
+        let module = &modules.unwrap()[0];
+        let bench = Testbench::combinational(vec![TestVector::combinational(
+            vec![("a".into(), u64::MAX)],
+            vec![("y".into(), 0)],
+        )]);
+        // Simulation may reject the expression; it must not panic.
+        let outcome = catch_unwind(AssertUnwindSafe(|| bench.passes(module)));
+        prop_assert!(outcome.is_ok(), "panicked on:\n{}", src);
+    }
+
+    #[test]
+    fn bit_selects_read_and_write_only_bits_inside_the_vector(
+        a in any::<u64>(),
+        index in select_bound(),
+    ) {
+        let select = format!("[64'h{index:x}]");
+        let src = format!(
+            "module m(input [63:0] a, output y, output [63:0] z);\nreg [63:0] r;\n\
+             assign y = a{select};\nalways @(*) begin r = 0; r{select} = 1'b1; end\n\
+             assign z = r;\nendmodule\n"
+        );
+        let modules = Parser::parse_source(&src);
+        prop_assert!(modules.is_ok(), "did not parse:\n{}", src);
+        let module = &modules.unwrap()[0];
+        // Bits past the vector's width read as zero and drop writes.
+        let (read, written) = if index < 64 {
+            ((a >> index) & 1, 1 << index)
+        } else {
+            (0, 0)
+        };
+        let bench = Testbench::combinational(vec![TestVector::combinational(
+            vec![("a".into(), a)],
+            vec![("y".into(), read), ("z".into(), written)],
+        )]);
+        prop_assert_eq!(bench.passes(module), Ok(true), "a = {a:#x} on:\n{src}");
     }
 }
 

@@ -32,11 +32,11 @@ fn scrape_curate_train_and_generate() {
     let detector = CopyrightDetector::new();
     for file in build.dataset.files() {
         assert!(
-            checker.is_valid(file.content()),
+            checker.is_valid(&file.content),
             "invalid file survived curation"
         );
         assert!(
-            !detector.is_protected(file.content()),
+            !detector.is_protected(&file.content),
             "protected file survived curation"
         );
     }
