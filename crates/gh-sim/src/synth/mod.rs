@@ -7,6 +7,14 @@
 //! [`verilog`] front-end (guaranteed by tests), so the curation pipeline's
 //! syntax filter, the de-duplicator and the language model all operate on
 //! structurally meaningful data.
+//!
+//! A generated body is then restyled: identifier classes are renamed, the
+//! header parameters are sometimes replaced by their values, and the port
+//! list is sometimes flattened onto one line. Each of the three rewrites is
+//! one pass over the text. The renames draw their spellings in the same
+//! order as a rename-by-rename rewrite would, and a scan that gives every
+//! word the renames in order yields the same text as one whole-word pass per
+//! rename, so each seed still makes the same designs.
 
 mod combinational;
 pub mod defects;
@@ -278,38 +286,64 @@ const NAME_CLASSES: &[(&str, &[&str])] = &[
     ),
 ];
 
-/// Replaces whole-word occurrences of `from` with `to`.
-fn replace_word(text: &str, from: &str, to: &str) -> String {
+/// Whether `b` belongs to a word: a maximal run of `[A-Za-z0-9_]`, the
+/// unit the renames below rewrite. Every byte of a non-ASCII character is
+/// outside it.
+fn is_word_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Whether `name` is one whole word.
+fn is_word(name: &str) -> bool {
+    !name.is_empty() && name.bytes().all(is_word_byte)
+}
+
+/// Gives every word of `text` the renames in order, each `(from, to)`
+/// turning the word `from` into `to`, in one scan that copies the unchanged
+/// spans as slices.
+///
+/// When every `from` and `to` is a word, this equals one whole-word
+/// replacement pass over the text per rename, in order: a word put in place
+/// of a word keeps every word boundary where it was, so each pass maps words
+/// to words, and the passes compose word by word.
+fn rewrite_words<S: AsRef<str>>(text: &str, renames: &[(&str, S)]) -> String {
     let bytes = text.as_bytes();
-    let mut out = String::with_capacity(text.len());
+    let mut out = String::with_capacity(text.len() + text.len() / 4);
+    let mut copied = 0;
     let mut i = 0;
-    while i < text.len() {
-        if text[i..].starts_with(from) {
-            let before_ok =
-                i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
-            let after = i + from.len();
-            let after_ok = after >= text.len()
-                || !(bytes[after].is_ascii_alphanumeric() || bytes[after] == b'_');
-            if before_ok && after_ok {
-                out.push_str(to);
-                i = after;
-                continue;
+    while i < bytes.len() {
+        if !is_word_byte(bytes[i]) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && is_word_byte(bytes[i]) {
+            i += 1;
+        }
+        let word = &text[start..i];
+        let mut renamed = None;
+        for (from, to) in renames {
+            if renamed.unwrap_or(word) == *from {
+                renamed = Some(to.as_ref());
             }
         }
-        // Advance by one UTF-8 character (generated sources are ASCII, but be
-        // safe).
-        let ch_len = text[i..].chars().next().map(char::len_utf8).unwrap_or(1);
-        out.push_str(&text[i..i + ch_len]);
-        i += ch_len;
+        if let Some(to) = renamed {
+            out.push_str(&text[copied..start]);
+            out.push_str(to);
+            copied = i;
+        }
     }
+    out.push_str(&text[copied..]);
     out
 }
 
 /// Rewrites a design that declares only integer-valued header parameters
 /// (`#(parameter WIDTH = 8, ...)`) into the equivalent fixed-width design:
 /// the parameter list is removed and every use of each parameter is replaced
-/// by its default value. Returns `None` when any default is not a plain
-/// integer (those designs are left parameterised).
+/// by its default value, all in one [`rewrite_words`] scan, which equals
+/// substituting one parameter after another. Returns `None` when any default
+/// is not a plain integer or any name is not a word (those designs are left
+/// parameterised).
 fn concretize_parameters(source: &str) -> Option<String> {
     // Designs that override parameters on instances (`sub #(.WIDTH(8)) u...`)
     // are left alone: rewriting the parameter name would also rewrite the
@@ -324,19 +358,22 @@ fn concretize_parameters(source: &str) -> Option<String> {
     for entry in list.split(',') {
         let entry = entry.trim().strip_prefix("parameter")?.trim();
         let (name, value) = entry.split_once('=')?;
+        let name = name.trim();
         let value: u64 = value.trim().parse().ok()?;
-        bindings.push((name.trim().to_string(), value));
+        if !is_word(name) {
+            return None;
+        }
+        bindings.push((name, value.to_string()));
     }
-    let mut out = format!("{}{}", &source[..start], &source[end + 1..]);
-    for (name, value) in bindings {
-        out = replace_word(&out, &name, &value.to_string());
-    }
-    Some(out)
+    let unparameterised = format!("{}{}", &source[..start], &source[end + 1..]);
+    Some(rewrite_words(&unparameterised, &bindings))
 }
 
 /// Collapses a one-port-per-line module header into a single line, leaving
-/// the body untouched. Many real designs are written this way, and the
-/// stylistic variety matters to consumers of the corpus.
+/// the body untouched: the header's whitespace-separated tokens are joined
+/// by single spaces, with none after a token that ends in `(`. Many real
+/// designs are written this way, and the stylistic variety matters to
+/// consumers of the corpus.
 fn flatten_port_list(source: &str) -> String {
     let Some(open) = source.find('(') else {
         return source.to_string();
@@ -345,51 +382,201 @@ fn flatten_port_list(source: &str) -> String {
         return source.to_string();
     };
     let close = open + close_rel;
-    let header: String = source[open..close]
-        .split_whitespace()
-        .collect::<Vec<_>>()
-        .join(" ")
-        .replace("( ", "(");
-    format!("{}{}{}", &source[..open], header, &source[close..])
+    let mut out = String::with_capacity(source.len());
+    out.push_str(&source[..open]);
+    let mut space = false;
+    for token in source[open..close].split_whitespace() {
+        if space {
+            out.push(' ');
+        }
+        out.push_str(token);
+        space = !token.ends_with('(');
+    }
+    out.push_str(&source[close..]);
+    out
 }
 
 /// Applies a random naming style to a generated source.
 ///
-/// Each identifier class keeps its canonical name half of the time (real
-/// corpora are dominated by the conventional `clk`/`rst`/`a`/`b` spellings)
-/// and picks one of the synonyms otherwise.
+/// Each identifier class keeps its canonical name with probability 0.6
+/// (real corpora are dominated by the conventional `clk`/`rst`/`a`/`b`
+/// spellings) and otherwise draws one of its spellings, the canonical
+/// among them. The draws come first, class by class in [`NAME_CLASSES`]
+/// order; then one [`rewrite_words`] scan renames every class whose draw is
+/// not its canonical, which equals renaming one class after another.
 fn restyle<R: Rng>(source: &str, rng: &mut R) -> String {
-    let mut out = source.to_string();
-    for (canonical, alternatives) in NAME_CLASSES {
+    let mut renames = Vec::with_capacity(NAME_CLASSES.len());
+    for &(canonical, alternatives) in NAME_CLASSES {
         if rng.gen_bool(0.6) {
             continue;
         }
         let choice = alternatives[rng.gen_range(0..alternatives.len())];
-        if choice != *canonical {
-            out = replace_word(&out, canonical, choice);
+        if choice != canonical {
+            renames.push((canonical, choice));
         }
     }
-    out
+    rewrite_words(source, &renames)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use verilog::SyntaxChecker;
 
+    /// Replaces whole-word occurrences of `from` with `to`, walking the text
+    /// one character at a time: the longhand oracle for [`rewrite_words`].
+    fn replace_word(text: &str, from: &str, to: &str) -> String {
+        let bytes = text.as_bytes();
+        let mut out = String::with_capacity(text.len());
+        let mut i = 0;
+        while i < text.len() {
+            if text[i..].starts_with(from) {
+                let before_ok =
+                    i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
+                let after = i + from.len();
+                let after_ok = after >= text.len()
+                    || !(bytes[after].is_ascii_alphanumeric() || bytes[after] == b'_');
+                if before_ok && after_ok {
+                    out.push_str(to);
+                    i = after;
+                    continue;
+                }
+            }
+            let ch_len = text[i..].chars().next().map(char::len_utf8).unwrap_or(1);
+            out.push_str(&text[i..i + ch_len]);
+            i += ch_len;
+        }
+        out
+    }
+
     #[test]
-    fn replace_word_respects_boundaries() {
+    fn rewrite_words_respects_boundaries() {
         assert_eq!(
-            replace_word("clk clk_q qclk", "clk", "clock"),
+            rewrite_words("clk clk_q qclk", &[("clk", "clock")]),
             "clock clk_q qclk"
         );
         assert_eq!(
-            replace_word("q <= q + 1;", "q", "value"),
+            rewrite_words("q <= q + 1;", &[("q", "value")]),
             "value <= value + 1;"
         );
-        assert_eq!(replace_word("", "q", "value"), "");
+        assert_eq!(rewrite_words("", &[("q", "value")]), "");
+    }
+
+    /// Verilog-ish fragments: words, numbers, sized literals, format
+    /// strings, punctuation, whitespace and non-ASCII characters. The texts
+    /// below concatenate them, and random words, without separators, so
+    /// neighbouring words merge.
+    const PIECES: &[&str] = &[
+        "a", "b", "q", "a1", "_q", "clk", "x_a", "8", "32", "8'b1", "4'hF", "%b", "%d", " ", "\n",
+        "\t", "(", ")", ";", ",", ".", "#", "'", "$", "é", "İ", "—", "😀",
+    ];
+
+    /// A word that [`PIECES`] often spells.
+    fn word() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0..7usize).prop_map(|i| PIECES[i].to_string()),
+            "[abq_1]{1,2}",
+            "[0-9]{1,2}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// The one-pass scan equals folding [`replace_word`] over the
+        /// renames. A replacement may name any source, its own or an
+        /// earlier or later one: the fold rewrites it again only if that
+        /// source comes later.
+        #[test]
+        fn rewrite_words_equals_the_sequential_renames(
+            pieces in proptest::collection::vec(
+                prop_oneof![(0..PIECES.len()).prop_map(|i| PIECES[i].to_string()), word()],
+                0..40,
+            ),
+            pairs in proptest::collection::vec((word(), word()), 0..6),
+        ) {
+            let text = pieces.concat();
+            let renames: Vec<(&str, &str)> = pairs
+                .iter()
+                .map(|(from, to)| (from.as_str(), to.as_str()))
+                .collect();
+            let sequential = renames
+                .iter()
+                .fold(text.clone(), |acc, (from, to)| replace_word(&acc, from, to));
+            prop_assert_eq!(
+                rewrite_words(&text, &renames),
+                sequential,
+                "text {:?}, renames {:?}",
+                text,
+                renames
+            );
+        }
+    }
+
+    proptest! {
+        /// The header built token by token equals the one joined with
+        /// single spaces and then stripped of every `"( "`.
+        #[test]
+        fn flatten_port_list_equals_join_and_replace(
+            parts in proptest::collection::vec(
+                proptest::collection::vec(0..PIECES.len(), 0..16),
+                3,
+            ),
+        ) {
+            let [before, header, after] = [0, 1, 2]
+                .map(|p| parts[p].iter().map(|&i| PIECES[i]).collect::<String>());
+            let source = format!("{before}({header});{after}");
+            let open = source.find('(').unwrap();
+            let close = open + source[open..].find(");").unwrap();
+            let joined = source[open..close]
+                .split_whitespace()
+                .collect::<Vec<_>>()
+                .join(" ")
+                .replace("( ", "(");
+            let longhand = format!("{}{joined}{}", &source[..open], &source[close..]);
+            prop_assert_eq!(flatten_port_list(&source), longhand, "source {:?}", source);
+        }
+    }
+
+    /// Every name is a word, which [`rewrite_words`] needs to equal the
+    /// class-by-class renames; the canonicals are distinct, and no spelling
+    /// is another class's canonical, so a class's drawn spelling is the one
+    /// the design shows.
+    #[test]
+    fn name_classes_are_distinct_words() {
+        let canonicals: Vec<&str> = NAME_CLASSES.iter().map(|(c, _)| *c).collect();
+        let distinct: std::collections::HashSet<_> = canonicals.iter().collect();
+        assert_eq!(distinct.len(), canonicals.len(), "canonicals repeat");
+        for &(canonical, alternatives) in NAME_CLASSES {
+            assert_eq!(alternatives[0], canonical, "canonical not listed first");
+            for &name in alternatives {
+                assert!(is_word(name), "{name:?} is not a word");
+                assert!(
+                    name == canonical || !canonicals.contains(&name),
+                    "{name:?} in class {canonical:?} is another class's canonical"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn concretize_leaves_a_parameter_without_a_word_name_alone() {
+        assert_eq!(
+            concretize_parameters("module m #(parameter = 8) (input a); endmodule"),
+            None
+        );
+        assert_eq!(
+            concretize_parameters("module m #(parameter W W = 8) (input a); endmodule"),
+            None
+        );
+        assert_eq!(
+            concretize_parameters("module m #(parameter W = 4) (input [W-1:0] a); endmodule")
+                .as_deref(),
+            Some("module m  (input [4-1:0] a); endmodule")
+        );
     }
 
     #[test]
