@@ -7,13 +7,36 @@
 //! banding LSH for candidate retrieval.
 //!
 //! Each permutation is `(a·x + b) mod p` over the Mersenne prime
-//! `p = 2^61 − 1`. The product is exact in 128 bits, and the reduction is a
-//! division-free fold: since `2^61 ≡ 1 (mod p)`, adding the bits above
-//! position 61 to the bits below it preserves the residue, so two fold-adds
-//! and one conditional subtract replace a 128-bit `%`. Each shingle is
-//! reduced modulo `p` once, outside the permutation loop. Every signature
-//! value is bit-identical to the textbook `u128 %` formulation, which the
+//! `p = 2^61 − 1`, where `x` is the shingle reduced modulo `p` once, outside
+//! the permutation loop. Two kernels compute it, and every signature value
+//! of both is bit-identical to the textbook `u128 %` formulation, which the
 //! tests check directly and pin on a fixed Verilog text.
+//!
+//! * **32-bit limbs, vectorised.** Write `a = a_hi·2^32 + a_lo` and
+//!   `x = x_hi·2^32 + x_lo`. Since `a, x < p`, `a_hi` and `x_hi` are below
+//!   `2^29`, so the three 32×32→64-bit products are bounded:
+//!   `hh = a_hi·x_hi < 2^58`, `mid = a_hi·x_lo + a_lo·x_hi < 2^62` and
+//!   `ll = a_lo·x_lo < 2^64`. With `2^64 ≡ 8` and `2^61 ≡ 1 (mod p)`,
+//!   `s = 8·hh + (mid >> 29) + (mid mod 2^29)·2^32 + (ll mod 2^61) + (ll >> 61) + b`
+//!   is congruent to `a·x + b` and below `2^64`; `f = (s mod 2^61) + (s >> 61)`
+//!   is below `2p`, and `min(f, f − p)`, the subtraction wrapping, is the
+//!   canonical residue. Every step is plain `u64` arithmetic with no branch,
+//!   so LLVM vectorises the permutation loop. The kernel is compiled twice,
+//!   for AVX-512F and for AVX2, and [`MinHasher::signature`] runs the widest
+//!   build the running CPU supports, detected on every call
+//!   (`is_x86_feature_detected!` caches its probe) and never stored, so a
+//!   cloned hasher cannot carry a choice onto a CPU that lacks it.
+//! * **Exact 128-bit product, portable.** `a·x + b < 2^122` is reduced by a
+//!   division-free fold: adding the bits above position 61 to the bits
+//!   below preserves the residue, so two fold-adds and one conditional
+//!   subtract replace a 128-bit `%`. This loop runs on x86-64 CPUs without
+//!   AVX2 and on every other architecture (compiled for baseline x86-64,
+//!   the limb kernel is slower than it), and the tests use it as the oracle.
+//!
+//! Calling a `#[target_feature]` function from code compiled without that
+//! feature is `unsafe`. The one item in this crate that allows `unsafe`,
+//! `VectorBuild::try_fold`, makes the two calls, each guarded by its own
+//! feature check.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -86,8 +109,13 @@ impl Signature {
 /// Permutations are the classic `(a * x + b) mod p` family over a Mersenne
 /// prime; the coefficients are drawn from a seeded ChaCha RNG so signatures
 /// are reproducible across runs and machines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinHasher {
+    /// One `(a, b)` pair per permutation, drawn by [`MinHasher::new`] with
+    /// `1 ≤ a < p` and `0 ≤ b < p`. Both kernels' bounds rely on these
+    /// ranges: the 128-bit fold needs `a·x + b < 2^122`, and the limb kernel
+    /// needs `a_hi < 2^29` and `b < p` to keep `s` below `2^64`. Nothing
+    /// else builds a hasher, which is why it derives no `Deserialize`.
     coeffs: Vec<(u64, u64)>,
     seed: u64,
 }
@@ -111,6 +139,103 @@ fn mod_mersenne_61(t: u128) -> u64 {
         folded - MERSENNE_61
     } else {
         folded
+    }
+}
+
+/// The portable kernel and the tests' oracle: folds every shingle's
+/// permutations into `values` with an exact 128-bit product per hash.
+fn fold_u128(coeffs: &[(u64, u64)], shingles: &[u64], values: &mut [u64]) {
+    for &shingle in shingles {
+        // Reduce outside the permutation loop; the 128-bit product
+        // keeps `a·x + b` exact for the fold.
+        let x = u128::from(shingle % MERSENNE_61);
+        for (value, &(a, b)) in values.iter_mut().zip(coeffs) {
+            let h = mod_mersenne_61(u128::from(a) * x + u128::from(b));
+            *value = (*value).min(h);
+        }
+    }
+}
+
+/// The low 32-bit limb of a `u64`.
+const LOW_32: u64 = (1 << 32) - 1;
+
+/// The bits of `mid` that stay below `2^61` once shifted up by 32.
+const LOW_29: u64 = (1 << 29) - 1;
+
+/// `(a·x + b) mod (2^61 − 1)` from 32-bit limbs, for `a, x, b < p`; the
+/// module doc derives each bound.
+#[inline(always)]
+fn mul_add_mod_limbs(a: u64, x: u64, b: u64) -> u64 {
+    let (a_hi, a_lo) = (a >> 32, a & LOW_32);
+    let (x_hi, x_lo) = (x >> 32, x & LOW_32);
+    let hh = a_hi * x_hi;
+    let mid = a_hi * x_lo + a_lo * x_hi;
+    let ll = a_lo * x_lo;
+    let s = (hh << 3) + (mid >> 29) + ((mid & LOW_29) << 32) + (ll & MERSENNE_61) + (ll >> 61) + b;
+    let f = (s & MERSENNE_61) + (s >> 61);
+    f.min(f.wrapping_sub(MERSENNE_61))
+}
+
+/// The limb kernel: folds every shingle's permutations into `values`. Its
+/// permutation loop has no branch, so each vector build below vectorises it.
+/// Only the x86-64 builds call it; its arithmetic is tested everywhere.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[inline(always)]
+fn fold_limbs(coeffs: &[(u64, u64)], shingles: &[u64], values: &mut [u64]) {
+    for &shingle in shingles {
+        let x = shingle % MERSENNE_61;
+        for (value, &(a, b)) in values.iter_mut().zip(coeffs) {
+            *value = (*value).min(mul_add_mod_limbs(a, x, b));
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn fold_limbs_avx512(coeffs: &[(u64, u64)], shingles: &[u64], values: &mut [u64]) {
+    fold_limbs(coeffs, shingles, values);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fold_limbs_avx2(coeffs: &[(u64, u64)], shingles: &[u64], values: &mut [u64]) {
+    fold_limbs(coeffs, shingles, values);
+}
+
+/// A vector build of the limb kernel, compiled for one x86-64 extension.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+enum VectorBuild {
+    /// 512-bit registers, with a native unsigned 64-bit minimum.
+    Avx512,
+    /// 256-bit registers; the unsigned minimum is a compare and a blend.
+    Avx2,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl VectorBuild {
+    /// Every build, in the order `signature` tries them.
+    const WIDEST_FIRST: [Self; 2] = [Self::Avx512, Self::Avx2];
+
+    /// Folds `shingles` into `values` with this build and returns true, or
+    /// returns false, leaving `values` as they are, when the running CPU
+    /// lacks the build's extension.
+    #[allow(unsafe_code)]
+    fn try_fold(self, coeffs: &[(u64, u64)], shingles: &[u64], values: &mut [u64]) -> bool {
+        match self {
+            Self::Avx512 if is_x86_feature_detected!("avx512f") => {
+                // SAFETY: this arm's guard detected `avx512f`, the one
+                // feature `fold_limbs_avx512` enables, on the running CPU.
+                unsafe { fold_limbs_avx512(coeffs, shingles, values) }
+            }
+            Self::Avx2 if is_x86_feature_detected!("avx2") => {
+                // SAFETY: this arm's guard detected `avx2`, the one feature
+                // `fold_limbs_avx2` enables, on the running CPU.
+                unsafe { fold_limbs_avx2(coeffs, shingles, values) }
+            }
+            _ => return false,
+        }
+        true
     }
 }
 
@@ -147,17 +272,21 @@ impl MinHasher {
     ///
     /// An empty shingle set maps every position to `u64::MAX`, so two empty
     /// documents estimate Jaccard 1.0 (matching the exact definition).
+    ///
+    /// On x86-64 CPUs with AVX-512F or AVX2, detected on every call, the
+    /// permutations run in a vectorised 32-bit-limb kernel; elsewhere in an
+    /// exact 128-bit loop. Both give the same values.
     pub fn signature(&self, shingles: &ShingleSet) -> Signature {
         let mut values = vec![u64::MAX; self.coeffs.len()];
-        for shingle in shingles.iter() {
-            // Reduce outside the permutation loop; the 128-bit product
-            // keeps `a·x + b` exact for the fold.
-            let x = u128::from(shingle % MERSENNE_61);
-            for (value, &(a, b)) in values.iter_mut().zip(&self.coeffs) {
-                let h = mod_mersenne_61(u128::from(a) * x + u128::from(b));
-                *value = (*value).min(h);
-            }
+        let shingles = shingles.as_slice();
+        #[cfg(target_arch = "x86_64")]
+        if VectorBuild::WIDEST_FIRST
+            .into_iter()
+            .any(|build| build.try_fold(&self.coeffs, shingles, &mut values))
+        {
+            return Signature { values };
         }
+        fold_u128(&self.coeffs, shingles, &mut values);
         Signature { values }
     }
 }
@@ -261,11 +390,35 @@ mod tests {
 mod kernel_tests {
     use super::*;
     use crate::shingle::char_shingles;
+    use proptest::prelude::*;
 
-    /// The textbook reduction the fold replaces.
+    /// The textbook reduction both kernels replace.
     fn reference(t: u128) -> u64 {
         (t % u128::from(MERSENNE_61)) as u64
     }
+
+    /// The u128 loop's signature values for `coeffs` over `shingles`: the
+    /// oracle every vector build must equal.
+    fn u128_values(coeffs: &[(u64, u64)], shingles: &ShingleSet) -> Vec<u64> {
+        let mut values = vec![u64::MAX; coeffs.len()];
+        fold_u128(coeffs, shingles.as_slice(), &mut values);
+        values
+    }
+
+    const P: u64 = MERSENNE_61;
+
+    /// Shingles at the edges of the reduction modulo `p`.
+    const EDGE_SHINGLES: [u64; 9] = [0, 1, P - 1, P, P + 1, 2 * P - 1, 2 * P, 1 << 63, u64::MAX];
+
+    /// Multipliers at the ends of their range and at the 32-bit limb
+    /// boundary.
+    const EDGE_A: [u64; 6] = [1, 2, LOW_32, 1 << 32, P - 2, P - 1];
+
+    /// Offsets at the ends of their range.
+    const EDGE_B: [u64; 3] = [0, 1, P - 1];
+
+    /// Permutation counts around the vector widths, so that loop tails run.
+    const TAIL_COUNTS: [usize; 11] = [1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 256];
 
     #[test]
     fn fold_matches_the_remainder_at_the_edges() {
@@ -289,18 +442,126 @@ mod kernel_tests {
     }
 
     #[test]
-    fn fold_matches_the_remainder_on_a_seeded_sweep() {
+    fn kernels_match_the_remainder_on_a_seeded_sweep() {
         let mut rng = ChaCha8Rng::seed_from_u64(0xF01D);
         for _ in 0..200_000 {
-            let a = u128::from(rng.gen_range(0..MERSENNE_61));
-            let x = u128::from(rng.gen_range(0..MERSENNE_61));
-            let b = u128::from(rng.gen_range(0..MERSENNE_61));
-            let t = a * x + b;
+            let a = rng.gen_range(0..MERSENNE_61);
+            let x = rng.gen_range(0..MERSENNE_61);
+            let b = rng.gen_range(0..MERSENNE_61);
+            let t = u128::from(a) * u128::from(x) + u128::from(b);
             assert_eq!(
                 mod_mersenne_61(t),
                 reference(t),
                 "fold diverged at a = {a}, x = {x}, b = {b}"
             );
+            assert_eq!(
+                mul_add_mod_limbs(a, x, b),
+                reference(t),
+                "limb kernel diverged at a = {a}, x = {x}, b = {b}"
+            );
+        }
+    }
+
+    /// In the debug profile, overflow checks also confirm that every
+    /// product and the sum `s` stay below `2^64` at these inputs.
+    #[test]
+    fn limb_kernel_matches_the_remainder_at_its_bounds() {
+        for (a, x, b) in [
+            // Every limb, product and addend at its largest.
+            (P - 1, P - 1, P - 1),
+            // `s = f = p`, so only `min(f, f − p)` reaches the zero residue.
+            (1, P - 1, 1),
+            // `t = 0`.
+            (1, 0, 0),
+            (P - 1, 0, 0),
+            // Limb boundaries of `a`.
+            (LOW_32, P - 1, P - 1),
+            (1 << 32, P - 1, P - 1),
+            (LOW_29 << 32, LOW_32, P - 1),
+        ] {
+            let t = u128::from(a) * u128::from(x) + u128::from(b);
+            assert_eq!(
+                mul_add_mod_limbs(a, x, b),
+                reference(t),
+                "limb kernel diverged at a = {a}, x = {x}, b = {b}"
+            );
+        }
+    }
+
+    /// Calls every vector build the running CPU supports directly, through
+    /// the detection checks `signature` uses, so an AVX-512 host also checks
+    /// the AVX2 build.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn every_supported_vector_build_equals_the_u128_loop() {
+        let mut shingles = char_shingles(TEXT, 8);
+        shingles.extend(EDGE_SHINGLES);
+        let edge_pairs = EDGE_A.iter().flat_map(|&a| EDGE_B.map(|b| (a, b)));
+        let families = TAIL_COUNTS
+            .map(|count| MinHasher::new(count, 0x5EED).coeffs)
+            .into_iter()
+            .chain([edge_pairs.collect()]);
+        for coeffs in families {
+            let expected = u128_values(&coeffs, &shingles);
+            for build in VectorBuild::WIDEST_FIRST {
+                let mut values = vec![u64::MAX; coeffs.len()];
+                if build.try_fold(&coeffs, shingles.as_slice(), &mut values) {
+                    assert_eq!(
+                        values,
+                        expected,
+                        "{build:?} at {} permutations",
+                        coeffs.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Half edge values, half any `u64`.
+    fn shingle_strategy() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            (0..EDGE_SHINGLES.len()).prop_map(|i| EDGE_SHINGLES[i]),
+            any::<u64>(),
+        ]
+    }
+
+    /// Half edge pairs, half drawn from the ranges `MinHasher::new` uses.
+    fn coeff_strategy() -> impl Strategy<Value = (u64, u64)> {
+        prop_oneof![
+            (0..EDGE_A.len(), 0..EDGE_B.len()).prop_map(|(i, j)| (EDGE_A[i], EDGE_B[j])),
+            (1..P, 0..P),
+        ]
+    }
+
+    fn permutation_count() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            (0..TAIL_COUNTS.len()).prop_map(|i| TAIL_COUNTS[i]),
+            1usize..=260,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// `signature`, whichever kernel the running CPU selects, and every
+        /// vector build it supports equal the u128 loop.
+        #[test]
+        fn signature_equals_the_u128_loop(
+            count in permutation_count(),
+            coeffs in proptest::collection::vec(coeff_strategy(), 260),
+            shingles in proptest::collection::vec(shingle_strategy(), 0..=600),
+        ) {
+            let hasher = MinHasher { coeffs: coeffs[..count].to_vec(), seed: 0 };
+            let shingles: ShingleSet = shingles.into_iter().collect();
+            let expected = u128_values(&hasher.coeffs, &shingles);
+            prop_assert_eq!(hasher.signature(&shingles).values(), &expected[..]);
+            #[cfg(target_arch = "x86_64")]
+            for build in VectorBuild::WIDEST_FIRST {
+                let mut values = vec![u64::MAX; count];
+                if build.try_fold(&hasher.coeffs, shingles.as_slice(), &mut values) {
+                    prop_assert_eq!(&values, &expected, "{:?} build diverged", build);
+                }
+            }
         }
     }
 
@@ -325,7 +586,8 @@ endmodule\n";
 
     /// The signature of [`TEXT`] under the curation defaults (8-byte
     /// shingles, 128 permutations, seed `0x5EED`), computed with the
-    /// textbook `u128 %` reduction that the fold must reproduce bit for bit.
+    /// textbook `u128 %` reduction that both kernels must reproduce bit for
+    /// bit.
     const PINNED: [u64; 128] = [
         0x0002e8822380bd68,
         0x004f66ba206b8faa,
@@ -461,7 +723,8 @@ endmodule\n";
     fn default_signature_values_are_pinned() {
         let shingles = char_shingles(TEXT, 8);
         assert_eq!(shingles.len(), 380);
-        let signature = MinHasher::new(128, 0x5EED).signature(&shingles);
-        assert_eq!(signature.values(), &PINNED[..]);
+        let hasher = MinHasher::new(128, 0x5EED);
+        assert_eq!(hasher.signature(&shingles).values(), &PINNED[..]);
+        assert_eq!(u128_values(&hasher.coeffs, &shingles), PINNED);
     }
 }
