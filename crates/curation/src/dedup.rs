@@ -39,14 +39,12 @@
 //! [`ShingleSet`] that is one ascending, de-duplicated `Vec<u64>` (one sort
 //! instead of an ordered-set insert per 8-byte window), and
 //! [`MinHasher::signature`] reduces `a·x + b` modulo `2^61 − 1` without a
-//! 128-bit `%`: from 32-bit limbs in a vectorised loop on CPUs with AVX-512F
-//! or AVX2, detected at run time, and with a division-free Mersenne fold of
-//! the exact 128-bit product elsewhere. Both produce exactly the sets and
-//! signature values of the textbook formulation, so candidate sets and
-//! verdicts do not change. Parallel mode builds a
-//! document's shingles and signature in one fan-out, and a kept document's
-//! hashes are copied into an exact-length vector on the resolving thread,
-//! so the kept store carries no spare builder capacity.
+//! 128-bit `%`. Both produce exactly the sets and signature values of the
+//! textbook formulation, so candidate sets and verdicts do not change.
+//! Parallel mode builds a document's shingles and signature in one fan-out,
+//! and a kept document's hashes are copied into an exact-length vector on
+//! the resolving thread, so the kept store carries no spare builder
+//! capacity.
 
 use std::collections::HashMap;
 use std::io;

@@ -488,35 +488,6 @@ mod kernel_tests {
         }
     }
 
-    /// Calls every vector build the running CPU supports directly, through
-    /// the detection checks `signature` uses, so an AVX-512 host also checks
-    /// the AVX2 build.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn every_supported_vector_build_equals_the_u128_loop() {
-        let mut shingles = char_shingles(TEXT, 8);
-        shingles.extend(EDGE_SHINGLES);
-        let edge_pairs = EDGE_A.iter().flat_map(|&a| EDGE_B.map(|b| (a, b)));
-        let families = TAIL_COUNTS
-            .map(|count| MinHasher::new(count, 0x5EED).coeffs)
-            .into_iter()
-            .chain([edge_pairs.collect()]);
-        for coeffs in families {
-            let expected = u128_values(&coeffs, &shingles);
-            for build in VectorBuild::WIDEST_FIRST {
-                let mut values = vec![u64::MAX; coeffs.len()];
-                if build.try_fold(&coeffs, shingles.as_slice(), &mut values) {
-                    assert_eq!(
-                        values,
-                        expected,
-                        "{build:?} at {} permutations",
-                        coeffs.len()
-                    );
-                }
-            }
-        }
-    }
-
     /// Half edge values, half any `u64`.
     fn shingle_strategy() -> impl Strategy<Value = u64> {
         prop_oneof![
@@ -544,7 +515,8 @@ mod kernel_tests {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
         /// `signature`, whichever kernel the running CPU selects, and every
-        /// vector build it supports equal the u128 loop.
+        /// vector build it supports equal the u128 loop. Each build is
+        /// called directly, so an AVX-512 host also checks the AVX2 build.
         #[test]
         fn signature_equals_the_u128_loop(
             count in permutation_count(),
