@@ -13,7 +13,7 @@
 
 use freeset::build_freeset;
 use freeset::config::{ExperimentScale, FreeSetConfig};
-use freeset::freev::FreeVBuilder;
+use freeset::freev::{FreeVBuilder, FreeVModel};
 use hwlm::{derive_seed, LanguageModel, SamplerConfig, TokenId};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -71,10 +71,49 @@ fn render<M: LanguageModel>(label: &str, model: &M, out: &mut String) {
     }
 }
 
+/// `generate_texts` ≡ `n` successive `generate_text` calls on one RNG: the
+/// texts, and the RNG's next `u64` after them.
+fn assert_generate_texts_is_repeated_generate_text<M: LanguageModel>(label: &str, model: &M) {
+    for (t_index, &temperature) in [0.0, 0.2, 0.8, f64::NAN].iter().enumerate() {
+        let sampler = SamplerConfig::with_temperature(temperature);
+        for (p_index, prompt) in PROMPTS.iter().enumerate() {
+            for n in [0, 1, 10] {
+                let seed = derive_seed(0x7E47, p_index as u64, t_index as u64);
+                let mut batched_rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut single_rng = batched_rng.clone();
+                let batched = model.generate_texts(prompt, n, 96, &sampler, &mut batched_rng);
+                let single: Vec<String> = (0..n)
+                    .map(|_| model.generate_text(prompt, 96, &sampler, &mut single_rng))
+                    .collect();
+                let at = format!("{label} T={temperature} prompt={p_index} n={n}");
+                assert_eq!(batched, single, "{at}: texts differ");
+                assert_eq!(
+                    batched_rng.next_u64(),
+                    single_rng.next_u64(),
+                    "{at}: RNG states differ"
+                );
+            }
+        }
+    }
+}
+
+fn tiny_freev() -> FreeVModel {
+    let build = build_freeset(&FreeSetConfig::at_scale(&ExperimentScale::tiny()));
+    FreeVBuilder::default().build(&build.scraped, &build.training_corpus())
+}
+
+#[test]
+fn generate_texts_equals_repeated_generate_text() {
+    let freev = tiny_freev();
+    assert_generate_texts_is_repeated_generate_text("base", freev.base());
+    assert_generate_texts_is_repeated_generate_text("tuned", freev.tuned());
+    assert_generate_texts_is_repeated_generate_text("quantized_base", &freev.quantized_base());
+    assert_generate_texts_is_repeated_generate_text("quantized_tuned", &freev.quantized_tuned());
+}
+
 #[test]
 fn tiny_freev_generations_match_pinned_snapshot() {
-    let build = build_freeset(&FreeSetConfig::at_scale(&ExperimentScale::tiny()));
-    let freev = FreeVBuilder::default().build(&build.scraped, &build.training_corpus());
+    let freev = tiny_freev();
     let mut rendered = String::new();
     render("base", freev.base(), &mut rendered);
     render("tuned", freev.tuned(), &mut rendered);

@@ -6,11 +6,15 @@
 //!   plants — and nothing else fires on those sources;
 //! * every clean generated design, across all families and many seeds, lints
 //!   with zero findings (no false positives).
+//!
+//! The lint gate's predicate, [`Linter::has_error`], must also answer what
+//! the full diagnostic list does, on every family with every defect planted
+//! and on near-miss mutations of random designs.
 
 use gh_sim::{DefectKind, DesignKind, Synthesizer};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use verilog::{Linter, RuleId, SyntaxChecker};
+use verilog::{Linter, ParsedFile, RuleId, Severity, SyntaxChecker};
 
 #[test]
 fn planted_defects_are_syntactically_valid() {
@@ -136,4 +140,83 @@ fn clean_designs_have_zero_findings() {
             );
         }
     }
+}
+
+/// Whether `source` has an error-severity finding, asserting that
+/// [`Linter::has_error`] agrees with [`Linter::lint_parsed`]; `None` when it
+/// does not parse.
+fn has_error_agreeing_with_lint_parsed(source: &str) -> Option<bool> {
+    let parsed = ParsedFile::parse(source).ok()?;
+    let linter = Linter::new();
+    let any_error = linter
+        .lint_parsed(&parsed)
+        .iter()
+        .any(|d| d.severity >= Severity::Error);
+    assert_eq!(
+        linter.has_error(&parsed),
+        any_error,
+        "has_error disagrees with lint_parsed on:\n{source}"
+    );
+    Some(any_error)
+}
+
+#[test]
+fn has_error_agrees_on_every_family_with_every_defect_planted() {
+    let synth = Synthesizer::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(0x4A5_E880);
+    for design in DesignKind::ALL {
+        let host = synth.generate(design, &format!("{}_host", design.tag()), &mut rng);
+        assert_eq!(
+            has_error_agreeing_with_lint_parsed(&host.source),
+            Some(false)
+        );
+        for defect in DefectKind::ALL {
+            let planted = defect.source(&format!("bad_{}", defect.tag()));
+            let errs = defect.expected_rule().default_severity() >= Severity::Error;
+            // Planted after the clean design, the defect's error (if its
+            // rule has one) is the only one, in a later module.
+            for source in [
+                format!("{}{planted}", host.source),
+                format!("{planted}{}", host.source),
+            ] {
+                assert_eq!(
+                    has_error_agreeing_with_lint_parsed(&source),
+                    Some(errs),
+                    "{design:?} with {defect:?} planted:\n{source}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn has_error_agrees_on_mutated_random_designs() {
+    // Random designs with one line deleted, duplicated or swapped with
+    // another: near-miss Verilog, much of which still parses and errs.
+    let synth = Synthesizer::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(0x4A5_3A7E);
+    let (mut parsed, mut erring) = (0, 0);
+    for _ in 0..400 {
+        let source = synth.generate_random(&mut rng).source;
+        let mut lines: Vec<&str> = source.lines().collect();
+        let i = rng.gen_range(0..lines.len());
+        match rng.gen_range(0..3) {
+            0 => {
+                lines.remove(i);
+            }
+            1 => lines.insert(i, lines[i]),
+            _ => {
+                let j = rng.gen_range(0..lines.len());
+                lines.swap(i, j);
+            }
+        }
+        if let Some(errs) = has_error_agreeing_with_lint_parsed(&lines.join("\n")) {
+            parsed += 1;
+            erring += usize::from(errs);
+        }
+    }
+    assert!(
+        erring >= 20 && parsed - erring >= 20,
+        "the mutations reach too few of each verdict: {erring} erring of {parsed} parsed"
+    );
 }

@@ -223,6 +223,13 @@ impl Default for TrainConfig {
 /// allocating chain [`LanguageModel::distribution`] →
 /// [`Distribution::with_temperature`] → [`Distribution::sample`], since
 /// both normalise through the same code.
+///
+/// Generation also encodes per prompt, not per sample:
+/// [`LanguageModel::generate_texts`] encodes a prompt once and draws its `n`
+/// completions in turn from one RNG, exactly as `n`
+/// [`LanguageModel::generate_text`] calls would. Samples drawn this way
+/// often repeat byte for byte, so a caller that judges them (the
+/// VerilogEval runner) needs to judge each distinct candidate only once.
 pub trait LanguageModel {
     /// The tokeniser (and vocabulary) the model was trained with.
     fn tokenizer(&self) -> &HdlTokenizer;
@@ -289,6 +296,7 @@ pub trait LanguageModel {
 
     /// Generates text continuing `prompt`, stopping at the first
     /// `endmodule` (the paper's stopping rule) or after `max_new_tokens`.
+    /// It is the `n = 1` case of [`LanguageModel::generate_texts`].
     fn generate_text<R: Rng>(
         &self,
         prompt: &str,
@@ -296,6 +304,24 @@ pub trait LanguageModel {
         sampler: &SamplerConfig,
         rng: &mut R,
     ) -> String {
+        let mut texts = self.generate_texts(prompt, 1, max_new_tokens, sampler, rng);
+        texts.pop().expect("one completion requested")
+    }
+
+    /// Generates `n` texts continuing `prompt`, each as
+    /// [`LanguageModel::generate_text`] would, drawn in turn from `rng`.
+    ///
+    /// The prompt is encoded, and the `endmodule` stop token looked up,
+    /// once for all `n`. The texts, and the RNG state after them, equal
+    /// those of `n` successive `generate_text` calls.
+    fn generate_texts<R: Rng>(
+        &self,
+        prompt: &str,
+        n: usize,
+        max_new_tokens: usize,
+        sampler: &SamplerConfig,
+        rng: &mut R,
+    ) -> Vec<String> {
         let tokenizer = self.tokenizer();
         let stop = {
             let id = tokenizer.vocab().id("endmodule");
@@ -303,8 +329,12 @@ pub trait LanguageModel {
         };
         let mut prompt_ids = vec![crate::tokenizer::BOS];
         prompt_ids.extend(tokenizer.ids(prompt));
-        let generated = self.generate_ids(&prompt_ids, max_new_tokens, sampler, rng, stop);
-        tokenizer.decode(&generated)
+        (0..n)
+            .map(|_| {
+                let generated = self.generate_ids(&prompt_ids, max_new_tokens, sampler, rng, stop);
+                tokenizer.decode(&generated)
+            })
+            .collect()
     }
 }
 

@@ -69,6 +69,21 @@ use crate::parser::{ParseError, Parser};
 
 pub(crate) use model::ModuleModel;
 
+/// One analysis pass: appends its findings on one module.
+type Pass = fn(&ModuleModel<'_>, &mut Vec<LintDiagnostic>);
+
+/// The eight passes, in the fixed order every entry point runs them.
+const PASSES: [Pass; 8] = [
+    scope::check,
+    drivers::check,
+    width::check,
+    graph::check,
+    latch::check,
+    clock::check,
+    case_analysis::check,
+    xmodule::check,
+];
+
 /// How serious a diagnostic is: every rule fires at its
 /// [`RuleId::default_severity`].
 ///
@@ -341,6 +356,25 @@ impl Linter {
         self.lint_modules(parsed.modules())
     }
 
+    /// Whether an already-parsed file has an error-severity finding: the
+    /// answer of `lint_parsed(parsed).iter().any(|d| d.severity >=
+    /// Severity::Error)`, without sorting or keeping the findings.
+    ///
+    /// The passes run in [`Linter::lint_modules`]' order, module by module,
+    /// and the check returns after the first pass that reports an error.
+    pub fn has_error(&self, parsed: &crate::ParsedFile) -> bool {
+        let modules = parsed.modules();
+        let mut findings = Vec::new();
+        modules.iter().any(|module| {
+            let model = ModuleModel::build(module, modules);
+            PASSES.iter().any(|pass| {
+                findings.clear();
+                pass(&model, &mut findings);
+                findings.iter().any(|d| d.severity >= Severity::Error)
+            })
+        })
+    }
+
     /// Lints a set of modules that share one source file (instances are
     /// resolved against the set; references to modules outside it are
     /// tolerated).
@@ -349,14 +383,9 @@ impl Linter {
         for module in modules {
             let model = ModuleModel::build(module, modules);
             let mut module_diags = Vec::new();
-            scope::check(&model, &mut module_diags);
-            drivers::check(&model, &mut module_diags);
-            width::check(&model, &mut module_diags);
-            graph::check(&model, &mut module_diags);
-            latch::check(&model, &mut module_diags);
-            clock::check(&model, &mut module_diags);
-            case_analysis::check(&model, &mut module_diags);
-            xmodule::check(&model, &mut module_diags);
+            for pass in PASSES {
+                pass(&model, &mut module_diags);
+            }
             // Deterministic order: rule, then locus, then message — the
             // passes already run in a fixed order, this pins ties.
             module_diags.sort_by(|a, b| {
@@ -431,6 +460,58 @@ mod tests {
         let source = "module m(input a, output y);\nwire [64'hffffffffffffffff:0] w;\n\
                       assign w = a;\nassign y = a;\nendmodule";
         assert!(Linter::new().lint_source(source).is_ok());
+    }
+
+    /// `has_error` ≡ any error-severity finding of `lint_parsed`, asserted
+    /// on `source`, whose answer must be `expected`.
+    fn assert_has_error(source: &str, expected: bool) {
+        let parsed = crate::ParsedFile::parse(source).unwrap();
+        let linter = Linter::new();
+        let any_error = linter
+            .lint_parsed(&parsed)
+            .iter()
+            .any(|d| d.severity >= Severity::Error);
+        assert_eq!(any_error, expected, "lint_parsed on:\n{source}");
+        assert_eq!(
+            linter.has_error(&parsed),
+            expected,
+            "has_error on:\n{source}"
+        );
+    }
+
+    #[test]
+    fn has_error_asks_only_for_error_severity() {
+        assert_has_error("", false);
+        assert_has_error(
+            "module m(input a, output y);\nassign y = a;\nendmodule",
+            false,
+        );
+        // An unused signal is a warning.
+        assert_has_error(
+            "module m(input a, input b, output y);\nassign y = a;\nendmodule",
+            false,
+        );
+        assert_has_error(
+            "module m(input a, output y);\nassign y = a & ghost;\nendmodule",
+            true,
+        );
+    }
+
+    #[test]
+    fn has_error_finds_an_error_only_in_a_later_module() {
+        // The first module carries warnings only; the second errs in a late
+        // pass: a combinational loop (graph) or a reset polarity (clock).
+        let warned = "module first(input a, input b, output y);\nassign y = a;\nendmodule\n";
+        let looped = "module second(input a, output y);\nwire p, q;\n\
+                      assign p = q & a;\nassign q = p;\nassign y = q;\nendmodule\n";
+        let reset = "module third(input clk, input rst_n, input d, output reg q);\n\
+                     always @(posedge clk or posedge rst_n)\n\
+                     if (!rst_n) q <= 1'b0; else q <= d;\nendmodule\n";
+        assert_has_error(warned, false);
+        for late in [looped, reset] {
+            assert_has_error(&format!("{warned}{late}"), true);
+            assert_has_error(&format!("{warned}{warned}{late}"), true);
+        }
     }
 
     #[test]

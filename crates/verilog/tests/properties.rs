@@ -5,8 +5,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use proptest::prelude::*;
 use verilog::interp::Value;
 use verilog::{
-    extract_header_comment, strip_comments, Lexer, Parser, SyntaxChecker, TestVector, Testbench,
-    TokenKind,
+    extract_header_comment, strip_comments, Lexer, Linter, ParsedFile, Parser, Severity,
+    SyntaxChecker, TestVector, Testbench, TokenKind,
 };
 
 /// A strategy producing random (mostly valid) simple combinational modules.
@@ -20,6 +20,52 @@ fn simple_module_strategy() -> impl Strategy<Value = String> {
             msb = width - 1
         )
     })
+}
+
+/// Module items over a few shared names. Some declare, some drive, read or
+/// connect names that may be undeclared, driven twice, looped, unknown
+/// ports or non-lvalues, so every pass has something to find.
+const LINT_PIECES: [&str; 18] = [
+    "wire w;",
+    "reg r;",
+    "wire [3:0] v;",
+    "assign y = a & b;",
+    "assign y = w;",
+    "assign w = y ^ a;",
+    "assign w = ghost;",
+    "assign v = {a, b, a, b, a};",
+    "always @(*) r = a | w;",
+    "always @(*) if (a) r = b;",
+    "always @(posedge a) r <= b;",
+    "always @(posedge a) r = b;",
+    "always @(posedge a or posedge b) if (!b) r <= 0; else r <= a;",
+    "always @(*) case (a) 1'b0: r = b; 1'b0: r = a; default: r = 0; endcase",
+    "leaf u0(.a(a), .b(b), .y(w));",
+    "leaf u1(.a(a), .bogus(b), .y(w));",
+    "leaf u2(a, b);",
+    "leaf u3(.a(a), .b(b), .y(a & b));",
+];
+
+/// One to three modules of random [`LINT_PIECES`], then the `leaf` module
+/// their instances name. Every such source parses.
+fn lintable_source() -> impl Strategy<Value = String> {
+    proptest::collection::vec(proptest::collection::vec(0..LINT_PIECES.len(), 0..8), 1..4).prop_map(
+        |modules| {
+            let mut source = String::new();
+            for (index, items) in modules.iter().enumerate() {
+                source.push_str(&format!("module m{index}(input a, input b, output y);\n"));
+                for &item in items {
+                    source.push_str(LINT_PIECES[item]);
+                    source.push('\n');
+                }
+                source.push_str("endmodule\n");
+            }
+            source.push_str(
+                "module leaf(input a, input b, output y);\nassign y = a & b;\nendmodule\n",
+            );
+            source
+        },
+    )
 }
 
 /// Arbitrary printable-ASCII soup (to check nothing panics on garbage).
@@ -304,6 +350,19 @@ proptest! {
             _ => None,
         });
         prop_assert_eq!(decoded, Some(text));
+    }
+
+    #[test]
+    fn has_error_equals_any_error_finding(src in lintable_source()) {
+        let parsed = ParsedFile::parse(src.as_str());
+        prop_assert!(parsed.is_ok(), "did not parse:\n{}", src);
+        let parsed = parsed.unwrap();
+        let linter = Linter::new();
+        let any_error = linter
+            .lint_parsed(&parsed)
+            .iter()
+            .any(|d| d.severity >= Severity::Error);
+        prop_assert_eq!(linter.has_error(&parsed), any_error, "on:\n{}", src);
     }
 
     #[test]

@@ -86,7 +86,12 @@ impl Problem {
 
     /// Judges one candidate source with a single lex + parse: functional
     /// correctness against the testbench and (when `lint_gate` is on)
-    /// lint-cleanliness from the same parse.
+    /// lint-cleanliness from the same parse, asked of
+    /// [`verilog::Linter::has_error`], which returns after the first lint
+    /// pass that reports an error.
+    ///
+    /// The verdict is a pure function of the problem and the source, so the
+    /// runner judges each distinct candidate of a job once.
     pub fn judge_source(&self, source: &str, lint_gate: bool) -> CandidateVerdict {
         let Ok(parsed) = ParsedFile::parse(source) else {
             return CandidateVerdict {
@@ -94,7 +99,7 @@ impl Problem {
                 lint_clean: false,
             };
         };
-        let lint_clean = lint_gate && Self::lint_clean_parsed(&parsed);
+        let lint_clean = lint_gate && !verilog::Linter::new().has_error(&parsed);
         let functional = parsed
             .first_module()
             .is_some_and(|module| matches!(self.testbench.passes(module), Ok(true)));
@@ -111,19 +116,13 @@ impl Problem {
     ///
     /// This is the pre-simulation gate: it judges the candidate's static
     /// plausibility independently of the testbench, so pass@k can be
-    /// reported with and without lint-clean filtering.
+    /// reported with and without lint-clean filtering. It asks
+    /// [`verilog::Linter::has_error`], which returns after the first lint
+    /// pass that reports an error. The runner asks the same question of each
+    /// distinct candidate of a job once, from [`Problem::judge_source`]'s
+    /// one parse.
     pub fn lint_clean(&self, source: &str) -> bool {
-        match ParsedFile::parse(source) {
-            Ok(parsed) => Self::lint_clean_parsed(&parsed),
-            Err(_) => false,
-        }
-    }
-
-    fn lint_clean_parsed(parsed: &ParsedFile) -> bool {
-        verilog::Linter::new()
-            .lint_parsed(parsed)
-            .iter()
-            .all(|d| d.severity < verilog::Severity::Error)
+        ParsedFile::parse(source).is_ok_and(|parsed| !verilog::Linter::new().has_error(&parsed))
     }
 
     /// Verifies that the golden solution passes its own testbench.

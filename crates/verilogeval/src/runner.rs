@@ -10,7 +10,7 @@ use hwlm::parallel::{derive_seed, ExecutionMode};
 use hwlm::{LanguageModel, SamplerConfig};
 
 use crate::passk::mean_pass_at_k;
-use crate::problem::Problem;
+use crate::problem::{CandidateVerdict, Problem};
 use crate::suite::ProblemSuite;
 
 /// Configuration of an evaluation run, defaulting to the paper's protocol.
@@ -18,7 +18,8 @@ use crate::suite::ProblemSuite;
 pub struct EvalConfig {
     /// Number of completions sampled per problem (`n` in the estimator).
     pub samples_per_problem: usize,
-    /// The `k` values reported (paper: 1, 5 and 10).
+    /// The `k` values reported (paper: 1, 5 and 10), each from 1 to
+    /// `samples_per_problem`.
     pub ks: Vec<usize>,
     /// Temperatures evaluated; the best-performing temperature is reported,
     /// following the paper's "the best result was chosen" protocol.
@@ -151,14 +152,15 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics if any requested `k` exceeds `samples_per_problem`, or if no
-    /// temperature or `k` is configured.
+    /// Panics if any requested `k` is 0 or exceeds `samples_per_problem`,
+    /// or if no temperature or `k` is configured.
     pub fn new(suite: ProblemSuite, config: EvalConfig) -> Self {
         assert!(!config.ks.is_empty(), "at least one k must be configured");
         assert!(
             !config.temperatures.is_empty(),
             "at least one temperature must be configured"
         );
+        assert!(config.ks.iter().all(|k| *k >= 1), "every k must be >= 1");
         assert!(
             config.ks.iter().all(|k| *k <= config.samples_per_problem),
             "every k must be <= samples_per_problem"
@@ -188,16 +190,31 @@ impl Runner {
     ) -> ProblemResult {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let sampler = SamplerConfig::with_temperature(temperature);
-        let prompt = problem.prompt();
-        // Parse-once contract: each sampled candidate is lexed and parsed
-        // once for both verdicts, and the golden solution is not parsed.
+        let completions = model.generate_texts(
+            &problem.prompt(),
+            self.config.samples_per_problem,
+            self.config.max_new_tokens,
+            &sampler,
+            &mut rng,
+        );
+        // Parse-once contract: each distinct candidate of the job is lexed
+        // and parsed once for both verdicts, and the golden solution is not
+        // parsed. A verdict is a pure function of the text, so a repeated
+        // sample reuses the first one's; a job holds few samples, so a
+        // linear scan finds it.
+        let mut judged: Vec<(&str, CandidateVerdict)> = Vec::with_capacity(completions.len());
         let mut correct = 0;
         let mut lint_clean = 0;
         let mut correct_lint_clean = 0;
-        for _ in 0..self.config.samples_per_problem {
-            let completion =
-                model.generate_text(&prompt, self.config.max_new_tokens, &sampler, &mut rng);
-            let verdict = problem.judge_completion(&completion, self.config.lint_gate);
+        for completion in &completions {
+            let verdict = match judged.iter().find(|(seen, _)| seen == completion) {
+                Some(&(_, verdict)) => verdict,
+                None => {
+                    let verdict = problem.judge_completion(completion, self.config.lint_gate);
+                    judged.push((completion, verdict));
+                    verdict
+                }
+            };
             if verdict.functional {
                 correct += 1;
             }
@@ -519,6 +536,23 @@ mod tests {
                 .expect("problem present in full suite");
             assert_eq!(same, result);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "every k must be >= 1")]
+    fn zero_k_configuration_panics() {
+        let _ = Runner::new(
+            ProblemSuite::verilog_eval_human().truncated(1),
+            EvalConfig {
+                samples_per_problem: 2,
+                ks: vec![1, 0],
+                temperatures: vec![0.2],
+                max_new_tokens: 10,
+                lint_gate: true,
+                seed: 0,
+                execution: ExecutionMode::Parallel,
+            },
+        );
     }
 
     #[test]
