@@ -3,7 +3,6 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use hwlm::parallel::{derive_seed, ExecutionMode};
 use hwlm::{LanguageModel, SamplerConfig};
@@ -14,7 +13,7 @@ use crate::scorer::SimilarityScorer;
 
 /// Benchmark parameters, defaulting to the paper's protocol. Prompts are
 /// capped at the paper's 64 words (see [`build_prompts`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchmarkConfig {
     /// Number of prompts (paper: 100).
     pub prompt_count: usize,
@@ -51,7 +50,7 @@ impl Default for BenchmarkConfig {
 }
 
 /// Outcome of a single prompt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PromptOutcome {
     /// Index of the reference file the prompt came from.
     pub reference_index: usize,
@@ -64,7 +63,7 @@ pub struct PromptOutcome {
 }
 
 /// The benchmark report for one model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InfringementReport {
     /// Model name.
     pub model: String,

@@ -8,7 +8,6 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::benchmark::BenchmarkConfig;
 use crate::reference::CopyrightedReference;
@@ -17,7 +16,7 @@ use crate::reference::CopyrightedReference;
 const MAX_WORDS: usize = 64;
 
 /// One benchmark prompt, tied back to the reference file it was cut from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchPrompt {
     /// Index of the source file in the reference set.
     pub reference_index: usize,

@@ -1,11 +1,10 @@
 //! The copyright-protected reference set.
 
 use gh_sim::ExtractedFile;
-use serde::{Deserialize, Serialize};
 use verilog::strip_comments;
 
 /// One copyright-protected reference file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReferenceFile {
     /// Identity (repository/path, or a synthetic label for ad-hoc sets).
     pub identity: String,
@@ -44,7 +43,7 @@ impl ReferenceFile {
 
 /// The set of copyright-protected files the benchmark prompts from and
 /// compares against.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CopyrightedReference {
     files: Vec<ReferenceFile>,
 }

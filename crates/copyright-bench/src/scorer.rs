@@ -1,8 +1,6 @@
 //! Cosine-similarity scoring of completions against the reference set.
 
 use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
 use textsim::{CodeTokenizer, TermVector};
 use verilog::strip_comments;
 
@@ -48,7 +46,7 @@ use crate::reference::CopyrightedReference;
 /// assert_eq!(index, Some(0));
 /// assert!(score > 0.99);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimilarityScorer {
     tokenizer: CodeTokenizer,
     /// Term → `(reference index, weight)` of every reference holding the

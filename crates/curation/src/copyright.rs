@@ -5,12 +5,10 @@
 //! and removes matching files even when the containing repository claims an
 //! open-source license. The same scan, run over the whole universe, is how
 //! the *copyrighted reference set* for the infringement benchmark is built.
-
-use serde::{Deserialize, Serialize};
 use verilog::extract_header_comment;
 
 /// The outcome of scanning one file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CopyrightFinding {
     /// Keywords (lower-cased) that matched in the header.
     pub matched_keywords: Vec<String>,
@@ -33,7 +31,7 @@ pub struct CopyrightFinding {
 /// let open = "// Copyright (c) 2020 Jane Doe\n// SPDX-License-Identifier: MIT\nmodule m; endmodule";
 /// assert!(!detector.is_protected(open));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CopyrightDetector;
 
 /// Keywords that individually mark a file as proprietary.

@@ -48,8 +48,6 @@
 
 use std::collections::HashMap;
 use std::io;
-
-use serde::{Deserialize, Serialize};
 use textsim::{
     char_shingles, jaccard_similarity_sorted, CandidateScratch, LshIndex, LshParams, MinHasher,
     ShingleSet, Signature,
@@ -59,7 +57,7 @@ use crate::stage::ExecutionMode;
 
 /// Configuration of the de-duplicator. The shingle size and the MinHash
 /// permutation family are constants of this module.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DedupConfig {
     /// Jaccard similarity at or above which a file counts as a duplicate.
     pub similarity_threshold: f64,
@@ -98,16 +96,8 @@ const MINHASH_SEED: u64 = 0x5EED;
 /// for callers that still pass the field through. A bounded-memory kept
 /// store belongs with a persistent corpus service, which this crate does
 /// not have.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DedupSpillConfig {}
-
-// Written out because the offline `serde` stand-in's derive matches on
-// `self`, a reference, which the compiler does not treat as uninhabited.
-impl Serialize for DedupSpillConfig {
-    fn to_value(&self) -> serde::Value {
-        match *self {}
-    }
-}
 
 /// The result of de-duplicating a file bank.
 ///
@@ -116,7 +106,7 @@ impl Serialize for DedupSpillConfig {
 /// [`StreamingDeduplicator`] they are *global* positions across every batch
 /// pushed so far (so a later batch's duplicate can point back at a file kept
 /// from an earlier batch).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DedupOutcome {
     /// Indices (into the input order) of the files that were kept, in
     /// ascending order.
@@ -240,7 +230,7 @@ impl Deduplicator {
 /// Counters of a [`StreamingDeduplicator`]: how much it has been fed, how
 /// often the exact-hash fast path answered, and how many shingle hashes it
 /// holds and has built.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamingDedupStats {
     /// Total documents pushed so far.
     pub pushed: usize,

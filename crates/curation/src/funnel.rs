@@ -12,12 +12,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::stage::stage_names;
 
 /// One executed stage's contribution to the funnel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageCount {
     /// The stage's name (see [`stage_names`] for the canonical set).
     pub stage: String,
@@ -54,7 +52,7 @@ impl StageCount {
 
 /// Ordered, stage-name-keyed counts of surviving files through a curation
 /// run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FunnelStats {
     initial: usize,
     stages: Vec<StageCount>,

@@ -1,7 +1,6 @@
 //! Repository-level license filtering (§III-C2).
 
 use gh_sim::{ExtractedFile, License};
-use serde::{Deserialize, Serialize};
 
 /// Filters extracted files by the license of their source repository.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!filter.accepts_license(License::None));
 /// assert!(!filter.accepts_license(License::Proprietary));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LicenseFilter;
 
 impl LicenseFilter {

@@ -12,8 +12,6 @@
 //! is byte-identical to serial output.
 
 use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
 use verilog::{LintDiagnostic, Linter, Severity};
 
 use crate::parse_cache::ParseCache;
@@ -26,7 +24,7 @@ use crate::stage::{stage_names, CurationStage, FileBatch, RejectReason, StageOut
 /// identifiers, malformed instantiations) — and keeps files that merely
 /// carry style warnings. Lowering `min_severity` to [`Severity::Warning`]
 /// turns the stage into a strict cleanliness gate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintRejectPolicy {
     /// Findings at or above this severity reject the file.
     pub min_severity: Severity,

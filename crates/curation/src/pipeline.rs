@@ -17,7 +17,6 @@ use std::io;
 use std::sync::Arc;
 
 use gh_sim::ExtractedFile;
-use serde::{Deserialize, Serialize};
 
 use crate::copyright::CopyrightDetector;
 use crate::dedup::{DedupConfig, DedupSpillConfig};
@@ -31,7 +30,7 @@ use crate::stages::{CopyrightStage, DedupStage, LengthCapStage, LicenseStage, Sy
 
 /// How the curated dataset is meant to be consumed downstream — mirrored from
 /// Table I's "Dataset Structure" column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetStructure {
     /// Raw files for continual (causal) pre-training — FreeSet and VeriGen.
     ContinualPretraining,
@@ -42,7 +41,7 @@ pub enum DatasetStructure {
 /// Configuration of a curation run. Stage toggles exist so that prior works'
 /// weaker policies can be reproduced for the comparison experiments; the
 /// pipeline turns them into the equivalent [`CurationStage`] list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CurationConfig {
     /// Human-readable policy name (e.g. `"FreeSet"`, `"VeriGen"`).
     pub name: String,
@@ -111,7 +110,7 @@ impl CurationConfig {
 }
 
 /// The output of a curation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CuratedDataset {
     name: String,
     structure: DatasetStructure,

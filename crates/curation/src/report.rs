@@ -1,14 +1,12 @@
 //! Dataset summaries and the file-length histogram behind Figure 2.
 
-use serde::{Deserialize, Serialize};
-
 use crate::pipeline::{CuratedDataset, DatasetStructure};
 
 /// A logarithmically-binned histogram over file lengths in characters.
 ///
 /// Figure 2 of the paper plots file-length frequency on a log-scaled x axis
 /// from 10¹ to 10⁸ characters; each bin here covers one decade.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LengthHistogram {
     /// `counts[i]` is the number of files with length in `[10^i, 10^(i+1))`.
     counts: Vec<usize>,
@@ -65,7 +63,7 @@ impl LengthHistogram {
 }
 
 /// Row-level summary of a curated dataset, mirroring Table I's columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSummary {
     /// Policy / dataset name.
     pub name: String,

@@ -22,10 +22,9 @@
 use std::io;
 
 use gh_sim::ExtractedFile;
-use serde::{Deserialize, Serialize};
 
 /// Whether per-file work fans out across threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     /// Single-threaded; the reference behaviour.
     Serial,
@@ -36,7 +35,7 @@ pub enum ExecutionMode {
 }
 
 /// Why a file was removed from the corpus (§III-C/D's filter taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RejectReason {
     /// The repository carries no accepted open-source license.
     License,
@@ -56,7 +55,7 @@ pub enum RejectReason {
 
 /// A rejected file with full provenance: which stage removed it, why, and
 /// any stage-specific detail (e.g. the matched copyright keywords).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RejectedFile {
     /// The file that was removed.
     pub file: ExtractedFile,

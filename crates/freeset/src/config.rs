@@ -2,7 +2,6 @@
 
 use curation::CurationConfig;
 use gh_sim::{ScraperConfig, UniverseConfig};
-use serde::{Deserialize, Serialize};
 
 /// How large a synthetic universe the experiments run against.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// files); this reproduction scales the population down while keeping every
 /// proportion intact, so funnel percentages, violation rates and pass@k
 /// trends remain comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentScale {
     /// Number of repositories in the synthetic universe.
     pub repo_count: usize,
@@ -58,7 +57,7 @@ impl Default for ExperimentScale {
 }
 
 /// Full configuration of a FreeSet build.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FreeSetConfig {
     /// Synthetic-universe parameters.
     pub universe: UniverseConfig,

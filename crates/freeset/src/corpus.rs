@@ -5,7 +5,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::config::FreeSetConfig;
 
@@ -19,7 +18,7 @@ pub const SCRAPE_API_BUDGET: usize = 10_000;
 /// The raw scraped corpus, reused by every curation policy so that dataset
 /// comparisons (Table I) and model comparisons (Figures 2/3, Table II) all
 /// see the same underlying population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScrapedCorpus {
     /// The extracted Verilog files.
     pub files: Vec<ExtractedFile>,

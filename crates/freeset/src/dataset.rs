@@ -18,14 +18,13 @@
 use curation::{CuratedDataset, CurationPipeline};
 use gh_sim::fetch::{FetchConfig, FetchEngine};
 use gh_sim::{GithubApi, Universe};
-use serde::{Deserialize, Serialize};
 
 use crate::config::FreeSetConfig;
 use crate::corpus::ScrapedCorpus;
 
 /// The outcome of a full FreeSet build: the raw scrape, the curated dataset
 /// and every intermediate statistic the paper reports in §IV-A.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FreeSetBuild {
     /// The raw scraped corpus.
     pub scraped: ScrapedCorpus,

@@ -1,7 +1,6 @@
 //! Figure 2 — distribution of Verilog file lengths, FreeSet vs VeriGen.
 
 use curation::{CurationConfig, LengthHistogram};
-use serde::{Deserialize, Serialize};
 
 use super::snapshot_subset;
 use crate::config::{ExperimentScale, FreeSetConfig};
@@ -11,7 +10,7 @@ use crate::modelzoo::ZooEntry;
 use crate::report::markdown_table;
 
 /// The Figure 2 experiment result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig2Experiment {
     /// The scale the experiment ran at.
     pub scale: ExperimentScale,

@@ -2,15 +2,16 @@
 
 use copyright_bench::{BenchmarkConfig, CopyrightBenchmark, CopyrightedReference};
 use curation::CopyrightDetector;
-use serde::{Deserialize, Serialize};
 
 use crate::config::{ExperimentScale, FreeSetConfig};
 use crate::corpus::ScrapedCorpus;
 use crate::modelzoo::{ModelZoo, ZooEntry};
-use crate::report::{markdown_table, opt_pct, pct};
+use crate::report::{
+    json_array, json_number, json_object, json_string, markdown_table, opt_pct, pct,
+};
 
 /// One bar pair of Figure 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Row {
     /// Fine-tuned model name.
     pub model: String,
@@ -27,7 +28,7 @@ pub struct Fig3Row {
 }
 
 /// The Figure 3 experiment result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Experiment {
     /// The scale the experiment ran at.
     pub scale: ExperimentScale,
@@ -142,6 +143,33 @@ impl Fig3Experiment {
             )
         )
     }
+
+    /// Renders the rows as a pretty-printed JSON array, one object per
+    /// model pair; a paper value the paper does not report is `null`.
+    pub fn render_json(&self) -> String {
+        let percent = |value: Option<f64>| value.map_or_else(|| "null".to_string(), json_number);
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|row| {
+                json_object(&[
+                    ("model", json_string(&row.model)),
+                    ("base_model", json_string(&row.base_model)),
+                    (
+                        "measured_base_percent",
+                        json_number(row.measured_base_percent),
+                    ),
+                    (
+                        "measured_tuned_percent",
+                        json_number(row.measured_tuned_percent),
+                    ),
+                    ("paper_base_percent", percent(row.paper_base_percent)),
+                    ("paper_tuned_percent", percent(row.paper_tuned_percent)),
+                ])
+            })
+            .collect();
+        json_array(&rows)
+    }
 }
 
 #[cfg(test)]
@@ -194,6 +222,29 @@ mod tests {
         );
         let freev = result.row("FreeV-Llama3.1").unwrap();
         assert!(verigen.measured_tuned_percent > freev.measured_tuned_percent);
+    }
+
+    #[test]
+    fn json_renders_an_unreported_paper_value_as_null() {
+        let mut result = Fig3Experiment {
+            scale: ExperimentScale::tiny(),
+            reference_files: 0,
+            prompts: 0,
+            rows: Vec::new(),
+        };
+        assert_eq!(result.render_json(), "[]");
+        result.rows.push(Fig3Row {
+            model: "FreeV".to_string(),
+            base_model: "Llama".to_string(),
+            measured_base_percent: 9.0,
+            measured_tuned_percent: 100.0 / 13.0,
+            paper_base_percent: None,
+            paper_tuned_percent: Some(3.0),
+        });
+        assert_eq!(
+            result.render_json(),
+            "[\n  {\n    \"model\": \"FreeV\",\n    \"base_model\": \"Llama\",\n    \"measured_base_percent\": 9.0,\n    \"measured_tuned_percent\": 7.6923076923076925,\n    \"paper_base_percent\": null,\n    \"paper_tuned_percent\": 3.0\n  }\n]"
+        );
     }
 
     #[test]

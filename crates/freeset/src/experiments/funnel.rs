@@ -2,11 +2,10 @@
 
 use curation::{stage_names, FunnelStats};
 use gh_sim::{ScrapeReport, UniverseStats};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{ExperimentScale, FreeSetConfig};
 use crate::dataset::build_freeset;
-use crate::report::{markdown_table, pct};
+use crate::report::{json_array, json_object, json_string, markdown_table, pct};
 
 /// The paper's reported funnel (absolute counts at GitHub scale).
 pub fn paper_funnel() -> FunnelStats {
@@ -26,7 +25,7 @@ pub fn paper_funnel() -> FunnelStats {
 }
 
 /// Result of running the funnel experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunnelExperiment {
     /// The scale the experiment ran at.
     pub scale: ExperimentScale,
@@ -105,6 +104,37 @@ impl FunnelExperiment {
             markdown_table(&["stage", "paper", "measured"], &rows)
         )
     }
+
+    /// Renders the measured funnel as pretty-printed JSON: the initial file
+    /// count, then each stage's name, entering and surviving counts, and its
+    /// `[category, count]` pairs.
+    pub fn render_json(&self) -> String {
+        funnel_json(&self.measured)
+    }
+}
+
+fn funnel_json(funnel: &FunnelStats) -> String {
+    let stages: Vec<String> = funnel
+        .stages()
+        .iter()
+        .map(|stage| {
+            let categories: Vec<String> = stage
+                .categories
+                .iter()
+                .map(|(name, count)| json_array(&[json_string(name), count.to_string()]))
+                .collect();
+            json_object(&[
+                ("stage", json_string(&stage.stage)),
+                ("entering", stage.entering.to_string()),
+                ("surviving", stage.surviving.to_string()),
+                ("categories", json_array(&categories)),
+            ])
+        })
+        .collect();
+    json_object(&[
+        ("initial", funnel.initial().to_string()),
+        ("stages", json_array(&stages)),
+    ])
 }
 
 /// Survivors of the lint stage, or "—" for a funnel without one: the
@@ -145,6 +175,29 @@ mod tests {
             .stage(stage_names::LINT)
             .expect("the FreeSet policy runs the lint stage");
         assert!(text.contains(&format!("| after lint filter | — | {} |", lint.surviving)));
+    }
+
+    #[test]
+    fn json_lists_every_stage_with_its_category_pairs() {
+        let mut funnel = FunnelStats::new(12);
+        funnel.record("license filter", 10);
+        funnel.record_with_categories(
+            "lint filter",
+            7,
+            vec![("undriven".to_string(), 1), ("comb-loop".to_string(), 2)],
+        );
+        assert_eq!(
+            funnel_json(&funnel),
+            "{\n  \"initial\": 12,\n  \"stages\": [\n    {\n      \"stage\": \"license filter\",\n      \"entering\": 12,\n      \"surviving\": 10,\n      \"categories\": []\n    },\n    {\n      \"stage\": \"lint filter\",\n      \"entering\": 10,\n      \"surviving\": 7,\n      \"categories\": [\n        [\n          \"comb-loop\",\n          2\n        ],\n        [\n          \"undriven\",\n          1\n        ]\n      ]\n    }\n  ]\n}"
+        );
+    }
+
+    #[test]
+    fn json_of_a_funnel_without_stages() {
+        assert_eq!(
+            funnel_json(&FunnelStats::new(5)),
+            "{\n  \"initial\": 5,\n  \"stages\": []\n}"
+        );
     }
 
     #[test]

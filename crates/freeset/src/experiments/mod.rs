@@ -9,9 +9,10 @@
 //! | [`table2`] | Table II — VerilogEval pass@k comparison |
 //!
 //! Every driver follows the same shape: `run(&ExperimentScale)` performs the
-//! experiment deterministically, the result is `Serialize`, and
-//! `render_markdown()` produces the table/figure data as text with the
-//! paper's reported values alongside the measured ones.
+//! experiment deterministically, and `render_markdown()` produces the
+//! table/figure data as text with the paper's reported values alongside the
+//! measured ones. The funnel and Figure 3 also print their data as JSON
+//! (`render_json()`).
 
 pub mod fig2;
 pub mod fig3;

@@ -12,7 +12,6 @@
 //! larger dataset, as in the paper.
 
 use curation::{DatasetStructure, DatasetSummary};
-use serde::{Deserialize, Serialize};
 
 use super::snapshot_subset;
 use crate::config::{ExperimentScale, FreeSetConfig};
@@ -22,7 +21,7 @@ use crate::modelzoo::ZooEntry;
 use crate::report::markdown_table;
 
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Dataset name.
     pub name: String,
@@ -46,7 +45,7 @@ pub struct Table1Row {
 }
 
 /// The Table I experiment result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Experiment {
     /// The scale the experiment ran at.
     pub scale: ExperimentScale,

@@ -5,8 +5,6 @@
 //! numbers for the remaining rows. This driver does the same: it measures
 //! the simulated base/FreeV pair on the built-in suite and carries the
 //! paper-reported values for every other model.
-
-use serde::{Deserialize, Serialize};
 use verilogeval::{EvalConfig, ProblemSuite, Runner};
 
 use crate::config::{ExperimentScale, FreeSetConfig};
@@ -15,7 +13,7 @@ use crate::freev::FreeVBuilder;
 use crate::report::{markdown_table, pct};
 
 /// Whether a row was measured here or reported by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowSource {
     /// Measured with the in-repo evaluation harness.
     Measured,
@@ -24,7 +22,7 @@ pub enum RowSource {
 }
 
 /// Model grouping used by the paper's table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelGroup {
     /// General-purpose foundation models.
     Foundation,
@@ -35,7 +33,7 @@ pub enum ModelGroup {
 }
 
 /// One row of Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Model group.
     pub group: ModelGroup,
@@ -52,7 +50,7 @@ pub struct Table2Row {
 }
 
 /// The Table II experiment result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Experiment {
     /// The scale the experiment ran at.
     pub scale: ExperimentScale,

@@ -2,13 +2,12 @@
 //! right half), evaluated in 4-bit quantised form.
 
 use hwlm::{AdaptedModel, NgramModel, QuantizedModel, TrainConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::corpus::{general_code_corpus, ScrapedCorpus};
 
 /// The FreeV build. It has no settings: the recipe is this module's
 /// constants, which the model zoo shares.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FreeVBuilder {}
 
 /// Number of general-purpose documents in a base model's pre-training mix

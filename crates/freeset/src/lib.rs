@@ -14,8 +14,8 @@
 //!   architecture trained under *their* curation policies;
 //! * [`experiments`] — one driver per table/figure: the §IV-A dataset
 //!   funnel, Table I, Figure 2, Figure 3 and Table II;
-//! * [`report`] — machine-readable (JSON) and markdown rendering of every
-//!   experiment result.
+//! * [`report`] — the markdown and JSON pieces the experiments render their
+//!   results with.
 //!
 //! # Example
 //!

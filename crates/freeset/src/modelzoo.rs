@@ -11,7 +11,6 @@
 
 use curation::{CurationConfig, DatasetStructure};
 use hwlm::{AdaptedModel, NgramModel, TrainConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::corpus::{general_code_corpus, ScrapedCorpus};
 use crate::dataset::curate_with_policy;
@@ -20,7 +19,7 @@ use crate::freev::{BASE_GENERAL_DOCUMENTS, BASE_ORDER, PRETRAIN_ORDER};
 /// Reference numbers reported by the paper for one model (used to print
 /// "paper vs measured" tables; absolute values are not expected to match,
 /// only the ordering/shape).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PaperReference {
     /// Figure 3 violation rate of the base model, percent (approximate —
     /// read off the bar chart).
@@ -32,7 +31,7 @@ pub struct PaperReference {
 }
 
 /// One model family in the zoo.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZooEntry {
     /// Fine-tuned model name (e.g. `"VeriGen"`).
     pub name: String,

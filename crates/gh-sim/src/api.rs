@@ -8,8 +8,6 @@
 use std::cell::Cell;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::license::License;
 use crate::repo::Repository;
 use crate::universe::Universe;
@@ -21,7 +19,7 @@ pub const SEARCH_RESULT_CAP: usize = 1_000;
 pub const PAGE_SIZE: usize = 100;
 
 /// Errors returned by the simulated API.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ApiError {
     /// The query matches more repositories than the search cap allows; the
     /// caller must granularise the query.
@@ -61,7 +59,7 @@ impl fmt::Display for ApiError {
 impl std::error::Error for ApiError {}
 
 /// A repository search query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RepoQuery {
     /// Restrict to repositories created in `[from, to]` (inclusive years).
     pub created_between: Option<(u32, u32)>,
@@ -112,7 +110,7 @@ impl RepoQuery {
 }
 
 /// One page of search results.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchPage {
     /// Repository ids on this page, ordered by descending star count.
     pub repo_ids: Vec<u64>,
@@ -123,7 +121,7 @@ pub struct SearchPage {
 }
 
 /// Usage statistics of the simulated API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ApiUsage {
     /// Search requests served (including rejected ones).
     pub search_requests: usize,

@@ -1,11 +1,9 @@
 //! Repository and file models.
 
-use serde::{Deserialize, Serialize};
-
 use crate::license::License;
 
 /// What a file in a repository contains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileKind {
     /// A Verilog source file (`.v`).
     Verilog,
@@ -20,7 +18,7 @@ pub enum FileKind {
 }
 
 /// One file inside a repository.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceFile {
     /// Path within the repository (e.g. `rtl/uart_tx.v`).
     pub path: String,
@@ -52,7 +50,7 @@ impl SourceFile {
 }
 
 /// A simulated GitHub repository.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Repository {
     /// Stable numeric id (the universe assigns these densely from zero).
     pub id: u64,
@@ -98,7 +96,7 @@ impl Repository {
 /// A Verilog file extracted from a repository, with provenance retained for
 /// accreditation (the paper clones repositories "to gather all of their data
 /// and author information for proper accreditation").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtractedFile {
     /// Id of the repository the file came from.
     pub repo_id: u64,

@@ -18,8 +18,6 @@
 //! [`crate::fetch::FetchBatches`] stream instead, so curation can run while
 //! the scrape is still cloning. Both drain the same stream.
 
-use serde::{Deserialize, Serialize};
-
 use crate::api::{ApiError, GithubApi, RepoQuery};
 use crate::fetch::FetchBatches;
 use crate::license::License;
@@ -27,7 +25,7 @@ use crate::repo::ExtractedFile;
 
 /// Settings of a scraping run. There are none: every scrape queries the
 /// whole 2008–2024 creation range under every license.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScraperConfig {}
 
 /// First creation year to query (GitHub was established in 2008).
@@ -37,7 +35,7 @@ const FROM_YEAR: u32 = 2008;
 const TO_YEAR: u32 = 2024;
 
 /// Statistics describing a scraping run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScrapeReport {
     /// Search queries issued (including ones rejected for being too broad).
     pub queries_issued: usize,
@@ -90,7 +88,7 @@ impl ScrapeReport {
 }
 
 /// The result of a scraping run: the file bank plus its report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScrapeOutput {
     /// Extracted Verilog files with provenance.
     pub files: Vec<ExtractedFile>,

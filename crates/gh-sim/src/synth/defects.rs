@@ -5,8 +5,6 @@
 //! validate rule sensitivity (each lint rule must catch its planted defect
 //! — and only that defect), and to salt synthetic corpora with realistic
 //! broken files for the curation funnel's lint stage to reject.
-
-use serde::{Deserialize, Serialize};
 use verilog::RuleId;
 
 /// A deliberately planted semantic defect.
@@ -14,7 +12,7 @@ use verilog::RuleId;
 /// Every variant maps onto exactly one lint rule (see
 /// [`DefectKind::expected_rule`]); the generated source triggers that rule
 /// once and nothing else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DefectKind {
     /// References an identifier that is never declared.
     UndeclaredIdent,

@@ -24,10 +24,9 @@ mod sequential;
 pub use defects::DefectKind;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The family of a generated design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum DesignKind {
     Adder,
@@ -135,7 +134,7 @@ const MAX_WIDTH: u32 = 32;
 const MAX_DEPTH: u32 = 32;
 
 /// A generated design: one or more modules of Verilog source.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GeneratedDesign {
     /// The top module name.
     pub name: String,

@@ -19,7 +19,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::corruption::corrupt;
 use crate::license::License;
@@ -28,7 +27,7 @@ use crate::synth::Synthesizer;
 
 /// Configuration of the synthetic universe. The population's other
 /// proportions are calibrated constants of this module.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UniverseConfig {
     /// Number of repositories to generate.
     pub repo_count: usize,
@@ -71,7 +70,7 @@ const SHARED_POOL_SIZE: usize = 48;
 const HUGE_FILE_COUNT: usize = 2;
 
 /// Summary statistics of a generated universe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UniverseStats {
     /// Total repositories.
     pub repositories: usize,

@@ -17,8 +17,6 @@
 //! is 1 at the paper's setting, and one epoch is one pass over the corpus,
 //! so the adapter mixes in at its unscaled 0.7.
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::{Distribution, LanguageModel, TrainConfig};
 use crate::ngram::{with_suffix_keys, NgramCounts, NgramModel};
 use crate::parallel::{default_workers, sharded_counts};
@@ -40,7 +38,7 @@ const ADAPTER_WEIGHT: f64 = 0.7;
 /// let tuned = AdaptedModel::continual_pretrain("freev", base, &verilog, &TrainConfig::default());
 /// assert_eq!(tuned.name(), "freev");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptedModel {
     name: String,
     base: NgramModel,

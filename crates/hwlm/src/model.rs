@@ -4,7 +4,6 @@
 use std::cmp::Ordering;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::sampler::SamplerConfig;
 use crate::tokenizer::{HdlTokenizer, TokenId, EOS};
@@ -24,7 +23,7 @@ use crate::tokenizer::{HdlTokenizer, TokenId, EOS};
 /// their floats agree bit for bit. The canonical order is restored by a
 /// sort only where a linear scan finds it broken; a sort moves entries but
 /// changes no float.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Distribution {
     entries: Vec<(TokenId, f64)>,
 }
@@ -191,7 +190,7 @@ impl Distribution {
 /// Training settings, shared by base training
 /// ([`crate::NgramModel::train_named`]) and continual pre-training
 /// ([`crate::AdaptedModel::continual_pretrain`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// n-gram order (context length + 1).
     pub order: usize,

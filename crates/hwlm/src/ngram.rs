@@ -4,8 +4,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::{Distribution, LanguageModel, TrainConfig};
 use crate::tokenizer::{HdlTokenizer, TokenId};
 
@@ -57,7 +55,7 @@ type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
 
 /// Counts for one observed context: `total` is the sum of the `next`
 /// counts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct ContextEntry {
     total: u64,
     next: FoldMap<TokenId, u64>,
@@ -98,7 +96,7 @@ impl ContextEntry {
 /// longest first. The tables are keyed through a multiply-fold hasher
 /// rather than SipHash: their keys come from the training corpus, never
 /// from an adversary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NgramCounts {
     order: usize,
     tables: Vec<FoldMap<u64, ContextEntry>>,
@@ -288,7 +286,7 @@ impl NgramCounts {
 /// let out = model.generate_text("module t(input a, output y);", 24, &SamplerConfig::greedy(), &mut rng);
 /// assert!(out.contains("endmodule"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NgramModel {
     name: String,
     tokenizer: HdlTokenizer,

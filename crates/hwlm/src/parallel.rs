@@ -26,8 +26,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::TrainConfig;
 use crate::ngram::{NgramCounts, NgramModel};
 use crate::tokenizer::HdlTokenizer;
@@ -37,7 +35,7 @@ use crate::tokenizer::HdlTokenizer;
 /// Mirrors the curation crate's execution toggle: `Parallel` output is
 /// byte-identical to `Serial` by construction, so the mode only changes
 /// wall-clock time, never results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     /// Single-threaded; the reference behaviour.
     Serial,

@@ -1,14 +1,12 @@
 //! Sampling configuration (temperature shaping).
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::Distribution;
 
 /// Controls how a predictive distribution is shaped before sampling.
 ///
 /// The paper evaluates its models at temperatures 0.2 and 0.8 and keeps the
 /// best result, with generation capped at 2 048 tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplerConfig {
     /// Softmax temperature (0 = greedy).
     pub temperature: f64,

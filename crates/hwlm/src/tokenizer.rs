@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::parallel::{default_workers, sharded_tally};
 
 /// A token id in the model vocabulary.
@@ -17,7 +15,7 @@ pub const BOS: TokenId = 1;
 pub const EOS: TokenId = 2;
 
 /// A fixed vocabulary mapping token strings to ids.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Vocabulary {
     token_to_id: HashMap<String, TokenId>,
     id_to_token: Vec<String>,
@@ -99,7 +97,7 @@ const MULTI_CHAR_OPERATORS: &[&str] = &[
 /// let text = tok.decode(&ids);
 /// assert!(text.contains("assign y = a & b"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HdlTokenizer {
     vocab: Vocabulary,
 }

@@ -12,8 +12,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::minhash::Signature;
 
 /// Reusable buffers for candidate retrieval.
@@ -64,7 +62,7 @@ impl CandidateScratch {
 }
 
 /// Banding parameters for an [`LshIndex`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LshParams {
     /// Number of bands the signature is split into.
     pub bands: usize,

@@ -41,7 +41,6 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::shingle::ShingleSet;
 
@@ -57,7 +56,7 @@ use crate::shingle::ShingleSet;
 /// let b = hasher.signature(&char_shingles("module adder; endmodule", 5));
 /// assert_eq!(a.estimate_jaccard(&b), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature {
     values: Vec<u64>,
 }
@@ -115,7 +114,7 @@ pub struct MinHasher {
     /// `1 ≤ a < p` and `0 ≤ b < p`. Both kernels' bounds rely on these
     /// ranges: the 128-bit fold needs `a·x + b < 2^122`, and the limb kernel
     /// needs `a_hi < 2^29` and `b < p` to keep `s` below `2^64`. Nothing
-    /// else builds a hasher, which is why it derives no `Deserialize`.
+    /// else builds a hasher.
     coeffs: Vec<(u64, u64)>,
     seed: u64,
 }

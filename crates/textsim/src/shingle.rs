@@ -14,8 +14,6 @@
 
 use std::hash::{Hash, Hasher};
 
-use serde::Serialize;
-
 use crate::jaccard::sorted_intersection_size;
 
 /// A deterministic 64-bit hash (FNV-1a) used for shingles.
@@ -38,8 +36,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// stored ascending in one vector.
 ///
 /// Every constructor ([`char_shingles`], [`FromIterator`], [`Extend`])
-/// sorts and dedups, so the vector is always strictly ascending. The type
-/// derives no `Deserialize`, which would skip that normalisation.
+/// sorts and dedups, so the vector is always strictly ascending.
 ///
 /// # Example
 ///
@@ -50,7 +47,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// let b = char_shingles("module adder; endmodule", 5);
 /// assert_eq!(jaccard_similarity(&a, &b), 1.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShingleSet {
     hashes: Vec<u64>,
 }

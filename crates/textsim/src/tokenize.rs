@@ -4,8 +4,6 @@
 //! and operator/punctuation tokens, which is what the cosine machinery uses
 //! so that `a+b` and `a + b` compare equal.
 
-use serde::{Deserialize, Serialize};
-
 /// A strategy for splitting a text into comparable tokens.
 ///
 /// Implementations should be cheap to construct and stateless; they are used
@@ -44,7 +42,7 @@ pub trait Tokenizer {
 /// let spaced = tok.tokenize("assign y = a & b ;");
 /// assert_eq!(dense, spaced);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CodeTokenizer;
 
 impl CodeTokenizer {

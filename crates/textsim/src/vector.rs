@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::tokenize::Tokenizer;
 
 /// A sparse bag-of-terms vector with `f64` weights.
@@ -21,7 +19,7 @@ use crate::tokenize::Tokenizer;
 /// assert_eq!(v.weight("a"), 2.0);
 /// assert_eq!(v.weight("xor"), 0.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TermVector {
     weights: BTreeMap<String, f64>,
 }

@@ -19,8 +19,6 @@
 use std::ops::Index;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::intern::{Interner, Name, Symbol};
 
 /// A `Copy` handle to an expression stored in an [`ExprArena`].
@@ -34,18 +32,10 @@ impl ExprId {
     }
 }
 
-impl Serialize for ExprId {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::UInt(u64::from(self.0))
-    }
-}
-
-impl serde::Deserialize for ExprId {}
-
 /// The expression store of one module: a flat `Vec` the parser appends to
 /// in post-order, indexed by [`ExprId`]. Children always precede parents,
 /// so iterating the arena visits every subexpression before its use.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExprArena {
     nodes: Vec<Expr>,
 }
@@ -169,7 +159,7 @@ impl Index<ExprId> for ExprArena {
 }
 
 /// Direction of a module port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortDirection {
     /// `input`
     Input,
@@ -181,7 +171,7 @@ pub enum PortDirection {
 
 /// A packed range `[msb:lsb]`. Both bounds are expressions so parameterised
 /// widths (`[WIDTH-1:0]`) survive parsing; they are evaluated at elaboration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Range {
     /// Most significant bound.
     pub msb: ExprId,
@@ -190,7 +180,7 @@ pub struct Range {
 }
 
 /// A port of a module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Port {
     /// Port name.
     pub name: Symbol,
@@ -205,7 +195,7 @@ pub struct Port {
 }
 
 /// Kinds of net/variable declarations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetKind {
     /// `wire`
     Wire,
@@ -218,7 +208,7 @@ pub enum NetKind {
 }
 
 /// One declared net or variable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Net {
     /// Name of the net.
     pub name: Symbol,
@@ -236,7 +226,7 @@ pub struct Net {
 
 /// A declaration statement, possibly declaring several nets and possibly
 /// doubling as a non-ANSI port direction declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Declaration {
     /// Port direction if this is (also) a port declaration.
     pub direction: Option<PortDirection>,
@@ -245,7 +235,7 @@ pub struct Declaration {
 }
 
 /// Edge qualifier inside a sensitivity list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EdgeKind {
     /// `posedge sig`
     Posedge,
@@ -256,7 +246,7 @@ pub enum EdgeKind {
 }
 
 /// The sensitivity list of an `always` block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SensitivityList {
     /// `(edge, signal)` entries.
     pub entries: Vec<(EdgeKind, Symbol)>,
@@ -274,7 +264,7 @@ impl SensitivityList {
 }
 
 /// Case statement flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CaseKind {
     /// `case`
     Case,
@@ -285,7 +275,7 @@ pub enum CaseKind {
 }
 
 /// One arm of a case statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseArm {
     /// Match labels (empty for the `default` arm).
     pub labels: Vec<ExprId>,
@@ -294,7 +284,7 @@ pub struct CaseArm {
 }
 
 /// A procedural statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     /// `begin ... end`
     Block(Vec<Statement>),
@@ -353,7 +343,7 @@ pub enum Statement {
 }
 
 /// An `always` block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlwaysBlock {
     /// Sensitivity list.
     pub sensitivity: SensitivityList,
@@ -362,7 +352,7 @@ pub struct AlwaysBlock {
 }
 
 /// A named parameter with its default value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Parameter {
     /// Parameter name.
     pub name: Symbol,
@@ -373,7 +363,7 @@ pub struct Parameter {
 }
 
 /// A module instantiation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// Name of the instantiated module.
     pub module: Symbol,
@@ -388,7 +378,7 @@ pub struct Instance {
 }
 
 /// A top-level item inside a module body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModuleItem {
     /// Net/variable (and non-ANSI port) declaration.
     Declaration(Declaration),
@@ -416,7 +406,7 @@ pub enum ModuleItem {
 /// against. Modules parsed from one source file share the interner (an
 /// [`Arc`] clone), which is what lets the lint engine resolve instance
 /// references between sibling modules without string hashing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Module {
     /// Module name.
     pub name: Name,
@@ -485,7 +475,7 @@ impl Module {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum UnaryOp {
     Not,        // !
@@ -501,7 +491,7 @@ pub enum UnaryOp {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum BinaryOp {
     Add,
@@ -532,7 +522,7 @@ pub enum BinaryOp {
 
 /// An expression node. Child positions are [`ExprId`]s into the owning
 /// [`ExprArena`]; identifier payloads are interned [`Symbol`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A numeric literal with an optional declared width. `x`/`z` bits are
     /// represented as zero (the interpreter is two-state).

@@ -3,8 +3,8 @@
 //! The lexer replaces owned `String` identifier payloads with [`Symbol`] —
 //! a `Copy` index into a per-parse [`Interner`]. The parser resolves a
 //! [`Symbol`] to a [`Name`] when building the AST: a cheap-to-clone,
-//! reference-counted string that compares, hashes, orders, displays and
-//! serializes exactly like the `String` it replaced, so every consumer
+//! reference-counted string that compares, hashes, orders and displays
+//! exactly like the `String` it replaced, so every consumer
 //! (lint model maps, diagnostics, the interpreter, tests) keeps working on
 //! plain `&str` semantics while AST clones stop copying bytes.
 
@@ -14,8 +14,6 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
-
-use serde::{Serialize, Value};
 
 /// FNV-1a, the interner's map hasher: identifiers are short ASCII strings
 /// hashed once per occurrence on the lexer's hot path, where FNV beats the
@@ -58,14 +56,6 @@ impl Symbol {
         self.0 as usize
     }
 }
-
-impl Serialize for Symbol {
-    fn to_value(&self) -> Value {
-        Value::UInt(u64::from(self.0))
-    }
-}
-
-impl serde::Deserialize for Symbol {}
 
 /// A per-parse identifier interner: each distinct spelling is stored once
 /// and handed out as a [`Symbol`].
@@ -138,17 +128,9 @@ impl PartialEq for Interner {
 
 impl Eq for Interner {}
 
-impl Serialize for Interner {
-    fn to_value(&self) -> Value {
-        Value::Array(self.names.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl serde::Deserialize for Interner {}
-
 /// An interned identifier: a reference-counted string that behaves like the
-/// `String` it replaced (string equality, hashing, ordering, `Display`,
-/// `Debug` and serialization are all delegated to the text), while `clone`
+/// `String` it replaced (string equality, hashing, ordering, `Display` and
+/// `Debug` are all delegated to the text), while `clone`
 /// is a reference-count bump instead of a byte copy.
 #[derive(Clone)]
 pub struct Name(Arc<str>);
@@ -289,14 +271,6 @@ impl From<Name> for String {
     }
 }
 
-impl Serialize for Name {
-    fn to_value(&self) -> Value {
-        Value::Str(self.as_str().to_string())
-    }
-}
-
-impl serde::Deserialize for Name {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,13 +313,5 @@ mod tests {
         let mut map: HashMap<Name, u32> = HashMap::new();
         map.insert(Name::from("q"), 1);
         assert_eq!(map.get("q"), Some(&1));
-    }
-
-    #[test]
-    fn name_serializes_as_a_string() {
-        assert_eq!(
-            Name::from("x").to_value(),
-            serde::Value::Str("x".to_string())
-        );
     }
 }

@@ -4,8 +4,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::{
     BinaryOp, EdgeKind, Expr, ExprArena, ExprId, Module, ModuleItem, NetKind, Range,
     SensitivityList, Statement, UnaryOp,
@@ -14,7 +12,7 @@ use crate::intern::Interner;
 use crate::interp::value::Value;
 
 /// Errors produced during elaboration or evaluation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EvalError {
     /// The module uses a construct the interpreter does not support (for
     /// example hierarchical instantiation).
@@ -48,7 +46,7 @@ impl fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// Signal metadata recorded at elaboration time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct SignalInfo {
     width: u32,
     /// Memory depth when the net was declared with an unpacked range.

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A two-state bit vector of up to 64 bits.
 ///
 /// Values are always stored masked to their width, so equality and hashing
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(v.bits(), 0xFF);
 /// assert_eq!(v.width(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Value {
     bits: u64,
     width: u32,

@@ -18,8 +18,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::intern::Interner;
 use crate::token::{Keyword, Op, Span, Token, TokenKind};
 
@@ -49,7 +47,7 @@ pub fn lex_passes() -> u64 {
 }
 
 /// An error produced while lexing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LexError {
     /// Human-readable description of the problem.
     pub message: String,

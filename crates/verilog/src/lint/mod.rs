@@ -62,8 +62,6 @@ mod xmodule;
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::Module;
 use crate::parser::{ParseError, Parser};
 
@@ -89,9 +87,7 @@ const PASSES: [Pass; 8] = [
 ///
 /// Ordered: `Warning < Error`, so severity thresholds can be expressed with
 /// comparisons.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Severity {
     /// Suspicious but simulatable construct.
     #[default]
@@ -115,7 +111,7 @@ impl fmt::Display for Severity {
 /// The enum order is the reporting order: diagnostics are sorted by module,
 /// then rule, then locus, which keeps output deterministic and stable across
 /// releases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// An identifier is read or driven but never declared.
     UndeclaredIdent,
@@ -300,7 +296,7 @@ impl fmt::Display for RuleId {
 }
 
 /// One finding of the lint engine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintDiagnostic {
     /// The rule that fired.
     pub rule: RuleId,
@@ -460,6 +456,26 @@ mod tests {
         let source = "module m(input a, output y);\nwire [64'hffffffffffffffff:0] w;\n\
                       assign w = a;\nassign y = a;\nendmodule";
         assert!(Linter::new().lint_source(source).is_ok());
+    }
+
+    #[test]
+    fn part_selects_spanning_every_u64_have_no_width() {
+        for assign in [
+            "assign q = a[18446744073709551615:0];",
+            "assign q = a[0:18446744073709551615];",
+            "assign q[18446744073709551615:0] = a;",
+        ] {
+            let source = format!("module m(input a, output q);\n{assign}\nendmodule");
+            let parsed = crate::ParsedFile::parse(&source).unwrap();
+            let linter = Linter::new();
+            let width_findings: Vec<_> = linter
+                .lint_parsed(&parsed)
+                .into_iter()
+                .filter(|d| d.rule == RuleId::WidthMismatch)
+                .collect();
+            assert!(width_findings.is_empty(), "{assign}: {width_findings:?}");
+            linter.has_error(&parsed);
+        }
     }
 
     /// `has_error` ≡ any error-severity finding of `lint_parsed`, asserted

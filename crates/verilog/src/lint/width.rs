@@ -9,10 +9,10 @@
 //! context and are skipped — except directly inside concatenations, where
 //! their width is genuinely ambiguous.
 
-use crate::ast::{BinaryOp, Expr, ExprArena, ExprId, PortDirection, Statement, UnaryOp};
+use crate::ast::{BinaryOp, Expr, ExprArena, ExprId, PortDirection, Range, Statement, UnaryOp};
 use crate::intern::Symbol;
 
-use super::model::{const_eval, lvalue_targets, AssignTarget};
+use super::model::{const_eval, lvalue_targets, range_width, AssignTarget};
 use super::{diag, LintDiagnostic, ModuleModel, RuleId};
 
 pub(crate) fn check(model: &ModuleModel<'_>, out: &mut Vec<LintDiagnostic>) {
@@ -165,11 +165,7 @@ pub(crate) fn lvalue_width(model: &ModuleModel<'_>, target: ExprId) -> Option<u3
             }
             _ => Some(1),
         },
-        Expr::Slice { msb, lsb, .. } => {
-            let msb = const_eval(arena, msb, &model.params)?;
-            let lsb = const_eval(arena, lsb, &model.params)?;
-            u32::try_from(msb.abs_diff(lsb) + 1).ok()
-        }
+        Expr::Slice { msb, lsb, .. } => range_width(arena, &Range { msb, lsb }, &model.params),
         Expr::Concat(ref parts) => {
             let mut total = 0u32;
             for &p in parts {
@@ -241,11 +237,7 @@ pub(crate) fn infer_width(model: &ModuleModel<'_>, expr: ExprId) -> Option<u32> 
             }
             _ => Some(1),
         },
-        Expr::Slice { msb, lsb, .. } => {
-            let msb = const_eval(arena, msb, &model.params)?;
-            let lsb = const_eval(arena, lsb, &model.params)?;
-            u32::try_from(msb.abs_diff(lsb) + 1).ok()
-        }
+        Expr::Slice { msb, lsb, .. } => range_width(arena, &Range { msb, lsb }, &model.params),
         Expr::Concat(ref parts) => {
             let mut total = 0u32;
             for &p in parts {

@@ -11,15 +11,13 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::*;
 use crate::intern::{Interner, Symbol};
 use crate::lexer::{LexError, LexedSource, Lexer};
 use crate::token::{Keyword, Op, Token, TokenKind};
 
 /// An error produced while parsing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Human-readable description.
     pub message: String,

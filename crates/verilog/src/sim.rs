@@ -6,8 +6,6 @@
 //! wraps [`crate::interp::CompiledModule`] with that workflow and
 //! [`Testbench`] runs whole vector suites.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::{EdgeKind, Module};
 use crate::interp::{CompiledModule, EvalError, EvalState, Value};
 
@@ -117,7 +115,7 @@ impl Simulator {
 }
 
 /// A single stimulus/response vector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TestVector {
     /// `(signal, value)` pairs applied before evaluation.
     pub inputs: Vec<(String, u64)>,
@@ -153,7 +151,7 @@ impl TestVector {
 }
 
 /// The result of running one vector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VectorOutcome {
     /// Index of the vector in the testbench.
     pub index: usize,
@@ -180,7 +178,7 @@ pub struct VectorOutcome {
 /// assert!(tb.passes(module)?);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Testbench {
     /// Clock signal name for sequential designs.
     pub clock: Option<String>,

@@ -7,13 +7,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::Module;
 use crate::parser::{ParseError, Parser};
 
 /// Why a file failed the syntax check.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SyntaxError {
     /// The file could not be lexed or parsed.
     Parse(ParseError),
@@ -34,7 +32,7 @@ impl fmt::Display for SyntaxError {
 impl std::error::Error for SyntaxError {}
 
 /// Summary of a successful syntax check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntaxReport {
     /// Names of the modules defined in the file.
     pub module_names: Vec<String>,

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::intern::Symbol;
 
 /// Verilog keywords recognised by the front-end.
@@ -15,7 +13,7 @@ use crate::intern::Symbol;
 /// Only the keywords that occur in the synthesisable subset handled by the
 /// parser are distinguished; all other keywords are lexed as identifiers and
 /// rejected (or tolerated) by the parser where relevant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Keyword {
     Module,
@@ -174,7 +172,7 @@ impl Span {
 /// escaped identifiers or compiler directives, plus the multi-character
 /// operator set. Matching is a first-byte dispatch in the lexer — there is
 /// no string table scan and no allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// `<<<`
     AShl,

@@ -224,15 +224,20 @@ proptest! {
         form in 0usize..3,
     ) {
         let src = part_select_module(msb, lsb, form);
-        let modules = Parser::parse_source(&src);
-        prop_assert!(modules.is_ok(), "did not parse:\n{}", src);
-        let module = &modules.unwrap()[0];
+        let parsed = ParsedFile::parse(src.as_str());
+        prop_assert!(parsed.is_ok(), "did not parse:\n{}", src);
+        let parsed = parsed.unwrap();
         let bench = Testbench::combinational(vec![TestVector::combinational(
             vec![("a".into(), u64::MAX)],
             vec![("y".into(), 0)],
         )]);
-        // Simulation may reject the select; it must not panic.
-        let outcome = catch_unwind(AssertUnwindSafe(|| bench.passes(module)));
+        // Lint and simulation may reject the select; neither may panic.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let linter = Linter::new();
+            linter.lint_parsed(&parsed);
+            linter.has_error(&parsed);
+            bench.passes(&parsed.modules()[0])
+        }));
         prop_assert!(outcome.is_ok(), "panicked on:\n{}", src);
     }
 

@@ -1,11 +1,9 @@
 //! A single benchmark problem.
-
-use serde::{Deserialize, Serialize};
 use verilog::interp::EvalError;
 use verilog::{ParsedFile, Testbench};
 
 /// The design family of a problem, used for reporting per-family accuracy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum ProblemFamily {
     Gate,
@@ -20,7 +18,7 @@ pub enum ProblemFamily {
 /// One VerilogEval-style problem: a natural-language specification, the
 /// module interface the model must complete, a golden solution and a
 /// functional testbench.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     /// Stable identifier (e.g. `"and2"`).
     pub id: String,

@@ -4,7 +4,6 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use hwlm::parallel::{derive_seed, ExecutionMode};
 use hwlm::{LanguageModel, SamplerConfig};
@@ -14,7 +13,7 @@ use crate::problem::{CandidateVerdict, Problem};
 use crate::suite::ProblemSuite;
 
 /// Configuration of an evaluation run, defaulting to the paper's protocol.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalConfig {
     /// Number of completions sampled per problem (`n` in the estimator).
     pub samples_per_problem: usize,
@@ -74,7 +73,7 @@ fn problem_lane(problem: &Problem) -> u64 {
 }
 
 /// Per-problem outcome at one temperature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProblemResult {
     /// Problem id.
     pub id: String,
@@ -91,7 +90,7 @@ pub struct ProblemResult {
 }
 
 /// The outcome of evaluating one model on a suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// Model name.
     pub model: String,

@@ -6,14 +6,12 @@
 //! covers — gates, multiplexers, arithmetic, comparisons, encodings and
 //! clocked sequential logic — so that pass@k responds to model quality the
 //! same way, just over fewer problems.
-
-use serde::{Deserialize, Serialize};
 use verilog::{TestVector, Testbench};
 
 use crate::problem::{Problem, ProblemFamily};
 
 /// A collection of benchmark problems.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProblemSuite {
     problems: Vec<Problem>,
 }

@@ -12,7 +12,6 @@
 use free_fair_hw::copyright_bench::BenchmarkConfig;
 use free_fair_hw::freeset::config::ExperimentScale;
 use free_fair_hw::freeset::experiments::fig3::Fig3Experiment;
-use free_fair_hw::freeset::report::to_json_string;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
@@ -41,5 +40,5 @@ fn main() {
         );
     }
     println!();
-    println!("machine-readable result:\n{}", to_json_string(&result.rows));
+    println!("machine-readable result:\n{}", result.render_json());
 }

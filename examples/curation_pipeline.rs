@@ -12,7 +12,6 @@
 
 use free_fair_hw::freeset::config::ExperimentScale;
 use free_fair_hw::freeset::experiments::funnel::FunnelExperiment;
-use free_fair_hw::freeset::report::to_json_string;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
@@ -62,8 +61,5 @@ fn main() {
     println!();
     println!("{}", result.render_markdown());
     println!();
-    println!(
-        "machine-readable result:\n{}",
-        to_json_string(&result.measured)
-    );
+    println!("machine-readable result:\n{}", result.render_json());
 }

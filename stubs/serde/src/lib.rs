@@ -1,211 +1,1 @@
-//! Offline stand-in for `serde`.
-//!
-//! The build environment has no access to crates.io, so this workspace ships
-//! a minimal serialization framework under the `serde` name. It supports the
-//! subset the repository uses: `#[derive(Serialize, Deserialize)]` on plain
-//! (non-generic) structs and enums, and value-tree serialization consumed by
-//! the sibling `serde_json` stub. `Deserialize` derives are accepted and
-//! expand to nothing (nothing in the workspace deserializes).
-
-pub use serde_derive::{Deserialize, Serialize};
-
-/// A serialized value tree (the stand-in for serde's data model).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Absent / unit value.
-    Null,
-    /// Boolean.
-    Bool(bool),
-    /// Signed integer.
-    Int(i64),
-    /// Unsigned integer.
-    UInt(u64),
-    /// Floating-point number.
-    Float(f64),
-    /// String.
-    Str(String),
-    /// Sequence.
-    Array(Vec<Value>),
-    /// Map with ordered keys (struct fields keep declaration order).
-    Object(Vec<(String, Value)>),
-}
-
-/// Types that can serialize themselves into a [`Value`] tree.
-pub trait Serialize {
-    /// Converts `self` to a serialized value tree.
-    fn to_value(&self) -> Value;
-}
-
-/// Marker trait so `use serde::{Deserialize, Serialize}` keeps working in the
-/// type namespace; no deserialization is implemented.
-pub trait Deserialize {}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for std::rc::Rc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-macro_rules! impl_serialize_uint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u64)
-            }
-        }
-    )*};
-}
-impl_serialize_uint!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_serialize_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i64)
-            }
-        }
-    )*};
-}
-impl_serialize_int!(i8, i16, i32, i64, isize);
-
-macro_rules! impl_serialize_float {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
-            }
-        }
-    )*};
-}
-impl_serialize_float!(f32, f64);
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl Serialize for () {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
-}
-
-macro_rules! impl_serialize_tuple {
-    ($(($($n:tt $t:ident),+))*) => {$(
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$n.to_value()),+])
-            }
-        }
-    )*};
-}
-impl_serialize_tuple! {
-    (0 A)
-    (0 A, 1 B)
-    (0 A, 1 B, 2 C)
-    (0 A, 1 B, 2 C, 3 D)
-    (0 A, 1 B, 2 C, 3 D, 4 E)
-}
-
-impl<T: Serialize + Ord> Serialize for std::collections::BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, S> Serialize for std::collections::HashSet<T, S> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<K: ToString, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(entries)
-    }
-}
-
-impl<K: ToString, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_value()))
-                .collect(),
-        )
-    }
-}
+//! Empty placeholder for the retired `serde` stand-in: nothing in the workspace serialises, and the crate stays only until the manifests that name it drop it.

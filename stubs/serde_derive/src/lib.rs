@@ -1,313 +1,1 @@
-//! Offline stand-in for `serde_derive`.
-//!
-//! Implements `#[derive(Serialize)]` for non-generic structs and enums by
-//! hand-parsing the item's token stream (no `syn`/`quote` in this offline
-//! environment) and emitting an `impl serde::Serialize` that builds the
-//! `serde::Value` tree. `#[derive(Deserialize)]` expands to nothing: the
-//! workspace never deserializes.
-
-use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-/// Derives `serde::Serialize` (the stub's value-tree flavour).
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    match parse_item(input) {
-        Ok(item) => emit_serialize(&item)
-            .parse()
-            .expect("serde_derive stub emitted invalid Rust"),
-        Err(msg) => format!("compile_error!({msg:?});")
-            .parse()
-            .expect("compile_error emission is valid Rust"),
-    }
-}
-
-/// Accepts `#[derive(Deserialize)]` and expands to nothing.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
-
-enum Fields {
-    Unit,
-    Tuple(usize),
-    Named(Vec<String>),
-}
-
-struct Variant {
-    name: String,
-    fields: Fields,
-}
-
-enum Item {
-    Struct {
-        name: String,
-        fields: Fields,
-    },
-    Enum {
-        name: String,
-        variants: Vec<Variant>,
-    },
-}
-
-fn parse_item(input: TokenStream) -> Result<Item, String> {
-    let mut tokens = input.into_iter().peekable();
-    // Skip attributes and visibility before the struct/enum keyword.
-    let kind = loop {
-        match tokens.next() {
-            Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                tokens.next(); // the #[...] bracket group
-            }
-            Some(TokenTree::Ident(id)) => {
-                let word = id.to_string();
-                if word == "struct" || word == "enum" {
-                    break word;
-                }
-                // `pub`, possibly followed by `(crate)` etc. — skip.
-                if word == "pub" {
-                    if let Some(TokenTree::Group(g)) = tokens.peek() {
-                        if g.delimiter() == Delimiter::Parenthesis {
-                            tokens.next();
-                        }
-                    }
-                }
-            }
-            Some(_) => {}
-            None => return Err("expected `struct` or `enum`".to_string()),
-        }
-    };
-    let name = match tokens.next() {
-        Some(TokenTree::Ident(id)) => id.to_string(),
-        other => return Err(format!("expected item name, found {other:?}")),
-    };
-    if let Some(TokenTree::Punct(p)) = tokens.peek() {
-        if p.as_char() == '<' {
-            return Err(format!(
-                "serde stub cannot derive Serialize for generic type `{name}`"
-            ));
-        }
-    }
-    if kind == "struct" {
-        let fields = match tokens.next() {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Fields::Named(parse_named_fields(g.stream())?)
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Fields::Tuple(count_tuple_fields(g.stream()))
-            }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
-            other => return Err(format!("unexpected struct body {other:?}")),
-        };
-        Ok(Item::Struct { name, fields })
-    } else {
-        let body = loop {
-            match tokens.next() {
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => break g.stream(),
-                Some(_) => {}
-                None => return Err("expected enum body".to_string()),
-            }
-        };
-        Ok(Item::Enum {
-            name,
-            variants: parse_variants(body)?,
-        })
-    }
-}
-
-/// Parses `[attrs] [vis] name: Type,`* returning the field names in order.
-fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
-    let mut names = Vec::new();
-    let mut tokens = body.into_iter().peekable();
-    loop {
-        // Skip attributes on the field.
-        loop {
-            match tokens.peek() {
-                Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                    tokens.next();
-                    tokens.next();
-                }
-                _ => break,
-            }
-        }
-        // Everything before the first `:` is `[pub[(..)]] name`.
-        let mut last_ident = None;
-        loop {
-            match tokens.next() {
-                Some(TokenTree::Ident(id)) => last_ident = Some(id.to_string()),
-                Some(TokenTree::Punct(p)) if p.as_char() == ':' => break,
-                Some(TokenTree::Group(_)) => {} // pub(crate) etc.
-                Some(other) => return Err(format!("unexpected token in field: {other}")),
-                None => {
-                    return match last_ident {
-                        None => Ok(names), // trailing comma or empty body
-                        Some(id) => Err(format!("field `{id}` has no type")),
-                    };
-                }
-            }
-        }
-        names.push(last_ident.ok_or("field without a name")?);
-        skip_type_until_comma(&mut tokens);
-        if tokens.peek().is_none() {
-            return Ok(names);
-        }
-    }
-}
-
-/// Consumes type tokens until a comma at angle-bracket depth 0 (the comma is
-/// consumed too). Parenthesised/bracketed parts arrive as atomic groups.
-fn skip_type_until_comma(tokens: &mut std::iter::Peekable<proc_macro::token_stream::IntoIter>) {
-    let mut depth = 0i32;
-    for tok in tokens.by_ref() {
-        if let TokenTree::Punct(p) = &tok {
-            match p.as_char() {
-                '<' => depth += 1,
-                '>' => depth -= 1,
-                ',' if depth == 0 => return,
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Counts the types of a tuple-struct/tuple-variant body.
-fn count_tuple_fields(body: TokenStream) -> usize {
-    let mut count = 0;
-    let mut depth = 0i32;
-    let mut saw_token = false;
-    for tok in body {
-        if let TokenTree::Punct(p) = &tok {
-            match p.as_char() {
-                '<' => depth += 1,
-                '>' => depth -= 1,
-                ',' if depth == 0 => {
-                    count += 1;
-                    saw_token = false;
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        saw_token = true;
-    }
-    if saw_token {
-        count += 1;
-    }
-    count
-}
-
-fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
-    let mut variants = Vec::new();
-    let mut tokens = body.into_iter().peekable();
-    loop {
-        // Skip attributes.
-        loop {
-            match tokens.peek() {
-                Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                    tokens.next();
-                    tokens.next();
-                }
-                _ => break,
-            }
-        }
-        let name = match tokens.next() {
-            Some(TokenTree::Ident(id)) => id.to_string(),
-            Some(other) => return Err(format!("expected variant name, found {other}")),
-            None => return Ok(variants),
-        };
-        let fields = match tokens.peek() {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let n = count_tuple_fields(g.stream());
-                tokens.next();
-                Fields::Tuple(n)
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let names = parse_named_fields(g.stream())?;
-                tokens.next();
-                Fields::Named(names)
-            }
-            _ => Fields::Unit,
-        };
-        // Skip an optional `= discriminant` and the trailing comma.
-        skip_type_until_comma(&mut tokens);
-        variants.push(Variant { name, fields });
-        if tokens.peek().is_none() {
-            return Ok(variants);
-        }
-    }
-}
-
-fn emit_serialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Unit => "::serde::Value::Null".to_string(),
-                Fields::Tuple(n) => {
-                    let elems: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                        .collect();
-                    format!("::serde::Value::Array(vec![{}])", elems.join(", "))
-                }
-                Fields::Named(names) => object_literal(names.iter().map(|f| {
-                    (
-                        f.clone(),
-                        format!("::serde::Serialize::to_value(&self.{f})"),
-                    )
-                })),
-            };
-            impl_block(name, &body)
-        }
-        Item::Enum { name, variants } => {
-            let arms: Vec<String> = variants.iter().map(|v| variant_arm(name, v)).collect();
-            impl_block(name, &format!("match self {{ {} }}", arms.join(" ")))
-        }
-    }
-}
-
-fn variant_arm(enum_name: &str, v: &Variant) -> String {
-    let vname = &v.name;
-    match &v.fields {
-        Fields::Unit => {
-            format!("{enum_name}::{vname} => ::serde::Value::Str({vname:?}.to_string()),")
-        }
-        Fields::Tuple(n) => {
-            let binders: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-            let inner = if *n == 1 {
-                "::serde::Serialize::to_value(f0)".to_string()
-            } else {
-                let elems: Vec<String> = binders
-                    .iter()
-                    .map(|b| format!("::serde::Serialize::to_value({b})"))
-                    .collect();
-                format!("::serde::Value::Array(vec![{}])", elems.join(", "))
-            };
-            format!(
-                "{enum_name}::{vname}({}) => ::serde::Value::Object(vec![({vname:?}.to_string(), {inner})]),",
-                binders.join(", ")
-            )
-        }
-        Fields::Named(names) => {
-            let inner = object_literal(
-                names
-                    .iter()
-                    .map(|f| (f.clone(), format!("::serde::Serialize::to_value({f})"))),
-            );
-            format!(
-                "{enum_name}::{vname} {{ {} }} => ::serde::Value::Object(vec![({vname:?}.to_string(), {inner})]),",
-                names.join(", ")
-            )
-        }
-    }
-}
-
-fn object_literal(entries: impl Iterator<Item = (String, String)>) -> String {
-    let fields: Vec<String> = entries
-        .map(|(key, value)| format!("({key:?}.to_string(), {value})"))
-        .collect();
-    format!("::serde::Value::Object(vec![{}])", fields.join(", "))
-}
-
-fn impl_block(name: &str, body: &str) -> String {
-    format!(
-        "#[automatically_derived] impl ::serde::Serialize for {name} {{ \
-         fn to_value(&self) -> ::serde::Value {{ {body} }} }}"
-    )
-}
+//! Empty placeholder for the retired `serde_derive` stand-in: nothing in the workspace derives `Serialize`, and the crate stays only until the manifests that name it drop it.

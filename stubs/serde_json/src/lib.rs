@@ -1,155 +1,1 @@
-//! Offline stand-in for `serde_json`: renders the [`serde`] stub's value
-//! tree as JSON text. Only serialization is supported.
-
-use std::fmt;
-
-use serde::{Serialize, Value};
-
-/// Serialization error (never produced by this stub; kept for API parity).
-#[derive(Debug)]
-pub struct Error(());
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "serde_json stub error")
-    }
-}
-
-impl std::error::Error for Error {}
-
-/// Serializes a value as compact JSON.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), None, 0, &mut out);
-    Ok(out)
-}
-
-/// Serializes a value as pretty-printed JSON (two-space indent).
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), Some(2), 0, &mut out);
-    Ok(out)
-}
-
-fn write_value(value: &Value, indent: Option<usize>, level: usize, out: &mut String) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(x) => {
-            if x.is_finite() {
-                // Match serde_json: integral floats keep a trailing `.0`.
-                if x.fract() == 0.0 && x.abs() < 1e15 {
-                    out.push_str(&format!("{x:.1}"));
-                } else {
-                    out.push_str(&x.to_string());
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(s, out),
-        Value::Array(items) => write_seq(
-            items.iter(),
-            items.len(),
-            ('[', ']'),
-            indent,
-            level,
-            out,
-            |item, out, lvl| {
-                write_value(item, indent, lvl, out);
-            },
-        ),
-        Value::Object(entries) => write_seq(
-            entries.iter(),
-            entries.len(),
-            ('{', '}'),
-            indent,
-            level,
-            out,
-            |(k, v), out, lvl| {
-                write_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(v, indent, lvl, out);
-            },
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_seq<I: Iterator>(
-    items: I,
-    len: usize,
-    (open, close): (char, char),
-    indent: Option<usize>,
-    level: usize,
-    out: &mut String,
-    mut write_item: impl FnMut(I::Item, &mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for (i, item) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (level + 1)));
-        }
-        write_item(item, out, level + 1);
-    }
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * level));
-    }
-    out.push(close);
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn renders_nested_values() {
-        let v = Value::Object(vec![
-            ("x".to_string(), Value::UInt(7)),
-            (
-                "list".to_string(),
-                Value::Array(vec![Value::Bool(true), Value::Null]),
-            ),
-        ]);
-        struct Wrap(Value);
-        impl Serialize for Wrap {
-            fn to_value(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        let pretty = to_string_pretty(&Wrap(v.clone())).unwrap();
-        assert!(pretty.contains("\"x\": 7"));
-        let compact = to_string(&Wrap(v)).unwrap();
-        assert_eq!(compact, "{\"x\":7,\"list\":[true,null]}");
-    }
-}
+//! Empty placeholder for the retired `serde_json` stand-in: `freeset::report` renders the two JSON reports, and the crate stays only until the manifests that name it drop it.
