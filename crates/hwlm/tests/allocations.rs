@@ -1,11 +1,15 @@
-//! Generation allocates per sequence, not per token.
+//! Generation allocates per sequence, not per token, and training per
+//! table, not per context.
 //!
 //! A counting global allocator (this test binary's own) tallies the heap
-//! allocations of one `generate_ids` call on the calling thread. A call
-//! that generates 64 times as many tokens may allocate only for the
-//! amortised growth of its context and output vectors (and of the reused
+//! allocations made on the calling thread. A `generate_ids` call that
+//! generates 64 times as many tokens may allocate only for the amortised
+//! growth of its context and output vectors (and of the reused
 //! distribution buffer, if it meets a larger prediction): a few doublings,
-//! never an allocation per token.
+//! never an allocation per token. An `observe_sequence` call may allocate
+//! only for the growth of its tables and of the maps of contexts seen with
+//! two or more distinct continuations; a context's lone continuation is
+//! stored inline.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -122,4 +126,19 @@ fn generation_allocations_do_not_grow_per_token() {
     assert_allocations_are_per_sequence(&QuantizedModel::new(&base, 4), &prompt, &any_temperature);
     assert_allocations_are_per_sequence(&tuned, &prompt, &[0.0, 0.2]);
     assert_allocations_are_per_sequence(&QuantizedModel::new(&tuned, 4), &prompt, &[0.0, 0.2]);
+}
+
+#[test]
+fn training_allocations_do_not_grow_per_context() {
+    // 4,096 distinct tokens: every context of orders 1-3 is new and has one
+    // continuation, and only the empty context has many.
+    let sequence: Vec<TokenId> = (0..4_096).collect();
+    let mut counts = NgramCounts::new(4);
+    let before = ALLOCATIONS.with(Cell::get);
+    counts.observe_sequence(&sequence);
+    let made = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(counts.context_count(), 1 + 4_095 + 4_094 + 4_093);
+    // Four tables and the empty context's map, each grown by doubling:
+    // O(order * log n), not one allocation per context.
+    assert!(made < 100, "{made} allocations for 12,283 contexts");
 }

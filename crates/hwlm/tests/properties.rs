@@ -82,6 +82,49 @@ fn token_sequences(rng: &mut ChaCha8Rng, count: usize, max_len: usize) -> Vec<Ve
         .collect()
 }
 
+/// `sequences` observed in order into fresh tables.
+fn fold(order: usize, sequences: &[Vec<TokenId>]) -> NgramCounts {
+    let mut counts = NgramCounts::new(order);
+    for ids in sequences {
+        counts.observe_sequence(ids);
+    }
+    counts
+}
+
+/// Checks that `counts` answers as `longhand` after each of `contexts`:
+/// the same distribution entries and the same score bits for the tokens
+/// 0..8, the last two never observed.
+fn check_against_longhand(
+    counts: &NgramCounts,
+    longhand: &LonghandBackoff,
+    contexts: &[Vec<TokenId>],
+) -> Result<(), TestCaseError> {
+    let bits = |d: Distribution| -> Vec<(TokenId, u64)> {
+        d.entries().iter().map(|&(t, p)| (t, p.to_bits())).collect()
+    };
+    let order = counts.order();
+    for context in contexts {
+        prop_assert_eq!(
+            bits(counts.distribution(context)),
+            bits(longhand.distribution(context)),
+            "order {}, context {:?}",
+            order,
+            context
+        );
+        for token in 0..8 {
+            prop_assert_eq!(
+                counts.score(context, token).to_bits(),
+                longhand.score(context, token).to_bits(),
+                "order {}, context {:?}, token {}",
+                order,
+                context,
+                token
+            );
+        }
+    }
+    Ok(())
+}
+
 /// A distribution as a plain entry list, so the longhand sampling chain
 /// below shares no code with [`Distribution`].
 type Entries = Vec<(TokenId, f64)>;
@@ -554,27 +597,49 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let documents = rng.gen_range(1..8);
         let sequences = token_sequences(&mut rng, documents, 60);
-        let mut counts = NgramCounts::new(order);
-        for ids in &sequences {
-            counts.observe_sequence(ids);
-        }
         let longhand = LonghandBackoff::train(order, &sequences);
         let mut contexts = token_sequences(&mut rng, 24, 25);
         contexts.extend(sequences.iter().map(|ids| ids[..ids.len() / 2].to_vec()));
-        for context in &contexts {
-            prop_assert_eq!(
-                counts.distribution(context),
-                longhand.distribution(context),
-                "order {}, context {:?}", order, context
-            );
-            for token in 0..8 {
-                prop_assert_eq!(
-                    counts.score(context, token).to_bits(),
-                    longhand.score(context, token).to_bits(),
-                    "order {}, context {:?}, token {}", order, context, token
-                );
-            }
+        check_against_longhand(&fold(order, &sequences), &longhand, &contexts)?;
+    }
+
+    /// Merging per-shard tables keeps both forms of a context canonical:
+    /// over a small alphabet, contexts with one continuation and with
+    /// several meet in every pairing, yet any contiguous sharding, merged
+    /// in shard order or regrouped as `s0 + (s1 + (s2 + ..))`, equals the
+    /// one-pass fold and answers every query as the longhand tables do.
+    #[test]
+    fn merged_counts_match_the_one_pass_fold(seed in any::<u64>(), order in 1usize..=8) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let documents = rng.gen_range(1..12);
+        let sequences = token_sequences(&mut rng, documents, 40);
+        let mut shards = Vec::new();
+        let mut start = 0;
+        while start < sequences.len() {
+            let end = rng.gen_range(start + 1..=sequences.len());
+            shards.push(fold(order, &sequences[start..end]));
+            start = end;
         }
+        let mut in_order = NgramCounts::new(order);
+        for shard in shards.iter().cloned() {
+            in_order.merge(shard);
+        }
+        let regrouped = shards
+            .into_iter()
+            .rev()
+            .reduce(|later, mut earlier| {
+                earlier.merge(later);
+                earlier
+            })
+            .expect("at least one document");
+        let one_pass = fold(order, &sequences);
+        prop_assert_eq!(&in_order, &one_pass, "order {}, in shard order", order);
+        prop_assert_eq!(&regrouped, &one_pass, "order {}, regrouped", order);
+        let longhand = LonghandBackoff::train(order, &sequences);
+        let mut contexts = token_sequences(&mut rng, 24, 12);
+        contexts.extend(sequences.iter().flat_map(|ids| (0..ids.len()).map(|end| ids[..end].to_vec())));
+        check_against_longhand(&in_order, &longhand, &contexts)?;
+        check_against_longhand(&regrouped, &longhand, &contexts)?;
     }
 
     #[test]
